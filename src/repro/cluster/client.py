@@ -1,14 +1,16 @@
 """Cluster client: per-node RPC with retries, and the striped array.
 
-:class:`NodeClient` is the transport layer -- one request per
-connection, a per-request timeout, bounded retries with exponential
-backoff (plus optional seeded jitter), and a metrics trail of every
-timeout, checksum failure and reconnect.  All timing -- timeouts,
-backoff sleeps, latency observations -- flows through an injectable
-:class:`~repro.sim.clock.Clock` and all byte I/O through an injectable
-:class:`~repro.sim.transport.Transport`, so the same code path runs on
-real sockets in production and on virtual time + in-memory pipes under
-:mod:`repro.sim`, where scenarios replay bit-identically from a seed.  :class:`ClusterArray` is the data path: it stripes
+:class:`NodeClient` is the transport layer -- a small pool of open
+connections to its node (an attempt reuses an idle one and hands it
+back after a clean reply), a per-request timeout, bounded retries with
+exponential backoff (plus optional seeded jitter), and a metrics trail
+of every connect, timeout, checksum failure and reconnect.  All timing
+-- timeouts, backoff sleeps, latency observations -- flows through an
+injectable :class:`~repro.sim.clock.Clock` and all byte I/O through an
+injectable :class:`~repro.sim.transport.Transport`, so the same code
+path runs on real sockets in production and on virtual time +
+in-memory pipes under :mod:`repro.sim`, where scenarios replay
+bit-identically from a seed.  :class:`ClusterArray` is the data path: it stripes
 full-stripe writes across ``k + 2`` :class:`~repro.cluster.node.StripNode`
 servers (column ``c`` lives on node ``c``; the cluster relies on node
 placement, not rotation, for failure independence), serves **degraded
@@ -49,6 +51,12 @@ __all__ = [
     "ClusterArray",
     "send_verb",
 ]
+
+#: Idle connections a :class:`NodeClient` keeps open to its node.  A
+#: rebuild window fans one RPC per stripe (16 by default) out to every
+#: survivor at once, and the next window reuses them all; a reply beyond
+#: the cap closes its connection.
+MAX_IDLE_CONNECTIONS = 16
 
 
 class ClusterError(Exception):
@@ -164,7 +172,17 @@ async def send_verb(
 
 
 class NodeClient:
-    """Retrying RPC channel to one strip node."""
+    """Retrying RPC channel to one strip node.
+
+    Connections are kept open between requests: an attempt takes an
+    idle connection (or opens one, counted on ``connects``) and puts it
+    back after a clean reply, up to :data:`MAX_IDLE_CONNECTIONS`.  A
+    timeout, a cancellation, a CRC or framing error, or a dropped peer
+    closes the connection instead, since the stream may then hold half
+    a frame; and an idle connection the node hung up on is discarded
+    when taken, so it never costs a retry.  :meth:`close` releases the
+    idle connections of a client that is no longer used.
+    """
 
     def __init__(
         self,
@@ -190,18 +208,44 @@ class NodeClient:
         #: None disables.  Safe because every verb is idempotent -- the
         #: retry loop already requires that.
         self.hedge_after = hedge_after
+        #: open connections awaiting the next attempt, most recent last
+        self._idle: list[tuple[asyncio.StreamReader, object]] = []
+        self._closed = False
+
+    async def _connection(self) -> tuple[asyncio.StreamReader, object]:
+        """An idle connection to the node, else a new one."""
+        while self._idle:
+            reader, writer = self._idle.pop()
+            if not (reader.at_eof() or writer.is_closing()):
+                return reader, writer
+            writer.close()  # the node hung up while it idled
+        connection = await self.transport.connect(self.address)
+        self.metrics.counter("connects").inc()
+        return connection
 
     async def _attempt(self, header: dict, payload: bytes) -> tuple[dict, bytes]:
-        reader, writer = await self.transport.connect(self.address)
+        reader, writer = await self._connection()
         try:
             await write_frame(writer, header, payload)
-            return await read_frame(reader)
-        finally:
+            reply = await read_frame(reader)
+        except BaseException:
+            # Timed out, cancelled, garbled or cut off: the stream may
+            # hold part of a frame, so the connection is never reused.
             writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            raise
+        if self._closed or len(self._idle) >= MAX_IDLE_CONNECTIONS:
+            writer.close()
+        else:
+            self._idle.append((reader, writer))
+        return reply
+
+    def close(self) -> None:
+        """Close the idle connections and stop pooling: a reply still
+        in flight, or a later request, closes its connection after use."""
+        self._closed = True
+        idle, self._idle = self._idle, []
+        for _, writer in idle:
+            writer.close()
 
     async def request(
         self, verb: str, header: dict | None = None, payload: bytes = b""
@@ -356,6 +400,17 @@ class NodeClient:
         )
 
 
+def cached_client(cache: dict, key, address: tuple[str, int], make) -> NodeClient:
+    """``cache[key]`` while it still dials ``address``; otherwise
+    ``make(address)`` takes its place and the stale client is closed."""
+    client = cache.get(key)
+    if client is None or client.address != (str(address[0]), int(address[1])):
+        if client is not None:
+            client.close()
+        client = cache[key] = make(address)
+    return client
+
+
 class ClusterArray:
     """A RAID-6 array whose strips live on ``k + 2`` network nodes.
 
@@ -435,16 +490,26 @@ class ClusterArray:
         if not 0 <= stripe < self.n_stripes:
             raise IndexError(f"stripe {stripe} out of range [0, {self.n_stripes})")
 
-    def replace_node(self, column: int, address: tuple[str, int]) -> None:
+    def replace_node(self, column: int, node: tuple[str, int] | NodeClient) -> None:
         """Point a column at a replacement node (post-rebuild).
 
-        Any circuit-breaker state belongs to the *old* node, so the
-        column's breaker resets -- otherwise a freshly rebuilt column
-        would stay short-circuited for the rest of the cooldown.
+        ``node`` is the replacement's address, or an open client to it
+        (the rebuild hands over its own, pooled connections and all).
+        The replaced client is closed.  Any circuit-breaker state
+        belongs to the *old* node, so the column's breaker resets --
+        otherwise a freshly rebuilt column would stay short-circuited
+        for the rest of the cooldown.
         """
-        self.clients[column] = self._make_client(address)
+        client = node if isinstance(node, NodeClient) else self._make_client(node)
+        self.clients[column].close()
+        self.clients[column] = client
         if self.breakers is not None:
             self.breakers[column].reset()
+
+    def close(self) -> None:
+        """Close the idle connections of every node client."""
+        for client in self.clients:
+            client.close()
 
     # -- strip RPCs --------------------------------------------------------
 

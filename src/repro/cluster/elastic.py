@@ -41,6 +41,7 @@ from repro.cluster.client import (
     NodeClient,
     NodeUnavailableError,
     RetryPolicy,
+    cached_client,
 )
 from repro.cluster.membership import MembershipTable
 from repro.cluster.placement import PlacementMap
@@ -107,12 +108,14 @@ class ElasticArray(ClusterArray):
 
     def client_for_node(self, node_id: str) -> NodeClient:
         """Cached client for one node, rebuilt if its address changed."""
-        address = self.membership.address_of(node_id)
-        client = self._node_clients.get(node_id)
-        if client is None or client.address != (address[0], address[1]):
-            client = self._make_client(address)
-            self._node_clients[node_id] = client
-        return client
+        return cached_client(
+            self._node_clients, node_id, self.membership.address_of(node_id),
+            self._make_client,
+        )
+
+    def close(self) -> None:
+        for client in self._node_clients.values():
+            client.close()
 
     def _client_for(self, column: int, stripe: int | None) -> NodeClient:
         if stripe is None:

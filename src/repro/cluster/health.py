@@ -32,7 +32,13 @@ from __future__ import annotations
 import asyncio
 import enum
 
-from repro.cluster.client import ClusterArray, ClusterError, NodeClient, RetryPolicy
+from repro.cluster.client import (
+    ClusterArray,
+    ClusterError,
+    NodeClient,
+    RetryPolicy,
+    cached_client,
+)
 from repro.cluster.rebuild import RebuildScheduler
 from repro.sim.clock import Clock
 
@@ -187,21 +193,26 @@ class HealthMonitor:
             )
             for _ in range(n)
         ]
+        self._probes: dict[int, NodeClient] = {}
         self._task: asyncio.Task | None = None
 
     # -- probing -------------------------------------------------------------
 
     def _probe_client(self, column: int) -> NodeClient:
-        # Rebuilt per probe so replacements are picked up automatically;
-        # shares the array's seams (and metrics) for determinism.
+        # One per column, its connection kept open between rounds, and
+        # rebuilt when the array repoints the column; shares the
+        # array's seams (and metrics) for determinism.
         array = self.array
-        return NodeClient(
-            array.clients[column].address,
-            policy=self.probe_policy,
-            metrics=array.metrics,
-            transport=array.transport,
-            clock=array.clock,
-            tracer=array.tracer,
+        return cached_client(
+            self._probes, column, array.clients[column].address,
+            lambda address: NodeClient(
+                address,
+                policy=self.probe_policy,
+                metrics=array.metrics,
+                transport=array.transport,
+                clock=array.clock,
+                tracer=array.tracer,
+            ),
         )
 
     async def probe_once(self) -> list[bool]:
@@ -297,6 +308,9 @@ class HealthMonitor:
                 await task
             except asyncio.CancelledError:
                 pass
+        for probe in self._probes.values():
+            probe.close()
+        self._probes.clear()
 
     # -- introspection -------------------------------------------------------
 

@@ -60,6 +60,8 @@ class LocalCluster:
         ]
         #: replacement nodes started via :meth:`start_replacement`
         self.replacements: dict[int, StripNode] = {}
+        #: arrays built by :meth:`array`; :meth:`stop` closes their clients
+        self._arrays: list[ClusterArray] = []
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -68,6 +70,8 @@ class LocalCluster:
         return self.addresses
 
     async def stop(self) -> None:
+        for arr in self._arrays:
+            arr.close()
         live = [n for n in [*self.nodes, *self.replacements.values()] if n.running]
         await asyncio.gather(*(n.stop() for n in live))
 
@@ -144,11 +148,13 @@ class LocalCluster:
         hedge_after: float | None = None,
     ) -> ClusterArray:
         """A :class:`ClusterArray` wired to this cluster's nodes."""
-        return ClusterArray(
+        arr = ClusterArray(
             self.code, self.addresses, self.n_stripes, policy=policy,
             transport=self.transport, clock=self.clock, rng=rng,
             tracer=self.tracer, hedge_after=hedge_after,
         )
+        self._arrays.append(arr)
+        return arr
 
 
 class ElasticLocalCluster:
@@ -184,6 +190,8 @@ class ElasticLocalCluster:
         self.tracer = tracer
         self.membership = MembershipTable()
         self.nodes: dict[str, StripNode] = {}
+        #: arrays built by :meth:`array`; :meth:`stop` closes their clients
+        self._arrays: list = []
         self._next_id = 0
         self._strip_words = code.rows * (code.element_size // 8)
         n_nodes = code.n_cols if n_nodes is None else int(n_nodes)
@@ -213,6 +221,8 @@ class ElasticLocalCluster:
         return {nid: n.address for nid, n in self.nodes.items()}
 
     async def stop(self) -> None:
+        for arr in self._arrays:
+            arr.close()
         live = [n for n in self.nodes.values() if n.running]
         await asyncio.gather(*(n.stop() for n in live))
 
@@ -265,11 +275,13 @@ class ElasticLocalCluster:
         """An :class:`~repro.cluster.elastic.ElasticArray` over this pool."""
         from repro.cluster.elastic import ElasticArray
 
-        return ElasticArray(
+        arr = ElasticArray(
             self.code, self.membership, self.n_stripes, policy=policy,
             transport=self.transport, clock=self.clock, rng=rng,
             tracer=self.tracer, hedge_after=hedge_after,
         )
+        self._arrays.append(arr)
+        return arr
 
     def monitor(self, array, **kwargs):
         """A :class:`~repro.cluster.membership.MembershipMonitor` for ``array``."""

@@ -42,7 +42,7 @@ import asyncio
 import enum
 from dataclasses import dataclass
 
-from repro.cluster.client import ClusterError, NodeClient, RetryPolicy
+from repro.cluster.client import ClusterError, NodeClient, RetryPolicy, cached_client
 from repro.cluster.health import CircuitBreaker
 
 __all__ = [
@@ -291,6 +291,7 @@ class MembershipMonitor:
         self.min_open_interval = float(min_open_interval)
         self.on_change = on_change
         self.misses: dict[str, int] = {}
+        self._probes: dict[str, NodeClient] = {}
         self._task: asyncio.Task | None = None
 
     def _breaker(self, node_id: str) -> CircuitBreaker:
@@ -306,14 +307,19 @@ class MembershipMonitor:
         return breakers[node_id]
 
     def _probe_client(self, node_id: str) -> NodeClient:
+        # One per node, its connection kept open between rounds, and
+        # rebuilt when the node comes back at a new address.
         array = self.array
-        return NodeClient(
-            self.membership.address_of(node_id),
-            policy=self.probe_policy,
-            metrics=array.metrics,
-            transport=array.transport,
-            clock=array.clock,
-            tracer=array.tracer,
+        return cached_client(
+            self._probes, node_id, self.membership.address_of(node_id),
+            lambda address: NodeClient(
+                address,
+                policy=self.probe_policy,
+                metrics=array.metrics,
+                transport=array.transport,
+                clock=array.clock,
+                tracer=array.tracer,
+            ),
         )
 
     async def probe_once(self) -> dict[str, bool]:
@@ -321,6 +327,8 @@ class MembershipMonitor:
         table = self.membership
         targets = table.probed()
         epoch_before = table.epoch
+        for gone in sorted(self._probes.keys() - set(targets)):
+            self._probes.pop(gone).close()
 
         async def probe(node_id: str) -> bool:
             try:
@@ -374,6 +382,9 @@ class MembershipMonitor:
                 await task
             except asyncio.CancelledError:
                 pass
+        for probe in self._probes.values():
+            probe.close()
+        self._probes.clear()
 
     def status(self) -> dict:
         """Operator view: per-node state, misses, breaker."""

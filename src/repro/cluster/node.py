@@ -162,6 +162,8 @@ class StripNode:
         self._port = port
         self._server = None
         self._stopped = asyncio.Event()
+        #: the accepted connections still open: writer -> serving task
+        self._connections: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -186,11 +188,25 @@ class StripNode:
         return self.address
 
     async def stop(self) -> None:
-        """Stop accepting and close the listening socket."""
+        """Stop serving: close the listener and every open connection.
+
+        Clients keep idle connections open between requests, and a
+        stopped node answers none of them; requests in flight are cut
+        off, as by a power loss.  Hanging up first also lets
+        ``Server.wait_closed()`` return, which on Python >= 3.12.1
+        waits for the open connections.
+        """
         server, self._server = self._server, None
         if server is not None:
             server.close()
+            current = asyncio.current_task()
+            serving = [t for t in self._connections.values() if t is not current]
+            for writer in list(self._connections):
+                writer.close()
+            for task in serving:
+                task.cancel()
             await server.wait_closed()
+            await asyncio.gather(*serving, return_exceptions=True)
         self._stopped.set()
 
     async def serve_until_shutdown(self) -> None:
@@ -206,8 +222,11 @@ class StripNode:
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Serve frames off one connection until the peer leaves, a
+        frame is garbled, or the node stops."""
+        self._connections[writer] = asyncio.current_task()
         try:
-            while True:
+            while self.running:
                 try:
                     header, payload = await read_frame(reader)
                 except (asyncio.IncompleteReadError, ConnectionError):
@@ -217,7 +236,14 @@ class StripNode:
                     return  # unrecoverable framing state: drop the peer
                 if not await self._dispatch(header, payload, writer):
                     return
+        except asyncio.CancelledError:
+            # stop() cut the connection off and awaits this task: end
+            # quietly (Python 3.11's stream callback logs a cancelled
+            # handler as an error).  Any other cancellation propagates.
+            if self.running:
+                raise
         finally:
+            del self._connections[writer]
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()

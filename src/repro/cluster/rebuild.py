@@ -162,7 +162,7 @@ class RebuildScheduler:
             await self._freshen_dirty(start, patterns, batch, column)
             done += stop - start
             metrics.counter("rebuild_stripes_done").inc(stop - start)
-        array.replace_node(column, address)
+        array.replace_node(column, replacement)
         return done
 
     async def _freshen_dirty(

@@ -100,7 +100,8 @@ class VirtualClock(Clock):
         """Race ``awaitable`` against a virtual timer.
 
         Mirrors :func:`asyncio.wait_for`: on timeout the awaitable is
-        cancelled and :class:`asyncio.TimeoutError` is raised.
+        cancelled and :class:`asyncio.TimeoutError` is raised, and
+        cancelling the wait cancels the awaitable too.
         """
         if timeout is None:
             return await awaitable
@@ -110,14 +111,13 @@ class VirtualClock(Clock):
             await asyncio.wait({task, timer}, return_when=asyncio.FIRST_COMPLETED)
             if task.done():
                 return task.result()
-            task.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await task
             raise asyncio.TimeoutError(f"virtual wait_for timed out after {timeout}s")
         finally:
-            timer.cancel()
-            with contextlib.suppress(asyncio.CancelledError):
-                await timer
+            for waiter in (task, timer):
+                if not waiter.done():
+                    waiter.cancel()
+                    with contextlib.suppress(asyncio.CancelledError):
+                        await waiter
 
     # -- the advancing pump --------------------------------------------------
 

@@ -11,8 +11,8 @@ is the production default and delegates to ``asyncio.start_server`` /
 in-process pipes: a listener is an entry in a dict, a connection is a
 pair of :class:`asyncio.StreamReader` buffers cross-wired through
 :class:`MemoryStreamWriter`.  Connecting to an address nobody serves
-raises :class:`ConnectionRefusedError` and closing a writer feeds EOF
-to the peer -- exactly the failure surface the cluster's retry and
+raises :class:`ConnectionRefusedError` and closing either end feeds EOF
+to both readers -- exactly the failure surface the cluster's retry and
 degraded-read machinery is written against, minus the kernel's timing
 noise.  Combined with :class:`~repro.sim.clock.VirtualClock` this makes
 whole cluster scenarios replay bit-identically.
@@ -85,20 +85,25 @@ class MemoryStreamWriter:
 
     Implements the subset of :class:`asyncio.StreamWriter` the cluster
     uses (``write``/``drain``/``close``/``wait_closed``/``is_closing``).
-    Bytes feed straight into the peer's :class:`asyncio.StreamReader`;
-    ``close()`` feeds EOF, so a peer blocked in ``readexactly`` sees
+    Bytes feed straight into the peer's :class:`asyncio.StreamReader`.
+    ``close()`` ends the connection as closing a socket does: it feeds
+    EOF to both readers, so a peer blocked in ``readexactly`` sees
     :class:`asyncio.IncompleteReadError` just as it would on a dropped
-    TCP connection.
+    TCP connection, and so does this end's own pending read.  Bytes
+    written towards an end that has closed are dropped.
     """
 
     def __init__(self, peer_reader: asyncio.StreamReader) -> None:
         self._peer = peer_reader
         self._closed = False
+        #: the other end's writer, which feeds this end's reader (linked
+        #: by :meth:`MemoryTransport.connect`)
+        self.remote: MemoryStreamWriter | None = None
 
     def write(self, data: bytes) -> None:
         if self._closed:
             raise ConnectionResetError("memory pipe is closed")
-        if data:
+        if data and not (self.remote is not None and self.remote._closed):
             self._peer.feed_data(bytes(data))
 
     async def drain(self) -> None:
@@ -111,6 +116,8 @@ class MemoryStreamWriter:
         if not self._closed:
             self._closed = True
             self._peer.feed_eof()
+            if self.remote is not None:
+                self.remote._peer.feed_eof()  # this end's own reader
 
     def is_closing(self) -> bool:
         return self._closed
@@ -172,6 +179,7 @@ class MemoryTransport(Transport):
         server_reader = asyncio.StreamReader()
         client_writer = MemoryStreamWriter(server_reader)
         server_writer = MemoryStreamWriter(client_reader)
+        client_writer.remote, server_writer.remote = server_writer, client_writer
         task = asyncio.get_running_loop().create_task(
             handler(server_reader, server_writer)
         )

@@ -14,7 +14,14 @@ import pytest
 pytestmark = pytest.mark.slow
 
 from repro.array.faults import NetworkFaultPlan
-from repro.cluster import NodeClient, RemoteDiskError, RetryPolicy, StripNode, send_verb
+from repro.cluster import (
+    NodeClient,
+    NodeUnavailableError,
+    RemoteDiskError,
+    RetryPolicy,
+    StripNode,
+    send_verb,
+)
 from repro.utils.words import WORD_DTYPE
 
 STRIP_WORDS = 10
@@ -33,6 +40,7 @@ def run_with_node(coro_fn, *, n_strips=8):
         try:
             return await coro_fn(node, client)
         finally:
+            client.close()
             await node.stop()
 
     return asyncio.run(run())
@@ -147,3 +155,19 @@ class TestShutdown:
 
         reply, running = asyncio.run(run())
         assert reply["status"] == "ok" and not running
+
+    def test_stop_is_prompt_while_a_client_holds_idle_connections(self):
+        """A stopped node hangs up on pooled connections: it answers
+        none of them, and ``stop()`` does not wait for the client to
+        leave (``Server.wait_closed()`` does, on Python >= 3.12.1)."""
+
+        async def go(node, client):
+            await asyncio.gather(*(client.request("ping") for _ in range(4)))
+            pings = node.metrics.get("requests_ping")
+            await asyncio.wait_for(node.stop(), timeout=2.0)
+            with pytest.raises(NodeUnavailableError):
+                await client.request("ping")
+            return pings, node.metrics.get("requests_ping")
+
+        pings, after = run_with_node(go)
+        assert pings == 4 and after == pings

@@ -71,6 +71,28 @@ def test_wait_for_timeout_cancels_and_raises():
     assert asyncio.run(run()) == pytest.approx(0.25)
 
 
+def test_cancelling_wait_for_cancels_the_awaitable():
+    async def run():
+        clock = VirtualClock()
+        cancelled_at = []
+
+        async def slow():
+            try:
+                await clock.sleep(10.0)
+            except asyncio.CancelledError:
+                cancelled_at.append(clock.time())
+                raise
+
+        waiter = asyncio.ensure_future(clock.wait_for(slow(), timeout=50.0))
+        await clock.sleep(1.0)
+        waiter.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await waiter
+        return cancelled_at
+
+    assert asyncio.run(run()) == [1.0]
+
+
 def test_wait_for_returns_result_before_timeout():
     async def run():
         clock = VirtualClock()

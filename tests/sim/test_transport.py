@@ -81,6 +81,32 @@ def test_peer_close_feeds_eof():
     asyncio.run(run())
 
 
+def test_close_ends_own_read_and_drops_late_bytes():
+    """Closing one end ends that end's own pending read as well, as
+    closing a socket does (so a server can hang up on an idle client),
+    and bytes the other end writes afterwards are dropped."""
+
+    async def run():
+        transport = MemoryTransport()
+        own_read = []
+
+        async def hang_up(reader, writer):
+            pending = asyncio.ensure_future(reader.read())
+            await asyncio.sleep(0)
+            writer.close()
+            own_read.append(await pending)
+
+        listener = await transport.serve(hang_up, "127.0.0.1", 0)
+        reader, writer = await transport.connect(listener.address)
+        assert await reader.read() == b""  # the peer's EOF
+        writer.write(b"late")  # towards the closed end: dropped
+        await writer.drain()
+        await asyncio.sleep(0)
+        return own_read
+
+    assert asyncio.run(run()) == [b""]
+
+
 def test_write_after_close_raises_reset():
     async def run():
         transport = MemoryTransport()

@@ -260,6 +260,7 @@ class TestServeAndStats:
                                 policy=RetryPolicy(attempts=2, timeout=1.0))
             await client.request("put", {"stripe": 2}, strip)
             _, payload = await client.request("get", {"stripe": 2})
+            client.close()
             return payload
 
         assert asyncio.run(traffic()) == strip
