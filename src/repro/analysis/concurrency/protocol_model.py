@@ -13,10 +13,11 @@ closed:
   (``if verb == "put":``), plus membership tests against literal
   tuples/sets of verbs.
 * **callers** -- first-argument string literals of ``.request(...)``
-  and second-argument literals of ``send_verb(...)``,
-  ``_column_request(...)`` and ``_rpc(...)``, collected across the
-  whole source tree (and the test tree, for handler-liveness: some
-  verbs -- ``fault`` -- exist *for* the harness).
+  and ``_fan_out(...)``, and second-argument literals of
+  ``send_verb(...)``, ``_column_request(...)`` and ``_rpc(...)``,
+  collected across the whole source tree (and the test tree, for
+  handler-liveness: some verbs -- ``fault`` -- exist *for* the
+  harness).
 * **crash points** -- the ``NodeCrashPlan.POINTS`` tuple, cross-checked
   against every string literal in ``tests/``: a declared crash point
   that no test arms is an untested protocol state transition.
@@ -55,6 +56,7 @@ _VERB_ARG_INDEX = {
     "request": 0,         # client.request("get", ...)
     "send_verb": 1,       # send_verb(address, "stats", ...)
     "_column_request": 1, # array._column_request(col, "get", ...)
+    "_fan_out": 0,        # array._fan_out("get", [(col, stripes)])
     "_rpc": 1,            # writer._rpc(col, "prepare", ...)
 }
 

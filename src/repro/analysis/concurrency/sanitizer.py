@@ -112,7 +112,7 @@ def guard(payload, site: str) -> _Token | None:
     buffers someone *could* write (memoryviews, bytearrays, numpy
     ``.data``) are worth the CRC.
     """
-    if not enabled() or isinstance(payload, bytes) or payload is None:
+    if payload is None or isinstance(payload, bytes) or not enabled():
         return None
     try:
         view = memoryview(payload)

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.cluster import protocol
 from repro.cluster.protocol import FrameChecksumError, ProtocolError, read_frame, write_frame
 from repro.codes.base import RAID6Code
 from repro.obs.metrics import MetricsRegistry
@@ -52,10 +53,10 @@ __all__ = [
     "send_verb",
 ]
 
-#: Idle connections a :class:`NodeClient` keeps open to its node.  A
-#: rebuild window fans one RPC per stripe (16 by default) out to every
-#: survivor at once, and the next window reuses them all; a reply beyond
-#: the cap closes its connection.
+#: Idle connections a :class:`NodeClient` keeps open to its node.  An
+#: operation sends one RPC per node, so a node sees as many at once as
+#: there are operations in flight (the gateway admits 32); a reply
+#: beyond the cap closes its connection.
 MAX_IDLE_CONNECTIONS = 16
 
 
@@ -400,6 +401,15 @@ class NodeClient:
         )
 
 
+@contextlib.asynccontextmanager
+async def acquire_all(locks):
+    """Hold every lock of ``locks``, acquired in the order given."""
+    async with contextlib.AsyncExitStack() as held:
+        for lock in locks:
+            await held.enter_async_context(lock)
+        yield
+
+
 def cached_client(cache: dict, key, address: tuple[str, int], make) -> NodeClient:
     """``cache[key]`` while it still dials ``address``; otherwise
     ``make(address)`` takes its place and the stale client is closed."""
@@ -415,7 +425,8 @@ class ClusterArray:
     """A RAID-6 array whose strips live on ``k + 2`` network nodes.
 
     The mirror image of :class:`repro.array.raid6.RAID6Array` with the
-    disk accesses replaced by concurrent RPCs.  Reads always succeed
+    disk accesses replaced by concurrent RPCs, one per column and node
+    for all the stripes an operation touches.  Reads always succeed
     while at most two columns are lost (in any mix of stopped nodes,
     network faults and disk errors); writes skip unreachable columns
     the way a degraded array skips failed disks, leaving the stripe
@@ -535,23 +546,29 @@ class ClusterArray:
         *,
         stripe: int | None = None,
     ) -> tuple[dict, bytes]:
-        """Data-plane RPC to one column, gated by its circuit breaker.
+        """One RPC to the node serving ``column`` (of ``stripe``)."""
+        route = (self._client_for(column, stripe), self._breaker_for(column, stripe))
+        return await self._node_request(route, column, verb, header, payload)
+
+    async def _node_request(
+        self, route: tuple, column: int, verb: str, header: dict | None,
+        payload: bytes = b"",
+    ) -> tuple[dict, bytes]:
+        """Data-plane RPC over a resolved ``(client, breaker)`` route.
 
         An open breaker short-circuits to :class:`NodeUnavailableError`
         without touching the wire; outcomes feed back so the breaker
         sees every probe.  :class:`RemoteDiskError` counts as a
         *success* -- the node answered, its disk is the problem.
         """
-        breaker = self._breaker_for(column, stripe)
+        client, breaker = route
         if breaker is not None and not breaker.allow():
             self.metrics.counter("breaker_short_circuits").inc()
             raise NodeUnavailableError(
                 f"column {column}: circuit breaker open"
             )
         try:
-            result = await self._client_for(column, stripe).request(
-                verb, header, payload
-            )
+            result = await client.request(verb, header, payload)
         except NodeUnavailableError:
             if breaker is not None:
                 breaker.record_failure()
@@ -564,23 +581,105 @@ class ClusterArray:
             breaker.record_success()
         return result
 
-    async def _fetch_strip(self, column: int, stripe: int) -> np.ndarray:
-        _, payload = await self._column_request(
-            column, "get", {"stripe": stripe}, stripe=stripe
+    def _frames(self, stripes: list[int]) -> list[list[int]]:
+        """``stripes`` split only where a frame carrying their strips
+        would exceed :data:`~repro.cluster.protocol.MAX_FRAME_BYTES`."""
+        per_frame = max(1, protocol.MAX_FRAME_BYTES // self.code.strip_bytes)
+        return [stripes[i : i + per_frame] for i in range(0, len(stripes), per_frame)]
+
+    def _routes(self, column: int, stripes: list[int]) -> list[tuple[tuple, list[int]]]:
+        """``stripes`` of ``column`` grouped by serving node, as one
+        ``(route, stripes)`` batch per node and frame."""
+        groups: dict[tuple, list[int]] = {}
+        for stripe in stripes:
+            route = (self._client_for(column, stripe), self._breaker_for(column, stripe))
+            groups.setdefault(route, []).append(stripe)
+        return [
+            (route, frame)
+            for route, group in groups.items()
+            for frame in self._frames(group)
+        ]
+
+    async def _fan_out(
+        self, verb: str, plan: list[tuple[int, list[int]]], payload_for=None
+    ) -> list[tuple[int, list[int], object]]:
+        """``verb`` for each ``(column, stripes)`` of ``plan``: one RPC
+        per column and serving node (and frame), all concurrent, with
+        payload ``payload_for(column, batch)``.
+
+        Returns ``(column, batch, outcome)`` per RPC, the outcome being
+        its ``(reply, payload)`` or the :class:`NodeUnavailableError` /
+        :class:`RemoteDiskError` that lost every strip of the batch.
+        """
+        batches = [
+            (column, route, batch)
+            for column, stripes in plan
+            for route, batch in self._routes(column, stripes)
+        ]
+        outcomes = await asyncio.gather(
+            *(
+                self._node_request(
+                    route, column, verb, {"stripes": batch},
+                    b"" if payload_for is None else payload_for(column, batch),
+                )
+                for column, route, batch in batches
+            ),
+            return_exceptions=True,
         )
-        words = np.frombuffer(payload, dtype=WORD_DTYPE)
-        expected = self.code.rows * (self.code.element_size // 8)
-        if words.size != expected:
-            raise ProtocolError(
-                f"column {column} returned {words.size} words, expected {expected}"
-            )
-        return words.reshape(self.code.rows, -1)
+        for outcome in outcomes:
+            if isinstance(outcome, BaseException) and not isinstance(
+                outcome, (NodeUnavailableError, RemoteDiskError)
+            ):
+                raise outcome
+        return [
+            (column, batch, outcome)
+            for (column, _, batch), outcome in zip(batches, outcomes)
+        ]
+
+    async def _gather(
+        self, stripes: list[int], columns: list[int], bufs: list[np.ndarray]
+    ) -> dict[int, list[int]]:
+        """Fetch ``columns`` of ``stripes`` into ``bufs`` (one buffer per
+        stripe), one ``get`` per column and serving node; returns each
+        stripe's lost columns.  A strip behind a latent sector costs
+        only its own stripe's column."""
+        code = self.code
+        words = code.rows * (code.element_size // 8)
+        into = dict(zip(stripes, bufs))
+        lost: dict[int, list[int]] = {stripe: [] for stripe in stripes}
+        done = await self._fan_out("get", [(col, stripes) for col in columns])
+        for col, batch, outcome in done:
+            if isinstance(outcome, ClusterError):
+                for stripe in batch:
+                    lost[stripe].append(col)
+                continue
+            reply, payload = outcome
+            unreadable = set(reply.get("unreadable", ()))
+            readable = [s for s in batch if s not in unreadable]
+            strips = np.frombuffer(payload, dtype=WORD_DTYPE)
+            if strips.size != len(readable) * words:
+                raise ProtocolError(
+                    f"column {col} returned {strips.size} words, "
+                    f"expected {len(readable) * words}"
+                )
+            for i, stripe in enumerate(readable):
+                into[stripe][col] = strips[i * words : (i + 1) * words].reshape(
+                    code.rows, -1
+                )
+            for stripe in batch:
+                if stripe in unreadable:
+                    lost[stripe].append(col)
+        return lost
+
+    async def _gather_columns(
+        self, stripe: int, columns: list[int], buf: np.ndarray
+    ) -> list[int]:
+        """Fetch ``columns`` of one stripe into ``buf``; returns the losers."""
+        return (await self._gather([stripe], columns, [buf]))[stripe]
 
     async def _store_strip(self, column: int, stripe: int, strip: np.ndarray) -> None:
-        # Ship a view, not a copy: the frame writer streams memoryviews
-        # straight to the socket (ascontiguousarray is a no-op for the
-        # usual stripe-column slice and keeps the buffer alive via the
-        # view for the rare strided caller).
+        # Ship a view, not a copy (ascontiguousarray is a no-op for the
+        # usual stripe-column slice).
         await self._column_request(
             column,
             "put",
@@ -589,87 +688,102 @@ class ClusterArray:
             stripe=stripe,
         )
 
-    async def _gather_columns(
-        self, stripe: int, columns: list[int], buf: np.ndarray
-    ) -> list[int]:
-        """Fetch ``columns`` into ``buf`` concurrently; returns the losers."""
-        results = await asyncio.gather(
-            *(self._fetch_strip(c, stripe) for c in columns), return_exceptions=True
-        )
-        missing: list[int] = []
-        for col, res in zip(columns, results):
-            if isinstance(res, (NodeUnavailableError, RemoteDiskError)):
-                missing.append(col)
-            elif isinstance(res, BaseException):
-                raise res
-            else:
-                buf[col] = res
-        return missing
-
     # -- stripe I/O --------------------------------------------------------
 
-    async def read_stripe(self, stripe: int) -> np.ndarray:
-        """Assemble one stripe buffer, decoding around lost columns.
+    async def _read_stripes(self, stripes: list[int]) -> list[np.ndarray]:
+        """Assemble stripe buffers, decoding around lost columns.
 
-        The sunny-day path touches only the ``k`` data columns; any
-        loss widens the fetch to the parity columns and runs the
-        erasure decode on the survivors.
+        The sunny-day path is one ``get`` per data column (and serving
+        node) for all of ``stripes``; only the stripes that lost a
+        column widen the fetch to the parity columns, again batched,
+        and run the erasure decode on their survivors.
         """
-        self._check_stripe(stripe)
         code = self.code
-        buf = code.alloc_stripe()
-        missing = await self._gather_columns(stripe, list(range(code.k)), buf)
-        if missing:
-            parity_lost = await self._gather_columns(
-                stripe, [code.p_col, code.q_col], buf
+        for stripe in stripes:
+            self._check_stripe(stripe)
+        bufs = [code.alloc_stripe() for _ in stripes]
+        lost = await self._gather(stripes, list(range(code.k)), bufs)
+        degraded = [(s, buf) for s, buf in zip(stripes, bufs) if lost[s]]
+        if degraded:
+            parity_lost = await self._gather(
+                [s for s, _ in degraded], [code.p_col, code.q_col],
+                [buf for _, buf in degraded],
             )
-            missing = sorted(missing + parity_lost)
-            if len(missing) > 2:
-                raise ClusterDegradedError(
-                    f"stripe {stripe}: columns {missing} lost; RAID-6 tolerates 2"
-                )
-            for col in missing:
-                buf[col] = 0
-            code.decode(buf, missing)
-            self.metrics.counter("decodes").inc()
-            self.metrics.counter("degraded_reads").inc()
-        return buf
+            for stripe, buf in degraded:
+                missing = sorted(lost[stripe] + parity_lost[stripe])
+                if len(missing) > 2:
+                    raise ClusterDegradedError(
+                        f"stripe {stripe}: columns {missing} lost; RAID-6 tolerates 2"
+                    )
+                for col in missing:
+                    buf[col] = 0
+                code.decode(buf, missing)
+                self.metrics.counter("decodes").inc()
+                self.metrics.counter("degraded_reads").inc()
+        return bufs
+
+    async def read_stripe(self, stripe: int) -> np.ndarray:
+        """Assemble one stripe buffer, decoding around lost columns."""
+        return (await self._read_stripes([stripe]))[0]
+
+    async def _write_stripes(
+        self, stripes: list[int], bufs: list[np.ndarray], *,
+        columns: list[int] | None = None,
+    ) -> dict[int, list[int]]:
+        """Scatter (selected columns of) stripe buffers to the nodes: one
+        ``put`` per column and serving node carries every stripe's strip.
+
+        Columns whose node cannot be reached are skipped -- degraded
+        write semantics -- unless that would leave a stripe beyond
+        RAID-6 tolerance, which raises :class:`ClusterDegradedError`.
+        Returns each stripe's *skipped* columns (empty means fully
+        durable), and records them in :attr:`dirty_stripes` so the
+        scrubber repairs the stale columns first once their nodes
+        return.
+        """
+        for stripe in stripes:
+            self._check_stripe(stripe)
+        cols = list(range(self.code.n_cols)) if columns is None else list(columns)
+        into = dict(zip(stripes, bufs))
+
+        def strips(col: int, batch: list[int]):
+            # One strip ships as a view of its stripe buffer; several
+            # are gathered into one buffer.
+            if len(batch) == 1:
+                return np.ascontiguousarray(into[batch[0]][col]).data
+            return np.concatenate([into[s][col] for s in batch]).data
+
+        done = await self._fan_out("put", [(col, stripes) for col in cols], strips)
+        skipped: dict[int, list[int]] = {stripe: [] for stripe in stripes}
+        for col, batch, outcome in done:
+            if isinstance(outcome, ClusterError):
+                for stripe in batch:
+                    skipped[stripe].append(col)
+        beyond = []
+        for stripe in stripes:
+            lost = skipped[stripe]
+            if not lost:
+                if columns is None:
+                    # A clean full-stripe write supersedes any stale columns.
+                    self.dirty_stripes.pop(stripe, None)
+                continue
+            self.metrics.counter("degraded_writes").inc()
+            if len(lost) > 2:
+                beyond.append(stripe)
+            else:
+                self.dirty_stripes.setdefault(stripe, set()).update(lost)
+        if beyond:
+            raise ClusterDegradedError(
+                f"stripe {beyond[0]}: write lost columns {skipped[beyond[0]]}"
+            )
+        return skipped
 
     async def write_stripe(
         self, stripe: int, buf: np.ndarray, *, columns: list[int] | None = None
     ) -> list[int]:
-        """Scatter (selected columns of) a stripe buffer to the nodes.
-
-        Columns whose node cannot be reached are skipped -- degraded
-        write semantics -- unless that would leave the stripe beyond
-        RAID-6 tolerance, which raises :class:`ClusterDegradedError`.
-        Returns the columns *skipped* (empty means fully durable), and
-        records them in :attr:`dirty_stripes` so the scrubber repairs
-        the stale columns first once their nodes return.
-        """
-        self._check_stripe(stripe)
-        cols = list(range(self.code.n_cols)) if columns is None else list(columns)
-        results = await asyncio.gather(
-            *(self._store_strip(c, stripe, buf[c]) for c in cols),
-            return_exceptions=True,
-        )
-        skipped: list[int] = []
-        for col, res in zip(cols, results):
-            if isinstance(res, (NodeUnavailableError, RemoteDiskError)):
-                skipped.append(col)
-            elif isinstance(res, BaseException):
-                raise res
-        if skipped:
-            self.metrics.counter("degraded_writes").inc()
-            if len(skipped) > 2:
-                raise ClusterDegradedError(
-                    f"stripe {stripe}: write lost columns {skipped}"
-                )
-            self.dirty_stripes.setdefault(stripe, set()).update(skipped)
-        elif columns is None:
-            # A clean full-stripe write supersedes any stale columns.
-            self.dirty_stripes.pop(stripe, None)
-        return skipped
+        """Scatter (selected columns of) one stripe buffer; returns the
+        columns skipped (see :meth:`_write_stripes`)."""
+        return (await self._write_stripes([stripe], [buf], columns=columns))[stripe]
 
     # -- byte-addressed user I/O -------------------------------------------
 
@@ -679,53 +793,83 @@ class ClusterArray:
         return memoryview(buf[: self.code.k]).cast("B")
 
     def _fill_data_columns(self, buf: np.ndarray, payload: bytes) -> None:
-        code = self.code
-        words = np.frombuffer(payload, dtype=np.uint8)
-        for col in range(code.k):
-            strip = words[col * code.strip_bytes : (col + 1) * code.strip_bytes]
-            buf[col] = strip.view(WORD_DTYPE).reshape(code.rows, -1)
+        self._stripe_payload(buf)[:] = payload
 
     async def write(self, offset: int, data: bytes) -> None:
         """Write user bytes; stripe-aligned spans take the encode path,
         everything else is a stripe-granular read-modify-write."""
-        if not data:
-            return
-        if offset < 0 or offset + len(data) > self.capacity:
-            raise ValueError("write outside the array")
+        await self.write_spans([(offset, data)])
+
+    async def write_spans(self, spans: list[tuple[int, bytes]]) -> None:
+        """Write ``(offset, data)`` byte spans as one batch.
+
+        A stripe that one span covers whole takes the encode path; every
+        other touched stripe is read first -- all of them in one batched
+        read -- and patched (read-modify-write).  Spans apply in order.
+        All touched stripes then go out in one ``put`` per column and
+        serving node.
+        """
         sdb = self.stripe_data_bytes
-        pos, end = offset, offset + len(data)
-        while pos < end:
-            stripe, within = divmod(pos, sdb)
-            take = min(end - pos, sdb - within)
-            chunk = data[pos - offset : pos - offset + take]
-            if within == 0 and take == sdb:
+        pieces: dict[int, list[tuple[int, bytes]]] = {}
+        for offset, data in spans:
+            if not data:
+                continue
+            if offset < 0 or offset + len(data) > self.capacity:
+                raise ValueError("write outside the array")
+            pos, end = offset, offset + len(data)
+            while pos < end:
+                stripe, within = divmod(pos, sdb)
+                take = min(end - pos, sdb - within)
+                pieces.setdefault(stripe, []).append(
+                    (within, data[pos - offset : pos - offset + take])
+                )
+                pos += take
+        stripes = sorted(pieces)
+        rmw = [s for s in stripes if all(len(c) < sdb for _, c in pieces[s])]
+        read = dict(zip(rmw, await self._read_stripes(rmw)))
+        bufs = []
+        for stripe in stripes:
+            buf = read.get(stripe)
+            if buf is None:
                 buf = self.code.alloc_stripe()
-                self._fill_data_columns(buf, chunk)
                 self.metrics.counter("full_stripe_writes").inc()
             else:
-                buf = await self.read_stripe(stripe)
-                blob = bytearray(self._stripe_payload(buf))
-                blob[within : within + take] = chunk
-                self._fill_data_columns(buf, bytes(blob))
                 self.metrics.counter("rmw_writes").inc()
+            view = self._stripe_payload(buf)
+            for within, chunk in pieces[stripe]:
+                view[within : within + len(chunk)] = chunk
             self.code.encode(buf)
-            await self.write_stripe(stripe, buf)
-            pos += take
+            bufs.append(buf)
+        await self._write_stripes(stripes, bufs)
 
     async def read(self, offset: int, length: int) -> bytes:
         """Read user bytes, transparently decoding around failures."""
-        if length < 0 or offset < 0 or offset + length > self.capacity:
-            raise ValueError("read outside the array")
-        if length == 0:
-            return b""
+        return (await self.read_spans([(offset, length)]))[0]
+
+    async def read_spans(self, spans: list[tuple[int, int]]) -> list[bytes]:
+        """Read ``(offset, length)`` byte spans as one batch: every
+        stripe they touch is fetched by one ``get`` per column and
+        serving node, decoding around failures."""
         sdb = self.stripe_data_bytes
-        first, last = offset // sdb, (offset + length - 1) // sdb
-        stripes = await asyncio.gather(
-            *(self.read_stripe(s) for s in range(first, last + 1))
-        )
-        blob = b"".join(self._stripe_payload(buf) for buf in stripes)
-        start = offset - first * sdb
-        return blob[start : start + length]
+        touched: set[int] = set()
+        for offset, length in spans:
+            if length < 0 or offset < 0 or offset + length > self.capacity:
+                raise ValueError("read outside the array")
+            if length:
+                touched.update(range(offset // sdb, (offset + length - 1) // sdb + 1))
+        stripes = sorted(touched)
+        bufs = await self._read_stripes(stripes)
+        payloads = dict(zip(stripes, map(self._stripe_payload, bufs)))
+        out = []
+        for offset, length in spans:
+            if not length:
+                out.append(b"")
+                continue
+            first, last = offset // sdb, (offset + length - 1) // sdb
+            blob = b"".join(payloads[s] for s in range(first, last + 1))
+            start = offset - first * sdb
+            out.append(blob[start : start + length])
+        return out
 
     # -- health / metrics --------------------------------------------------
 

@@ -25,8 +25,14 @@ holder and retries once (``epoch_retries`` counter).  A client racing a
 migration or a drain therefore sees one slow request, not an error.
 
 Per-stripe asyncio locks serialize foreground stripe writes against
-migrations of the same stripe (see :meth:`stripe_lock`); reads stay
-lock-free because both copies are valid until the source is released.
+migrations of the same stripe (see :meth:`stripe_lock`); a batched
+write takes the locks of all its stripes, in ascending order.  Reads
+stay lock-free because both copies are valid until the source is
+released.
+
+A batch of stripes is grouped per column by each stripe's holder, so
+one RPC goes to every node serving the batch; an epoch-bump retry
+regroups the failed stripes by their new holders.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from repro.cluster.client import (
     NodeClient,
     NodeUnavailableError,
     RetryPolicy,
+    acquire_all,
     cached_client,
 )
 from repro.cluster.membership import MembershipTable
@@ -155,6 +162,23 @@ class ElasticArray(ClusterArray):
                 column, verb, header, payload, stripe=stripe
             )
 
+    async def _fan_out(
+        self, verb: str, plan: list[tuple[int, list[int]]], payload_for=None
+    ) -> list[tuple[int, list[int], object]]:
+        epoch = self.membership.epoch
+        done = await super()._fan_out(verb, plan, payload_for)
+        failed: dict[int, list[int]] = {}
+        for column, batch, outcome in done:
+            if isinstance(outcome, NodeUnavailableError):
+                failed.setdefault(column, []).extend(batch)
+        if not failed or self.membership.epoch == epoch:
+            return done
+        # As for one request: regroup the failed stripes by their
+        # holders at the new epoch and spend one retry on them.
+        self.metrics.counter("epoch_retries").inc()
+        kept = [d for d in done if not isinstance(d[2], NodeUnavailableError)]
+        return kept + await super()._fan_out(verb, list(failed.items()), payload_for)
+
     # -- write/migrate serialization -----------------------------------------
 
     def stripe_lock(self, stripe: int) -> asyncio.Lock:
@@ -164,19 +188,29 @@ class ElasticArray(ClusterArray):
             lock = self._stripe_locks[stripe] = asyncio.Lock()
         return lock
 
-    async def write_stripe(
-        self, stripe: int, buf: np.ndarray, *, columns: list[int] | None = None
-    ) -> list[int]:
-        async with self.stripe_lock(stripe):
-            return await super().write_stripe(stripe, buf, columns=columns)
+    def stripe_locks(self, stripes: list[int]):
+        """The locks of ``stripes``, held together and taken in ascending
+        order -- the order of every batch, so two batches sharing
+        stripes never deadlock."""
+        return acquire_all(self.stripe_lock(s) for s in sorted(set(stripes)))
 
-    async def read_stripe(self, stripe: int) -> np.ndarray:
-        if stripe in self.migrating:
-            # A migration of this stripe is in its hazard window; wait
-            # for the routing flip rather than read a half-moved state.
-            async with self.stripe_lock(stripe):
+    async def _write_stripes(
+        self, stripes: list[int], bufs: list[np.ndarray], *,
+        columns: list[int] | None = None,
+    ) -> dict[int, list[int]]:
+        async with self.stripe_locks(stripes):
+            return await super()._write_stripes(stripes, bufs, columns=columns)
+
+    async def _read_stripes(self, stripes: list[int]) -> list[np.ndarray]:
+        # A stripe whose migration is in its hazard window is read only
+        # after the routing flip, not in a half-moved state.
+        while True:
+            moving = next((s for s in stripes if s in self.migrating), None)
+            if moving is None:
+                break
+            async with self.stripe_lock(moving):
                 pass
-        return await super().read_stripe(stripe)
+        return await super()._read_stripes(stripes)
 
     # -- health / metrics (node-keyed: columns are per-stripe here) ----------
 

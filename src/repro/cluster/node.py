@@ -29,7 +29,7 @@ import numpy as np
 from repro.analysis.concurrency import sanitizer
 from repro.array.disk import DiskError, DiskFailedError, LatentSectorError, SimulatedDisk
 from repro.array.faults import NetworkFaultPlan
-from repro.cluster.protocol import ProtocolError, encode_frame, frame_parts, read_frame
+from repro.cluster.protocol import ProtocolError, frame_parts, read_frame
 from repro.obs.metrics import MetricsRegistry, to_prometheus
 from repro.obs.tracing import Tracer
 from repro.sim.clock import Clock, RealClock
@@ -295,53 +295,40 @@ class StripNode:
         if reply_header.get("status") == "err":
             self.metrics.counter("errors").inc()
 
-        corrupt = verb in _DATA_VERBS and self.faults.consume("corrupt_frames")
-        drop = verb in _DATA_VERBS and self.faults.consume("drop_mid_frame")
-        if corrupt or drop:
-            # Fault injection needs the materialised frame to mangle.
-            frame = encode_frame(reply_header, reply_payload)
-            if corrupt:
-                self.metrics.counter("injected_corruptions").inc()
-                frame = bytearray(frame)
-                frame[len(frame) // 2] ^= 0xFF  # header/payload bit, CRC goes stale
-                frame = bytes(frame)
-            if drop:
-                self.metrics.counter("injected_drops").inc()
-                writer.write(frame[: len(frame) // 2])
-                with contextlib.suppress(ConnectionError):
-                    await writer.drain()
-                return False
-            writer.write(frame)
-            self.metrics.counter("bytes_out").inc(len(frame))
-        else:
-            # Sunny-day path: stream the frame parts; a `get` reply's
-            # strip payload goes socket-ward as a view, never staged.
-            token = sanitizer.guard(reply_payload, f"node.{verb}.reply")
-            sent = 0
-            for part in frame_parts(reply_header, reply_payload):
-                if len(part):
-                    writer.write(part)
-                    sent += len(part)
-            self.metrics.counter("bytes_out").inc(sent)
-            with contextlib.suppress(ConnectionError):
-                await writer.drain()
-            sanitizer.check(token)
-            return verb != "shutdown"
-        with contextlib.suppress(ConnectionError):
-            await writer.drain()
-        return verb != "shutdown"
+        planned = verb in _DATA_VERBS  # the fault plan applies
+        intact = await self._reply(
+            writer, reply_header, reply_payload, label=f"node.{verb}.reply",
+            corrupt=planned and self.faults.consume("corrupt_frames"),
+            drop=planned and self.faults.consume("drop_mid_frame"),
+        )
+        return intact and verb != "shutdown"
 
-    async def _reply(self, writer, header: dict, payload: bytes = b"") -> None:
-        token = sanitizer.guard(payload, "node._reply")
-        sent = 0
-        for part in frame_parts(header, payload):
-            if len(part):
-                writer.write(part)
-                sent += len(part)
-        self.metrics.counter("bytes_out").inc(sent)
+    async def _reply(
+        self, writer, header: dict, payload=b"", *, label: str = "node._reply",
+        corrupt: bool = False, drop: bool = False,
+    ) -> bool:
+        """Send one reply frame as one ``bytes`` in one ``write``.
+
+        ``corrupt`` flips a header/payload bit (the CRC goes stale) and
+        ``drop`` sends only the first half of the frame; returns False
+        when the connection must close.
+        """
+        token = sanitizer.guard(payload, label)
+        frame = b"".join(frame_parts(header, payload))
+        if corrupt:
+            self.metrics.counter("injected_corruptions").inc()
+            frame = bytearray(frame)
+            frame[len(frame) // 2] ^= 0xFF
+        if drop:
+            self.metrics.counter("injected_drops").inc()
+            frame = frame[: len(frame) // 2]
+        else:
+            self.metrics.counter("bytes_out").inc(len(frame))
+        writer.write(frame)
         with contextlib.suppress(ConnectionError):
             await writer.drain()
         sanitizer.check(token)
+        return not drop
 
     # -- verb implementations ----------------------------------------------
 
@@ -351,17 +338,9 @@ class StripNode:
         if verb == "ping":
             return {"status": "ok", "column": self.column}, b""
         if verb == "put":
-            words = np.frombuffer(payload, dtype=WORD_DTYPE)
-            stripe = int(header["stripe"])
-            self.disk.write_strip(stripe, words)
-            # Same bytes as words.tobytes(), without materialising them.
-            self.checksums[stripe] = zlib.crc32(payload)
-            return {"status": "ok"}, b""
+            return self._serve_put(header, payload), b""
         if verb == "get":
-            strip = self.disk.read_strip(int(header["stripe"]))
-            # A view over the stored strip: the reply writer streams it
-            # to the socket without a staging copy.
-            return {"status": "ok"}, np.ascontiguousarray(strip).data
+            return self._serve_get(header)
         if verb == "scrub-read":
             return self._serve_scrub_read(header), b""
         if verb == "prepare":
@@ -442,6 +421,61 @@ class StripNode:
             "disk_n_strips": float(self.disk.n_strips),
         }
         return to_prometheus(snap, labels={"column": str(self.column)})
+
+    # -- strip I/O verbs -----------------------------------------------------
+
+    def _stripes(self, header: dict) -> list[int]:
+        """The strips a ``get``/``put`` names: ``stripes``, or a lone
+        ``stripe`` as the one-strip case; all checked before any I/O."""
+        stripes = header["stripes"] if "stripes" in header else [header["stripe"]]
+        stripes = [int(s) for s in stripes]
+        if not stripes:
+            raise ValueError("no stripes named")
+        for stripe in stripes:
+            if not 0 <= stripe < self.disk.n_strips:
+                raise IndexError(
+                    f"stripe {stripe} out of range [0, {self.disk.n_strips})"
+                )
+        return stripes
+
+    def _serve_put(self, header: dict, payload: bytes) -> dict:
+        """Store the payload's strips, one after another, and refresh
+        each strip's CRC sidecar."""
+        stripes = self._stripes(header)
+        size = self.disk.strip_words * 8
+        if len(payload) != len(stripes) * size:
+            raise ValueError(
+                f"put payload of {len(payload)} B != {len(stripes)} strips "
+                f"of {size} B"
+            )
+        view = memoryview(payload)
+        for i, stripe in enumerate(stripes):
+            strip = view[i * size : (i + 1) * size]
+            self.disk.write_strip(stripe, np.frombuffer(strip, dtype=WORD_DTYPE))
+            self.checksums[stripe] = zlib.crc32(strip)
+        return {"status": "ok"}
+
+    def _serve_get(self, header: dict) -> tuple[dict, bytes | memoryview]:
+        """The named strips in request order, leaving out (and listing
+        as ``unreadable``) those behind a latent sector.  A failed disk,
+        or no readable strip at all, fails the whole request."""
+        strips, unreadable = [], []
+        error: LatentSectorError | None = None
+        for stripe in self._stripes(header):
+            try:
+                strips.append(self.disk.read_strip(stripe))
+            except LatentSectorError as exc:
+                unreadable.append(stripe)
+                error = exc
+        if error is not None and not strips:
+            raise error
+        reply: dict = {"status": "ok"}
+        if unreadable:
+            reply["unreadable"] = unreadable
+        # One strip goes out as a view of the disk's copy; several are
+        # gathered into one buffer.
+        data = strips[0] if len(strips) == 1 else np.concatenate(strips)
+        return reply, np.ascontiguousarray(data).data
 
     # -- scrub & two-phase-write verbs --------------------------------------
 

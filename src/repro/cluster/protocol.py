@@ -9,7 +9,7 @@ Every message -- request or reply -- is one *frame*:
     | 4 B   | u32 BE     | u32 BE      | header len B | p. len B  | u32 BE |
     +-------+------------+-------------+--------------+-----------+--------+
 
-The header is a small JSON object (``{"verb": "get", "stripe": 3}``);
+The header is a small JSON object (``{"verb": "get", "stripes": [3, 4]}``);
 the payload carries raw strip bytes.  The trailing CRC-32 covers header
 and payload, so a flipped bit anywhere in a frame surfaces as
 :class:`FrameChecksumError` at the receiver rather than as silently
@@ -20,8 +20,14 @@ Verbs understood by :class:`~repro.cluster.node.StripNode`:
 
 ==============  ======================================================
 ``ping``        liveness probe
-``put``         store the payload as strip ``stripe``
-``get``         return strip ``stripe`` as the reply payload
+``put``         store the payload as strips ``stripes``, one strip after
+                another, refreshing each strip's CRC sidecar (a lone
+                ``stripe`` is the one-strip case)
+``get``         return strips ``stripes`` (or a lone ``stripe``) as the
+                reply payload, in request order; the reply's
+                ``unreadable`` lists the strips the disk could not read
+                (latent sectors), which the payload leaves out -- only
+                when no strip is readable is the reply an error
 ``scrub-read``  compare strip ``stripe``'s CRC sidecar to its contents
 ``prepare``     2PC phase 1: durably log the payload as a write intent
 ``commit``      2PC phase 2: apply + retire the intent (idempotent)
@@ -94,11 +100,11 @@ class FrameChecksumError(ProtocolError):
 def frame_parts(header: dict[str, Any], payload: Buffer = b"") -> tuple:
     """One frame as ``(preamble, header, payload, crc)`` buffers.
 
-    The zero-copy seam: the payload buffer is passed through untouched
-    (a ``memoryview`` over a stripe column never gets staged through
-    ``bytes``), and the CRC is computed directly over it.  Callers
-    either write the parts individually (:func:`write_frame`) or join
-    them (:func:`encode_frame`) when a single ``bytes`` is needed.
+    The payload buffer is passed through untouched (a ``memoryview``
+    over a stripe column is not staged through ``bytes``) and the CRC
+    is computed directly over it; joining the parts into the one
+    ``bytes`` a frame is sent as (:func:`encode_frame`) is its only
+    copy.
     """
     if not isinstance(payload, (bytes, bytearray)):
         # Flatten e.g. numpy's (rows, words) strip views; cast requires
@@ -151,18 +157,18 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[dict[str, Any], byte
 async def write_frame(
     writer: asyncio.StreamWriter, header: dict[str, Any], payload: Buffer = b""
 ) -> None:
-    """Encode and flush one frame (payload written without staging).
+    """Encode and flush one frame, as one ``bytes`` in one ``write``.
 
-    The transport copies whatever it cannot send immediately before
-    this returns, and ``drain()`` is awaited here, so callers may reuse
-    or mutate the payload buffer as soon as the coroutine completes.
-    Under ``REPRO_ALIAS_SANITIZER=1`` the payload is fingerprinted at
-    handoff and re-verified after the drain: a concurrent writer racing
-    the socket is recorded as a write-after-handoff event.
+    Joining the frame parts costs one copy of the payload and saves a
+    ``send`` syscall per part.  The transport then holds only that
+    ``bytes``, never a view of the caller's buffer, so callers may
+    reuse or mutate the payload as soon as the coroutine completes
+    (``drain()`` is awaited here).  Under ``REPRO_ALIAS_SANITIZER=1``
+    the payload is fingerprinted at handoff and re-verified after the
+    drain: a concurrent writer racing the framing is recorded as a
+    write-after-handoff event.
     """
     token = sanitizer.guard(payload, "protocol.write_frame")
-    for part in frame_parts(header, payload):
-        if len(part):
-            writer.write(part)
+    writer.write(encode_frame(header, payload))
     await writer.drain()
     sanitizer.check(token)

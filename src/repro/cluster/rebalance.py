@@ -248,8 +248,8 @@ class Rebalancer:
         code = array.code
 
         # 1. assemble through the decode path, re-encode for parity
-        # consistency (read_stripe leaves unfetched parity columns
-        # zero).  The base-class read bypasses the elastic override's
+        # consistency (a read leaves unfetched parity columns zero).
+        # The base-class read bypasses the elastic override's
         # migration gate -- we hold this stripe's lock ourselves.
         # Columns on the dirty list answered their last write stale, so
         # they join the erasure set: the decode recovers their fresh
@@ -271,7 +271,7 @@ class Rebalancer:
             code.decode(buf, erasures)
             array.metrics.counter("decodes").inc()
         else:
-            buf = await ClusterArray.read_stripe(array, stripe)
+            (buf,) = await ClusterArray._read_stripes(array, [stripe])
         code.encode(buf)
 
         payloads: dict[int, bytes] = {}
@@ -325,7 +325,7 @@ class Rebalancer:
 
         # 5. decode-path verification through the new route, then release
         if self.verify_reads:
-            check = await ClusterArray.read_stripe(array, stripe)
+            (check,) = await ClusterArray._read_stripes(array, [stripe])
             if bytes(array._stripe_payload(check)) != bytes(
                 array._stripe_payload(buf)
             ):

@@ -9,14 +9,18 @@ scheduler is an ordinary asyncio task, the array keeps serving reads
 and writes while the rebuild drains in the background; progress is
 visible live through the ``rebuild_*`` counters.
 
-A rebuild tolerates a *second* concurrent loss: whatever columns turn
-out to be unreachable while fetching a window are simply added to that
-window's erasure pattern, up to the code's two-column budget.
+A window costs one ``get`` per surviving column and one ``put`` to the
+replacement, each carrying every stripe of the window.  A rebuild
+tolerates a *second* concurrent loss: whatever columns turn out to be
+unreachable while fetching a window are simply added to that window's
+erasure pattern, up to the code's two-column budget.
 """
 
 from __future__ import annotations
 
 import asyncio
+
+import numpy as np
 
 from repro.cluster.client import (
     ClusterArray,
@@ -112,19 +116,11 @@ class RebuildScheduler:
         replacement = array._make_client(address)
         done = 0
         for start, stop in iter_batches(array.n_stripes, self.batch_stripes):
+            stripes = list(range(start, stop))
             batch = alloc_batch(code, stop - start)
-
-            async def fetch(i: int, col: int) -> int | None:
-                try:
-                    batch[i, col] = await array._fetch_strip(col, start + i)
-                    return None
-                except (NodeUnavailableError, RemoteDiskError):
-                    return col
-
-            results = await asyncio.gather(
-                *(fetch(i, col) for i in range(stop - start) for col in survivors)
-            )
-            also_lost = sorted({col for col in results if col is not None})
+            # One `get` per survivor carries the whole window.
+            lost = await array._gather(stripes, survivors, list(batch))
+            also_lost = sorted({col for cols in lost.values() for col in cols})
             base = {column, *also_lost}
             # Columns on the dirty list hold *stale* strips: they
             # answered the fetch, but with pre-degraded-write data.
@@ -151,12 +147,17 @@ class RebuildScheduler:
             else:  # mixed dirtiness: per-stripe patterns
                 for i, erasures in enumerate(patterns):
                     code.decode(batch[i], list(erasures))
+            # ... and one `put` pushes it to the replacement.
+            rebuilt = batch[:, column]
             await asyncio.gather(
                 *(
                     replacement.request(
-                        "put", {"stripe": start + i}, batch[i, column].data
+                        "put", {"stripes": frame},
+                        np.ascontiguousarray(
+                            rebuilt[frame[0] - start : frame[-1] - start + 1]
+                        ).data,
                     )
-                    for i in range(stop - start)
+                    for frame in array._frames(stripes)
                 )
             )
             await self._freshen_dirty(start, patterns, batch, column)

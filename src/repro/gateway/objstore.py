@@ -18,6 +18,10 @@ updated at arbitrary offsets -- while the cluster speaks stripes.
   read-modify-write partial-write path.  Per-stripe asyncio locks
   serialise writers of a shared stripe, so two packed neighbours can
   be updated concurrently without RMW lost-updates.
+* **One batch per object.**  An object's cache-missing stripes are
+  read in one array call and its extents written in another, so each
+  costs one RPC per column and node, not one per stripe; the stripe
+  locks of a batch are taken in ascending order.
 * **End-to-end integrity.**  The CRC-32 of the full object is computed
   when bytes enter and re-verified when they leave
   (:class:`IntegrityError` on mismatch) -- above and independent of
@@ -44,7 +48,7 @@ import contextlib
 import zlib
 from dataclasses import dataclass
 
-from repro.cluster.client import ClusterArray
+from repro.cluster.client import ClusterArray, acquire_all
 from repro.gateway.admission import AdmissionController, Overloaded
 from repro.gateway.cache import StripeCache
 from repro.gateway.layout import Extent, NoSpaceError, ObjectMeta, StripeAllocator
@@ -116,7 +120,7 @@ class ObjectGateway:
             metrics=self.metrics,
         )
         self._name_locks: dict[str, asyncio.Lock] = {}
-        self._stripe_locks: dict[int, asyncio.Lock] = {}
+        self._locks_by_stripe: dict[int, asyncio.Lock] = {}
         self._version = 0
 
     # -- locking ------------------------------------------------------------
@@ -128,10 +132,16 @@ class ObjectGateway:
         return lock
 
     def _stripe_lock(self, stripe: int) -> asyncio.Lock:
-        lock = self._stripe_locks.get(stripe)
+        lock = self._locks_by_stripe.get(stripe)
         if lock is None:
-            lock = self._stripe_locks[stripe] = asyncio.Lock()
+            lock = self._locks_by_stripe[stripe] = asyncio.Lock()
         return lock
+
+    def _stripe_locks(self, stripes):
+        """The locks of ``stripes``, held together and taken in ascending
+        order -- the order of every batch, so two batches sharing
+        stripes never deadlock."""
+        return acquire_all(self._stripe_lock(s) for s in sorted(set(stripes)))
 
     @contextlib.asynccontextmanager
     async def _admitted(self, op: str):
@@ -155,43 +165,61 @@ class ObjectGateway:
 
     # -- extent I/O ---------------------------------------------------------
 
-    async def _stripe_payload(self, stripe: int) -> bytes:
-        """One stripe's user payload, through the hot-stripe cache."""
-        hit = self.cache.get(stripe)
-        if hit is not None:
-            return hit
-        async with self._stripe_lock(stripe):
-            hit = self.cache.peek(stripe)  # filled while we waited?
-            if hit is not None:
-                return hit
-            payload = await self.array.read(
-                stripe * self.stripe_bytes, self.stripe_bytes
-            )
-            self.cache.put(stripe, payload)
-            return payload
-
     async def _read_extents(self, extents: list[Extent]) -> bytes:
-        parts = []
-        for ext in extents:
-            payload = await self._stripe_payload(ext.stripe)
-            parts.append(payload[ext.start : ext.start + ext.length])
-        return b"".join(parts)
+        """An object's bytes: cached stripe payloads, plus every
+        cache-missing stripe in one array read under the stripe locks
+        (so a payload read before a write cannot be cached after it)."""
+        payloads: dict[int, bytes] = {}
+        missed = []
+        for stripe in dict.fromkeys(ext.stripe for ext in extents):
+            hit = self.cache.get(stripe)
+            if hit is None:
+                missed.append(stripe)
+            else:
+                payloads[stripe] = hit
+        if missed:
+            async with self._stripe_locks(missed):
+                fill = []
+                for stripe in missed:
+                    hit = self.cache.peek(stripe)  # filled while we waited?
+                    if hit is None:
+                        fill.append(stripe)
+                    else:
+                        payloads[stripe] = hit
+                got = await self.array.read_spans(
+                    [(stripe * self.stripe_bytes, self.stripe_bytes) for stripe in fill]
+                )
+                for stripe, payload in zip(fill, got):
+                    self.cache.put(stripe, payload)
+                    payloads[stripe] = payload
+        return b"".join(
+            payloads[ext.stripe][ext.start : ext.start + ext.length] for ext in extents
+        )
 
-    async def _write_extent(self, ext: Extent, chunk: bytes) -> None:
-        """Write one extent's bytes: through the stripe lock (RMW on a
-        shared stripe must not interleave) with write-through cache
-        invalidation."""
-        async with self._stripe_lock(ext.stripe):
-            await self.array.write(
-                ext.stripe * self.stripe_bytes + ext.start, chunk
-            )
-            self.cache.invalidate(ext.stripe)
+    async def _write_extents(self, writes: list[tuple[Extent, bytes]]) -> None:
+        """Write extents' bytes in one array batch, under the stripe
+        locks (RMW on a shared stripe must not interleave), with
+        write-through cache invalidation of every stripe touched."""
+        stripes = {ext.stripe for ext, _ in writes}
+        async with self._stripe_locks(stripes):
+            try:
+                await self.array.write_spans(
+                    [
+                        (ext.stripe * self.stripe_bytes + ext.start, chunk)
+                        for ext, chunk in writes
+                    ]
+                )
+            finally:
+                # A failed batch may still have landed some stripes.
+                for stripe in sorted(stripes):
+                    self.cache.invalidate(stripe)
 
     async def _write_object_bytes(self, extents: list[Extent], data: bytes) -> None:
-        pos = 0
+        writes, pos = [], 0
         for ext in extents:
-            await self._write_extent(ext, data[pos : pos + ext.length])
+            writes.append((ext, data[pos : pos + ext.length]))
             pos += ext.length
+        await self._write_extents(writes)
 
     # -- the object API -----------------------------------------------------
 
@@ -261,17 +289,18 @@ class ObjectGateway:
             current = await self._read_extents(meta.extents)
             blob = bytearray(current)
             blob[offset : offset + len(data)] = data
-            # Rewrite only the extents the span touches.
-            pos = 0
+            # Rewrite only the extents the span touches, as one batch.
+            writes, pos = [], 0
             for ext in meta.extents:
                 lo = max(pos, offset)
                 hi = min(pos + ext.length, offset + len(data))
                 if lo < hi:
-                    await self._write_extent(
+                    writes.append((
                         Extent(ext.stripe, ext.start + (lo - pos), hi - lo),
                         bytes(blob[lo:hi]),
-                    )
+                    ))
                 pos += ext.length
+            await self._write_extents(writes)
             self._version += 1
             meta.crc = _crc(bytes(blob))
             meta.version = self._version

@@ -30,6 +30,8 @@ from typing import Awaitable
 
 __all__ = ["Clock", "RealClock", "VirtualClock"]
 
+_timeout = getattr(asyncio, "timeout", None)
+
 
 class Clock:
     """Interface: time(), sleep(), wait_for() -- see the implementations."""
@@ -54,7 +56,12 @@ class RealClock(Clock):
         await asyncio.sleep(delay)
 
     async def wait_for(self, awaitable: Awaitable, timeout: float):
-        return await asyncio.wait_for(awaitable, timeout)
+        # ``asyncio.timeout`` (3.11+) runs the awaitable in the calling
+        # task; ``wait_for`` before 3.12 wraps it in a Task of its own.
+        if _timeout is None:
+            return await asyncio.wait_for(awaitable, timeout)
+        async with _timeout(timeout):
+            return await awaitable
 
 
 class VirtualClock(Clock):

@@ -659,6 +659,12 @@ def run_scenario(
                     got = await arr.read(0, arr.capacity)
                     check_read(i, op, 0, got)
                     record["sha"] = _sha(got)
+                    # ... and stripe by stripe: a batch that routed a
+                    # stripe to another stripe's holder would pass a
+                    # batched read-back of its own writes.
+                    for stripe in range(arr.n_stripes):
+                        buf = await arr.read_stripe(stripe)
+                        check_read(i, op, stripe * sdb, bytes(arr._stripe_payload(buf)))
                 elif kind == "stop_node":
                     await cluster.stop_node(int(op["column"]))
                 elif kind == "fault":

@@ -1,0 +1,409 @@
+"""One RPC per node per operation, on the simulation seam.
+
+``ClusterArray`` batches every strip an operation touches: a read, a
+write, a gateway object and a rebuild window send one ``get``/``put``
+per column and serving node, split only where a frame would exceed
+``MAX_FRAME_BYTES``.  These drills pin the RPC counts (the client's
+``requests`` counter counts batches), show that a fault inside a batch
+costs only what it must -- a latent sector its own strip, a failed disk
+its column, a mangled reply one retry -- and that on an elastic array a
+batch is grouped per stripe by holder, through epoch bumps and
+in-flight migrations.
+"""
+
+import asyncio
+import zlib
+
+import numpy as np
+import pytest
+
+from repro.array.faults import NetworkFaultPlan
+from repro.cluster import RebuildScheduler, StripNode, node as node_mod, protocol
+from repro.gateway import ObjectGateway
+from repro.utils.words import WORD_DTYPE
+from tests.cluster.conftest import (
+    FAST_POLICY,
+    elastic_sim_cluster,
+    payload_for,
+    sim_cluster,
+)
+
+#: object size spanning seven whole stripes at k=3, p=5, 64 B elements
+SEVEN = 7
+
+
+def rpcs(arr) -> int:
+    return arr.metrics.get("requests")
+
+
+async def counted(arr, coro):
+    """Await ``coro``; returns ``(its result, RPCs it issued)``."""
+    before = rpcs(arr)
+    result = await coro
+    return result, rpcs(arr) - before
+
+
+class RecordingWriter:
+    """A stream writer that keeps every buffer it is handed."""
+
+    def __init__(self) -> None:
+        self.writes: list = []
+
+    def write(self, data) -> None:
+        self.writes.append(data)
+
+    async def drain(self) -> None:
+        pass
+
+
+def parse(frame: bytes):
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(frame)
+        reader.feed_eof()
+        return await protocol.read_frame(reader)
+
+    return asyncio.run(run())
+
+
+class TestWire:
+    def test_write_frame_hands_the_transport_one_bytes(self):
+        payload = bytearray(b"\x07" * 64)
+        writer = RecordingWriter()
+        header = {"verb": "put", "stripes": [1]}
+        asyncio.run(protocol.write_frame(writer, header, memoryview(payload)))
+        (frame,) = writer.writes
+        assert type(frame) is bytes
+        payload[:] = bytes(64)  # the caller may reuse its buffer at once
+        assert parse(frame) == (header, b"\x07" * 64)
+
+    def test_batched_get_reply_is_one_write_listing_unreadable_strips(self):
+        node = StripNode(0, 4, 10)
+        strips = [np.full(10, s + 1, dtype=WORD_DTYPE) for s in range(3)]
+        for stripe, words in enumerate(strips):
+            node.disk.write_strip(stripe, words)
+        node.disk.mark_latent_error(1)
+        writer = RecordingWriter()
+        request = {"verb": "get", "stripes": [0, 1, 2]}
+        assert asyncio.run(node._dispatch(request, b"", writer))
+        (frame,) = writer.writes
+        header, payload = parse(frame)
+        assert header == {"status": "ok", "unreadable": [1]}
+        assert payload == strips[0].tobytes() + strips[2].tobytes()
+
+    def test_get_with_no_readable_strip_is_a_latent_error(self):
+        node = StripNode(0, 4, 10)
+        for stripe in (0, 1):
+            node.disk.mark_latent_error(stripe)
+        writer = RecordingWriter()
+        asyncio.run(node._dispatch({"verb": "get", "stripes": [0, 1]}, b"", writer))
+        header, payload = parse(writer.writes[0])
+        assert (header["status"], header["error"], payload) == ("err", "latent", b"")
+
+
+class TestRpcCounts:
+    def test_read_of_seven_stripes_is_one_get_per_data_column(self):
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr)
+                await arr.write(0, data)
+                span = SEVEN * arr.stripe_data_bytes
+                got, n = await counted(arr, arr.read(0, span))
+                assert got == data[:span]
+                assert n == code.k  # per stripe, this was 7k
+
+        asyncio.run(run())
+
+    def test_write_of_full_stripes_is_one_put_per_column(self):
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr, seed=3)
+                _, n = await counted(arr, arr.write(0, data))
+                assert n == code.k + 2  # per stripe, this was n(k + 2)
+                assert arr.metrics.get("full_stripe_writes") == arr.n_stripes
+                assert await arr.read(0, arr.capacity) == data
+
+        asyncio.run(run())
+
+    def test_rebuild_window_is_one_get_per_survivor_plus_one_push(self):
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                await arr.write(0, payload_for(arr, seed=4))
+                lost = cluster.nodes[2].disk
+                await cluster.stop_node(2)
+                spare = await cluster.start_replacement(2)
+                sched = RebuildScheduler(arr, batch_stripes=4)
+                rebuilt, n = await counted(arr, sched.rebuild_column(2, spare))
+                assert rebuilt == arr.n_stripes
+                windows = arr.n_stripes // 4
+                assert n == windows * ((code.n_cols - 1) + 1)
+                rebuilt_disk = cluster.replacements[2].disk
+                for strip in range(arr.n_stripes):
+                    assert (rebuilt_disk.read_strip(strip) == lost.read_strip(strip)).all()
+
+        asyncio.run(run())
+
+    def test_gateway_single_stripe_ops_keep_their_counts(self):
+        """A one-stripe get, a full-stripe put and a cache-cold 64 B
+        update cost k, k + 2 and 3k + 2 RPCs, as before batching."""
+
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                gw = ObjectGateway(arr)
+                body = payload_for(arr, seed=5)[: arr.stripe_data_bytes]
+                _, n_put = await counted(arr, gw.put("one", body))
+                gw.cache.clear()
+                got, n_get = await counted(arr, gw.get("one"))
+                assert got == body
+                gw.cache.clear()
+                _, n_update = await counted(arr, gw.update("one", 100, b"u" * 64))
+                assert (n_get, n_put, n_update) == (code.k, code.k + 2, 3 * code.k + 2)
+                gw.cache.clear()
+                assert await gw.get("one") == body[:100] + b"u" * 64 + body[164:]
+
+        asyncio.run(run())
+
+    def test_batch_splits_where_a_frame_would_exceed_the_limit(self, monkeypatch):
+        code, cluster = sim_cluster(n_stripes=8)
+        limit = 2 * code.strip_bytes
+        monkeypatch.setattr(protocol, "MAX_FRAME_BYTES", limit)
+        payloads: list[int] = []
+
+        def recording(frame_parts):
+            def parts(header, payload=b""):
+                out = frame_parts(header, payload)
+                payloads.append(len(out[2]))
+                return out
+
+            return parts
+
+        monkeypatch.setattr(protocol, "frame_parts", recording(protocol.frame_parts))
+        monkeypatch.setattr(node_mod, "frame_parts", recording(node_mod.frame_parts))
+
+        async def run():
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr, seed=6)
+                span = SEVEN * arr.stripe_data_bytes
+                _, n_write = await counted(arr, arr.write(0, data[:span]))
+                got, n_read = await counted(arr, arr.read(0, span))
+                assert got == data[:span]
+                frames = -(-SEVEN // 2)  # two strips a frame
+                assert (n_write, n_read) == (frames * code.n_cols, frames * code.k)
+                assert all(n.metrics.get("bad_frames") == 0 for n in cluster.nodes)
+                assert arr.metrics.get("frame_errors") == 0
+
+        asyncio.run(run())
+        assert max(payloads) == limit  # full frames carry two strips, no more
+
+
+class TestFaultsInsideABatch:
+    """One fault costs its strip, its column, or one retry -- never
+    the whole batch."""
+
+    async def seven_stripe_object(self, cluster):
+        arr = cluster.array(policy=FAST_POLICY)
+        gw = ObjectGateway(arr)
+        body = payload_for(arr, seed=7)[: SEVEN * arr.stripe_data_bytes]
+        stat = await gw.put("obj", body)
+        assert len(stat.stripes) == SEVEN
+        gw.cache.clear()
+        return arr, gw, body, stat.stripes
+
+    def test_latent_sectors_cost_only_their_strips(self):
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr, gw, body, stripes = await self.seven_stripe_object(cluster)
+                for col, stripe in zip(range(3), (stripes[1], stripes[3], stripes[5])):
+                    cluster.nodes[col].disk.mark_latent_error(stripe)
+                assert await gw.get("obj") == body
+                assert arr.metrics.get("decodes") == 3
+
+        asyncio.run(run())
+
+    def test_failed_disk_costs_its_column_on_every_stripe(self):
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr, gw, body, _ = await self.seven_stripe_object(cluster)
+                cluster.nodes[1].disk.fail()
+                assert await gw.get("obj") == body
+                assert arr.metrics.get("decodes") == SEVEN
+
+        asyncio.run(run())
+
+    @pytest.mark.parametrize(
+        "plan,counter",
+        [
+            (NetworkFaultPlan(corrupt_frames=1), "frame_errors"),
+            (NetworkFaultPlan(drop_mid_frame=1), "connection_errors"),
+        ],
+        ids=["corrupt-frame", "drop-mid-frame"],
+    )
+    def test_mangled_reply_costs_one_retry_of_its_batch(self, plan, counter):
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr, gw, body, _ = await self.seven_stripe_object(cluster)
+                cluster.nodes[0].faults = plan
+                got, n = await counted(arr, gw.get("obj"))
+                assert got == body
+                assert arr.metrics.get(counter) == 1
+                assert arr.metrics.get("retries") == 1
+                assert arr.metrics.get("decodes") == 0
+                assert n == code.k  # the retry is an attempt, not a request
+
+        asyncio.run(run())
+
+    def test_batched_put_refreshes_every_sidecar(self):
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                sdb = arr.stripe_data_bytes
+                first = payload_for(arr, seed=8)
+                for stripe in range(arr.n_stripes):  # a sidecar on every strip
+                    await arr.write(stripe * sdb, first[stripe * sdb : (stripe + 1) * sdb])
+                _, n = await counted(arr, arr.write(0, payload_for(arr, seed=9)))
+                assert n == code.n_cols  # one batched put per column
+                for stripe in range(arr.n_stripes):
+                    for col, node in enumerate(cluster.nodes):
+                        reply, _ = await arr._column_request(
+                            col, "scrub-read", {"stripe": stripe}, stripe=stripe
+                        )
+                        assert reply["match"], (stripe, col)
+                        strip = node.disk.read_strip(stripe)
+                        assert reply["crc_stored"] == zlib.crc32(strip.data)
+
+        asyncio.run(run())
+
+
+class TestElasticBatches:
+    """Batches group each column's stripes by *their* holders."""
+
+    async def spread_object(self, cluster):
+        """A gateway over the pool and a 3-stripe object whose stripes
+        have different holders for some column."""
+        arr = cluster.array(policy=FAST_POLICY)
+        gw = ObjectGateway(arr)
+        body = payload_for(arr, seed=10)[: 3 * arr.stripe_data_bytes]
+        stat = await gw.put("obj", body)
+        stripes = list(stat.stripes)
+        assert len(stripes) == 3
+        assert any(
+            len({arr.holders(s)[col] for s in stripes}) > 1
+            for col in range(arr.code.n_cols)
+        )
+        return arr, gw, body, stripes
+
+    def test_gateway_put_reads_back_stripe_by_stripe(self):
+        async def run():
+            _, cluster = elastic_sim_cluster(n_stripes=8)
+            async with cluster:
+                arr, gw, body, stripes = await self.spread_object(cluster)
+                sdb = arr.stripe_data_bytes
+                for i, stripe in enumerate(stripes):
+                    buf = await arr.read_stripe(stripe)
+                    assert bytes(arr._stripe_payload(buf)) == body[i * sdb : (i + 1) * sdb]
+                gw.cache.clear()
+                assert await gw.get("obj") == body
+
+        asyncio.run(run())
+
+    def test_batched_read_of_stripes_written_one_at_a_time(self):
+        async def run():
+            code, cluster = elastic_sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                sdb = arr.stripe_data_bytes
+                data = payload_for(arr, seed=11)[: 3 * sdb]
+                for stripe in range(3):
+                    buf = code.alloc_stripe()
+                    arr._fill_data_columns(buf, data[stripe * sdb : (stripe + 1) * sdb])
+                    code.encode(buf)
+                    assert await arr.write_stripe(stripe, buf) == []
+                assert await arr.read(0, 3 * sdb) == data
+                assert arr.metrics.get("decodes") == 0
+
+        asyncio.run(run())
+
+    def test_epoch_bump_between_resolving_and_sending_costs_one_retry(self):
+        """The batch resolves column 0 to a node that is gone by the
+        time it is sent; at the new epoch the stripes live elsewhere."""
+
+        async def run():
+            _, cluster = elastic_sim_cluster(n_stripes=8)
+            async with cluster:
+                arr, gw, body, stripes = await self.spread_object(cluster)
+                true = {s: arr.holders(s) for s in stripes}
+                ghost = await cluster.add_node()
+                await cluster.stop_node(ghost)
+                for s in stripes:
+                    arr.locations[s] = (ghost, *true[s][1:])
+                send = arr._node_request
+                moved = []
+
+                async def racing(*args):
+                    if not moved:  # the first send of the batch
+                        moved.append(True)
+                        arr.locations.update(true)
+                        arr.membership.bump()
+                    return await send(*args)
+
+                arr._node_request = racing
+                gw.cache.clear()
+                assert await gw.get("obj") == body
+                assert moved
+                assert arr.metrics.get("epoch_retries") == 1
+                assert arr.metrics.get("decodes") == 0
+
+        asyncio.run(run())
+
+    def test_batched_write_waits_for_an_inflight_migration(self):
+        async def run():
+            code, cluster = elastic_sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                sdb = arr.stripe_data_bytes
+                await arr.write(0, payload_for(arr, seed=12)[: 3 * sdb])
+                reb = cluster.rebalancer(arr)
+                # Draining a holder of stripe 1 makes it misplaced.
+                arr.membership.drain(arr.holders(1)[0])
+                assert reb.targets(1) != arr.holders(1)
+                gate = asyncio.Event()
+                migrate = reb._migrate_locked
+
+                async def paused(*args):
+                    await gate.wait()
+                    await migrate(*args)
+
+                reb._migrate_locked = paused
+                migration = asyncio.ensure_future(reb.migrate_stripe(1))
+                await cluster.clock.sleep(1.0)
+                assert 1 in arr.migrating
+                data = payload_for(arr, seed=13)[: 3 * sdb]
+                write = asyncio.ensure_future(arr.write(0, data))
+                await cluster.clock.sleep(1.0)
+                assert not write.done()  # holds stripe 0, waits on stripe 1
+                gate.set()
+                assert await migration
+                await write
+                assert arr.holders(1) == reb.targets(1)
+                assert await arr.read(0, 3 * sdb) == data
+                for stripe in range(3):
+                    buf = await arr.read_stripe(stripe)
+                    assert bytes(arr._stripe_payload(buf)) == data[
+                        stripe * sdb : (stripe + 1) * sdb
+                    ]
+
+        asyncio.run(run())
+

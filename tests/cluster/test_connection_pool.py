@@ -281,8 +281,8 @@ class TestClientLifecycle:
         asyncio.run(run())
 
     def test_rebuild_hands_its_client_to_the_array(self):
-        """The replacement's connections, opened by the rebuild's puts,
-        serve the reads after it: no second client dials the node."""
+        """The array adopts the rebuild's client to the replacement: the
+        reads after the rebuild open no new connection to that node."""
 
         async def run():
             code, cluster = sim_cluster()
@@ -293,9 +293,14 @@ class TestClientLifecycle:
                 await cluster.stop_node(1)
                 spare = await cluster.start_replacement(1)
                 await RebuildScheduler(arr).rebuild_column(1, spare)
+                replacement = cluster.replacements[1]
+                assert arr.clients[1].address == spare
+                held = await open_connections(replacement)
+                assert held > 0  # the rebuild's, still pooled
                 connects = arr.metrics.get("connects")
                 assert await arr.read(0, arr.capacity) == data
                 assert arr.metrics.get("decodes") == 0
                 assert arr.metrics.get("connects") == connects
+                assert await open_connections(replacement) == held
 
         asyncio.run(run())

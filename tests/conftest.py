@@ -7,6 +7,8 @@ import itertools
 import numpy as np
 import pytest
 
+from repro.analysis.concurrency import sanitizer
+
 #: (p, k) pairs that are small enough for exhaustive pattern testing.
 SMALL_PK = [
     (3, 2),
@@ -30,6 +32,15 @@ def erasure_patterns(k: int) -> list[tuple[int, ...]]:
         + [(c,) for c in cols]
         + list(itertools.combinations(cols, 2))
     )
+
+
+@pytest.fixture(autouse=True)
+def alias_clean():
+    """Under ``REPRO_ALIAS_SANITIZER=1``, a write to a payload while the
+    transport still holds it fails the test that made it."""
+    sanitizer.clear_events()
+    yield
+    sanitizer.assert_clean()
 
 
 @pytest.fixture
