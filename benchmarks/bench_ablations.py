@@ -7,9 +7,9 @@
 2. **Smart vs dumb bit-matrix decode scheduling** -- reproduces why
    Plank's scheduling exists at all (~2.5x fewer decode XORs than the
    naive lowering), and how far Algorithm 4 goes beyond it.
-3. **Fused vs streaming execution** -- the two word-level executors on
-   the same schedule: fusion is the production-speed path, streaming
-   the measurement-fidelity path.
+3. **Kernel vs streaming execution** -- the two word-level executors on
+   the same schedule: the bulk-XOR kernel is the production-speed path,
+   streaming the measurement-fidelity path.
 """
 
 import itertools
@@ -115,7 +115,7 @@ def test_ablation_decode_scheduling(benchmark, scheduling_rows):
         assert row["optimal(alg4)"] < 1.05
 
 
-@pytest.mark.parametrize("mode", ["fused", "streaming"])
+@pytest.mark.parametrize("mode", ["kernel", "streaming"])
 def test_ablation_executor_mode(benchmark, filled_stripe, mode):
     code = LiberationOptimal(10, p=11, element_size=4096, execution=mode)
     buf = filled_stripe(code)

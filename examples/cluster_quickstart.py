@@ -51,7 +51,7 @@ async def demo() -> None:
         # Background rebuild onto fresh nodes, while the array serves.
         for col in victims:
             address = await cluster.start_replacement(col)
-            scheduler = RebuildScheduler(arr, batch_stripes=4, workers=2)
+            scheduler = RebuildScheduler(arr, batch_stripes=4)
             scheduler.start(col, address)
             await arr.read(0, 2048)  # traffic keeps flowing mid-rebuild
             rebuilt = await scheduler.wait()

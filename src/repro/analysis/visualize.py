@@ -101,7 +101,7 @@ def schedule_stats(sched: Schedule) -> ScheduleStats:
     An op depends on the last writer of its source, and (for
     accumulates) the last writer of its destination; write-after-read
     and write-after-write are also ordered.  Level = 1 + max(dep
-    levels), exactly the levelization the batched executor uses.
+    levels).
     """
     write_level: dict[tuple[int, int], int] = {}
     touch_level: dict[tuple[int, int], int] = {}

@@ -100,21 +100,14 @@ def _coder(code, erasures: tuple[int, ...] | None = None):
     goes straight at the plan -- which is also what keeps the timed
     region free of per-call shape checks for the streaming baseline.
     """
-    if erasures is None:
-        if code._encode_plan is None:
-            code._encode_plan = code._compile(code.encode_schedule())
-        return code._encode_plan.run
-    if code.cache_decode_plans:
-        plan = code._decode_plans.get(erasures)
-        if plan is None:
-            plan = code._compile(code.build_decode_schedule(erasures))
-            code._decode_plans[erasures] = plan
-        return plan.run
+    if erasures is None or code.cache_decode_plans:
+        return code.plan(erasures).run
 
     def rebuild_and_run(buf):
         # The Jerasure-like baseline pays schedule derivation per call
-        # by design; keep that cost inside the timed region.
-        return code._compile(code.build_decode_schedule(erasures)).run(buf)
+        # by design (its plan is never cached); keep that cost inside
+        # the timed region.
+        return code.plan(erasures).run(buf)
 
     return rebuild_and_run
 

@@ -29,8 +29,6 @@ Modules:
   :class:`~repro.cluster.elastic.ElasticArray` with epoch-bump retry;
 * :mod:`repro.cluster.rebalance` -- throttled, crash-safe stripe
   migration converging routing onto placement (drains, heals, joins);
-* :mod:`repro.cluster.metrics` -- counters/histograms behind the
-  ``stats`` verb and the ``repro stats`` CLI view;
 * :mod:`repro.cluster.local` -- in-process clusters for tests and
   examples (fixed ``k + 2`` and elastic pools).
 """
@@ -54,7 +52,6 @@ from repro.cluster.membership import (
     MembershipTable,
     NodeState,
 )
-from repro.cluster.metrics import Counter, Histogram, MetricsRegistry
 from repro.cluster.node import NodeCrashPlan, NodeCrashed, StripNode
 from repro.cluster.placement import PlacementError, PlacementMap, place_stripe
 from repro.cluster.rebalance import RebalanceError, Rebalancer, TokenBucket
@@ -68,6 +65,7 @@ from repro.cluster.protocol import (
 from repro.cluster.rebuild import RebuildScheduler
 from repro.cluster.scrub import ClusterScrubReport, ClusterScrubber
 from repro.cluster.txn import ClientCrash, TwoPhaseWriter, TxnCrashPoint
+from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "BreakerState",

@@ -3,11 +3,11 @@
 The distributed analogue of :meth:`repro.array.raid6.RAID6Array.rebuild`:
 stripes are streamed in bounded windows (``repro.parallel.iter_batches``)
 through a :class:`~repro.parallel.BatchCoder` -- the same batch decode
-path the throughput benchmarks exercise, optionally multi-threaded --
-and the reconstructed strips are pushed to a fresh node.  Because the
-scheduler is an ordinary asyncio task, the array keeps serving reads
-and writes while the rebuild drains in the background; progress is
-visible live through the ``rebuild_*`` counters.
+path the throughput benchmarks exercise -- and the reconstructed strips
+are pushed to a fresh node.  Because the scheduler is an ordinary
+asyncio task, the array keeps serving reads and writes while the
+rebuild drains in the background; progress is visible live through the
+``rebuild_*`` counters.
 
 A window costs one ``get`` per surviving column and one ``put`` to the
 replacement, each carrying every stripe of the window.  A rebuild
@@ -36,18 +36,13 @@ __all__ = ["RebuildScheduler"]
 class RebuildScheduler:
     """Streams a column rebuild through batch decodes.
 
-    ``batch_stripes`` bounds memory (one window of stripe buffers);
-    ``workers`` is handed to :class:`~repro.parallel.BatchCoder`, so a
-    window's decodes can spread across threads while the event loop
-    keeps serving traffic.
+    ``batch_stripes`` bounds memory (one window of stripe buffers).
     """
 
-    def __init__(
-        self, array: ClusterArray, *, batch_stripes: int = 16, workers: int = 1
-    ) -> None:
+    def __init__(self, array: ClusterArray, *, batch_stripes: int = 16) -> None:
         self.array = array
         self.batch_stripes = int(batch_stripes)
-        self.coder = BatchCoder(array.code, workers=workers)
+        self.coder = BatchCoder(array.code)
         self._task: asyncio.Task | None = None
 
     # -- progress ----------------------------------------------------------
@@ -102,12 +97,14 @@ class RebuildScheduler:
         """
         array = self.array
         code = array.code
+        # Validate before asking the provider: a provider may start a
+        # spare node for the column it is handed.
+        if not 0 <= column < code.n_cols:
+            raise ValueError(f"column {column} out of range [0, {code.n_cols})")
         if address is None:
             if target_provider is None:
                 raise ValueError("need an address or a target_provider")
             address = await target_provider(column)
-        if not 0 <= column < code.n_cols:
-            raise ValueError(f"column {column} out of range [0, {code.n_cols})")
         metrics = array.metrics
         metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
         survivors = [c for c in range(code.n_cols) if c != column]
@@ -139,8 +136,7 @@ class RebuildScheduler:
                 for col in erasures:
                     batch[i, col] = 0
                 patterns.append(tuple(erasures))
-            # The batch decode runs in worker threads (NumPy XOR kernels
-            # release the GIL); yield first so queued traffic proceeds.
+            # Yield before the batch decode so queued traffic proceeds.
             await asyncio.sleep(0)
             if len(set(patterns)) == 1:
                 self.coder.decode(batch, list(patterns[0]))

@@ -20,13 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.engine import (
-    Schedule,
-    CompiledSchedule,
-    StreamingSchedule,
-    compile_schedule,
-    execute_bits,
-)
+from repro.engine import Schedule, StreamingSchedule, compile_kernel, execute_bits
 from repro.obs.profile import kernel_attrs, schedule_span
 from repro.obs.tracing import active_tracer
 from repro.utils.validation import check_element_size, check_erasures
@@ -162,8 +156,8 @@ class XorScheduleCode(RAID6Code):
 
     Subclasses implement :meth:`build_encode_schedule` and
     :meth:`build_decode_schedule`; this base class provides word-level
-    execution with compiled-schedule caching, bit-level execution, and
-    XOR accounting.
+    execution with plan caching (:meth:`plan`), bit-level execution,
+    and XOR accounting.
 
     ``cache_decode_plans`` controls whether decode programs are memoised
     per erasure pattern.  The paper's *original* (Jerasure) baseline
@@ -177,13 +171,12 @@ class XorScheduleCode(RAID6Code):
 
     def __init__(self, k: int, *, element_size: int = 8, execution: str = "kernel") -> None:
         super().__init__(k, element_size=element_size)
-        if execution not in ("kernel", "fused", "streaming"):
+        if execution not in ("kernel", "streaming"):
             raise ValueError(
-                f"execution must be 'kernel', 'fused' or 'streaming', got {execution!r}"
+                f"execution must be 'kernel' or 'streaming', got {execution!r}"
             )
         #: "kernel" lowers the schedule to levelized bulk-XOR slice
-        #: kernels (fastest; see :mod:`repro.engine.kernels`); "fused"
-        #: runs each destination's accumulation as one XOR-reduce;
+        #: kernels (fastest; see :mod:`repro.engine.kernels`);
         #: "streaming" runs one region op per scheduled op, mirroring
         #: Jerasure's execution model -- use it when measured throughput
         #: should be proportional to schedule op counts, as in the
@@ -196,10 +189,35 @@ class XorScheduleCode(RAID6Code):
         #: can report schedule cost without rebuilding the schedule.
         self._decode_stats: dict[tuple[int, ...], tuple[int, int]] = {}
 
+    def plan(self, erasures: tuple[int, ...] | None = None, sched: Schedule | None = None):
+        """The executable plan for encoding (``erasures=None``) or for
+        decoding a checked erasure pattern.
+
+        The one owner of the plan-cache policy: the encode plan compiles
+        once; a decode plan is memoised per pattern only when
+        ``cache_decode_plans`` is set, so the Jerasure baseline pays its
+        schedule derivation on every call.  ``sched`` passes a decode
+        schedule the caller already built for ``erasures``.  Plans run
+        over any trailing shape (one stripe, or a word-packed batch).
+        """
+        if erasures is None:
+            if self._encode_plan is None:
+                self._encode_plan = self._compile(self.encode_schedule())
+            return self._encode_plan
+        plan = self._decode_plans.get(erasures)
+        if plan is None:
+            if sched is None:
+                sched = self.build_decode_schedule(erasures)
+            plan = self._compile(sched)
+            if self.cache_decode_plans:
+                self._decode_plans[erasures] = plan
+                self._decode_stats[erasures] = (sched.n_xors, len(sched))
+        return plan
+
     def _compile(self, sched: Schedule):
         if self.execution == "streaming":
             return StreamingSchedule(sched)
-        return compile_schedule(sched, kernel=self.execution == "kernel")
+        return compile_kernel(sched)
 
     # -- schedule builders (subclass API) ----------------------------------
 
@@ -228,19 +246,16 @@ class XorScheduleCode(RAID6Code):
         self.check_stripe(buf)
         tracer = active_tracer()
         if tracer is None:  # hot path: one global read, zero allocations
-            if self._encode_plan is None:
-                self._encode_plan = self._compile(self.encode_schedule())
-            return self._encode_plan.run(buf)
+            return self.plan().run(buf)
         sched = self.encode_schedule()
         cache = "hit" if self._encode_plan is not None else "miss"
         with schedule_span(
             tracer, "code.encode", code=self.name, xors=sched.n_xors,
             ops=len(sched), nbytes=int(buf.nbytes), cache=cache,
         ) as span:
-            if self._encode_plan is None:
-                self._encode_plan = self._compile(sched)
-            kernel_attrs(span, self._encode_plan)
-            return self._encode_plan.run(buf)
+            plan = self.plan()
+            kernel_attrs(span, plan)
+            return plan.run(buf)
 
     def decode(self, buf: np.ndarray, erasures) -> np.ndarray:
         self.check_stripe(buf)
@@ -249,38 +264,21 @@ class XorScheduleCode(RAID6Code):
             return buf
         tracer = active_tracer()
         if tracer is None:  # hot path: one global read, zero allocations
-            plan = self._decode_plans.get(ers)
-            if plan is None:
-                sched = self.build_decode_schedule(ers)
-                plan = self._compile(sched)
-                if self.cache_decode_plans:
-                    self._decode_plans[ers] = plan
-                    self._decode_stats[ers] = (sched.n_xors, len(sched))
-            return plan.run(buf)
-        plan = self._decode_plans.get(ers)
-        if plan is None:
-            sched = self.build_decode_schedule(ers)
-            stats = (sched.n_xors, len(sched))
-            cache = "miss"
-        else:
+            return self.plan(ers).run(buf)
+        if ers in self._decode_plans:
             sched = None
-            hit = self._decode_stats.get(ers)
-            if hit is None:  # plan cached before stats existed: rebuild cheaply
-                rebuilt = self.build_decode_schedule(ers)
-                hit = (rebuilt.n_xors, len(rebuilt))
-                self._decode_stats[ers] = hit
-            stats = hit
+            xors, ops = self._decode_stats[ers]
             cache = "hit"
+        else:
+            sched = self.build_decode_schedule(ers)
+            xors, ops = sched.n_xors, len(sched)
+            cache = "miss"
         with schedule_span(
-            tracer, "code.decode", code=self.name, xors=stats[0],
-            ops=stats[1], nbytes=int(buf.nbytes), cache=cache,
+            tracer, "code.decode", code=self.name, xors=xors,
+            ops=ops, nbytes=int(buf.nbytes), cache=cache,
             erasures=",".join(map(str, ers)),
         ) as span:
-            if plan is None:
-                plan = self._compile(sched)
-                if self.cache_decode_plans:
-                    self._decode_plans[ers] = plan
-                    self._decode_stats[ers] = stats
+            plan = self.plan(ers, sched)
             kernel_attrs(span, plan)
             return plan.run(buf)
 

@@ -7,11 +7,11 @@ a *schedule*: an ordered list of copy/XOR operations on stripe cells
 
 * on bit arrays (one bit per cell; exact semantics, used for
   correctness tests and XOR counting), or
-* on machine-word arrays (``uint64`` element buffers; used for
-  throughput benchmarks, 64 interleaved codewords per word as in the
-  paper §II-A), either op-at-a-time (streaming), per-destination
-  (fused), or lowered to levelized bulk-XOR slice kernels
-  (:mod:`repro.engine.kernels` -- the native-speed data plane).
+* on machine-word arrays (``uint64`` element buffers, 64 interleaved
+  codewords per word as in the paper §II-A), either op-at-a-time
+  (streaming: the paper's per-op cost model) or lowered to levelized
+  bulk-XOR slice kernels (:mod:`repro.engine.kernels` -- the
+  native-speed data plane).
 
 Keeping algorithms as schedule generators gives exact, implementation-
 independent XOR counts (a copy is free, each XOR'd source counts 1 --
@@ -21,27 +21,17 @@ not incidental implementation differences.
 """
 
 from repro.engine.ops import XorOp, Schedule
-from repro.engine.executor import (
-    execute_bits,
-    execute_words,
-    CompiledSchedule,
-    StreamingSchedule,
-    compile_schedule,
-)
+from repro.engine.executor import StreamingSchedule, execute_bits
 from repro.engine.kernels import KernelOp, KernelPlan, compile_kernel
-from repro.engine.verify import ScheduleViolation, verify_schedule
+from repro.engine.verify import ScheduleViolation
 
 __all__ = [
     "XorOp",
     "Schedule",
     "execute_bits",
-    "execute_words",
-    "CompiledSchedule",
     "StreamingSchedule",
-    "compile_schedule",
     "KernelOp",
     "KernelPlan",
     "compile_kernel",
     "ScheduleViolation",
-    "verify_schedule",
 ]

@@ -1,19 +1,17 @@
 """Levelized bulk-XOR kernels: the native-speed schedule executor.
 
-The fused executor (:class:`~repro.engine.executor.CompiledSchedule`)
-already collapses a schedule's op *count* to its destination-cell
-count, but it still pays one fancy-indexed gather per destination --
-interpreter dispatch and index arithmetic dominate at real element
-sizes.  This module lowers one more step, to a short straight-line
-program of **contiguous-slice NumPy calls** over the stripe buffer
-``buf[cols, rows, words]``:
+The streaming executor (:class:`~repro.engine.executor.StreamingSchedule`)
+pays one NumPy call per scheduled op, so interpreter dispatch and index
+arithmetic dominate at real element sizes.  This module lowers a
+schedule to a short straight-line program of **contiguous-slice NumPy
+calls** over the stripe buffer ``buf[cols, rows, words]``:
 
 1. *Contribution levelization* (:func:`_levelize_ops`): every single
    XOR/copy hoists to the lowest dependency level its own hazards
-   allow.  This is deliberately finer than the fused executor's
-   group levels: a decoder schedule interleaves syndrome building
-   with its sequential recovery chain, and per-op levels let all the
-   order-free syndrome work sink to level 1 where it can merge wide.
+   allow.  Levels are per op, not per destination: a decoder schedule
+   interleaves syndrome building with its sequential recovery chain,
+   and per-op levels let all the order-free syndrome work sink to
+   level 1 where it can merge wide.
 2. *Slice classing* (:func:`_class_runs`): within a level all
    accumulating contributions commute, so they regroup freely;
    contributions that share ``(dst_col, src_col, row_shift)`` and
@@ -34,13 +32,12 @@ an id can never be reused while cached); repeated coding of the same
 stripe buffer, the shape of every benchmark and of batch rebuild, pays
 for binding once.
 
-Unlike the flat-reshape executors, kernel programs slice the stripe
-axis-wise and therefore run correctly (in place) on non-contiguous
-stripe views, and on buffers with any trailing shape beyond the first
-two axes.  That is what makes the batch data plane zero-copy:
-:class:`repro.parallel.BatchCoder` binds one plan over the transposed
-view ``batch.transpose(1, 2, 0, 3)`` of a stripe-major batch -- and
-shards it across threads -- as pure view operations.
+Kernel programs slice the stripe axis-wise and therefore run
+correctly (in place) on any stripe view, and on buffers with any
+trailing shape beyond the first two axes.  That is what makes the
+batch data plane zero-copy: :class:`repro.parallel.BatchCoder` binds
+one plan over the transposed view ``batch.transpose(1, 2, 0, 3)`` of a
+stripe-major batch as a pure view operation.
 
 The lowering is *proved*, not trusted: ``compile_kernel(validate=True)``
 replays the emitted slice program symbolically (see
@@ -58,6 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.engine.ops import Schedule
+from repro.engine.verify import ScheduleViolation
 from repro.obs.tracing import active_tracer
 
 __all__ = ["KernelOp", "KernelPlan", "compile_kernel"]
@@ -172,8 +170,6 @@ class KernelPlan:
         on overlapping views) *and* the sequential per-cell semantics
         used by the symbolic validator sound by construction.
         """
-        from repro.engine.verify import ScheduleViolation
-
         for op in self.ops:
             if op.kind == "reduce":
                 if op.src_col <= op.dst_col < op.src_col_hi:
@@ -529,8 +525,8 @@ def compile_kernel(schedule: Schedule, *, validate: bool = False) -> KernelPlan:
 def _levelize_ops(schedule: Schedule) -> dict[int, list[tuple[int, int, bool]]]:
     """Assign a dependency level to every *contribution* of the schedule.
 
-    Finer-grained than the fused executor's group levels: each op hoists
-    to the lowest level consistent with its own hazards, so e.g. decoder
+    Each op hoists to the lowest level consistent with its own hazards
+    (not its destination's), so e.g. decoder
     syndrome accumulations all land in level 1 -- where they merge into
     wide slice classes -- even though the schedule interleaves them with
     the sequential recovery chain.  Hazard state per flat cell:
@@ -650,8 +646,6 @@ def _align_classes(recs: list[tuple[int, int, bool, int]], rows: int) -> list[in
 
 
 def _lower(schedule: Schedule, *, validate: bool) -> KernelPlan:
-    from repro.engine.verify import ScheduleViolation
-
     by_level = _levelize_ops(schedule)
     ops: list[KernelOp] = []
     for lvl in sorted(by_level):
@@ -676,13 +670,14 @@ def _validate_kernel(schedule: Schedule, plan: KernelPlan) -> None:
     because :meth:`KernelPlan._check_op_aliasing` already rejected any
     op whose destination overlaps its own source.
     """
-    # Lazy import for the same package-cycle reason as in executor.py.
+    # Imported lazily: the static-analysis package imports the code
+    # families, which import repro.engine -- a module-level import here
+    # would close that cycle during package initialisation.
     from repro.analysis.static.symbolic import (
         format_expr,
         pristine_state,
         symbolic_execute,
     )
-    from repro.engine.verify import ScheduleViolation
 
     want = symbolic_execute(schedule)
     state = pristine_state(schedule.cols, schedule.rows)

@@ -1,65 +1,16 @@
-"""Static schedule verification (compatibility wrapper).
+"""The exception every schedule check raises.
 
-The structural checker grew into the static-analysis package --
-:func:`repro.analysis.static.structural.check_structure` is the
-canonical implementation (ordering discipline over erased *and* scratch
-garbage), and :mod:`repro.analysis.static.prover` adds full symbolic
-proofs of functional correctness on top.  :func:`verify_schedule` is
-kept here, signature-compatible plus a ``garbage_cols`` extension, for
-the many call sites and downstream schedule generators that grew up
-against it.
-
-``garbage_cols`` names columns that are not erased but still hold
-garbage until first written -- the scratch workspace columns some
-decoders stage intermediates in (``RAID6Code.n_scratch``).  Without it
-a reordered schedule that reads a scratch staging cell *before* the
-copy that initialises it passes the check while silently consuming
-garbage; declaring the scratch column makes the read-before-write
-ordering violation visible.  Decode-schedule verification should pass
-``unreadable_cols=erasures`` and ``garbage_cols=range(code.n_cols,
-code.total_cols)``.
+The structural read/write-discipline checker lives in
+:mod:`repro.analysis.static.structural` and the symbolic proofs in
+:mod:`repro.analysis.static.prover`; the kernel lowering
+(:mod:`repro.engine.kernels`) raises the same exception when its
+compile-time proofs fail.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
-from repro.engine.ops import Schedule
-
-__all__ = ["ScheduleViolation", "verify_schedule"]
+__all__ = ["ScheduleViolation"]
 
 
 class ScheduleViolation(AssertionError):
     """A structural defect in a schedule (with the offending op index)."""
-
-
-def verify_schedule(
-    schedule: Schedule,
-    *,
-    unreadable_cols: Iterable[int] = (),
-    garbage_cols: Iterable[int] = (),
-    required_dsts: Iterable[tuple[int, int]] | None = None,
-) -> None:
-    """Statically check a schedule's read/write discipline.
-
-    ``unreadable_cols``: columns whose initial contents are garbage
-    (the erasure pattern for a decode schedule).  ``garbage_cols``:
-    scratch columns, equally garbage until written.  Any read of such a
-    cell must be preceded by a write to it.  ``required_dsts``: cells
-    the schedule must write at least once (e.g. every cell of every
-    erased column).
-
-    Raises :class:`ScheduleViolation` with op index/context on failure;
-    returns ``None`` when clean.
-    """
-    # Imported lazily: repro.analysis.static imports the code families,
-    # which import repro.engine -- a module-level import here would
-    # close that cycle during package initialisation.
-    from repro.analysis.static.structural import check_structure
-
-    check_structure(
-        schedule,
-        unreadable_cols=unreadable_cols,
-        garbage_cols=garbage_cols,
-        required_dsts=required_dsts,
-    )

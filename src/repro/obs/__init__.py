@@ -8,8 +8,8 @@ subsystem reports through:
   trace digests across replays), with JSONL and Chrome ``trace_event``
   exporters;
 * :mod:`repro.obs.metrics` -- counters, gauges and mergeable log2
-  histograms (grown out of ``repro.cluster.metrics``), with a
-  Prometheus text-exposition formatter served by cluster nodes;
+  histograms, with a Prometheus text-exposition formatter served by
+  cluster nodes;
 * :mod:`repro.obs.profile` -- engine hooks emitting per-schedule spans
   (XOR count, bytes, plan-cache hit/miss, effective throughput);
 * :mod:`repro.obs.regress` -- the ``repro bench regress`` gate that

@@ -1,7 +1,7 @@
 """Process-wide metrics: counters, gauges, mergeable log2 histograms.
 
-Grown out of ``repro.cluster.metrics`` (which now re-exports this
-module for compatibility) into the project-wide metrics layer:
+The project-wide metrics layer, behind the cluster's ``stats`` verb
+and every node, client and gateway counter:
 
 * plain-int :class:`Counter` and :class:`Gauge` (safe under asyncio's
   cooperative scheduling -- no threads, no locks);

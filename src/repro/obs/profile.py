@@ -2,8 +2,8 @@
 
 The paper's contribution is a constant-factor XOR-count/throughput win;
 these helpers make that visible at runtime.  Schedule executions
-(``XorScheduleCode.encode``/``decode``) and schedule compilations
-(``repro.engine.executor.compile_schedule``) emit spans carrying:
+(``XorScheduleCode.encode``/``decode``) and kernel compilations
+(``repro.engine.kernels.compile_kernel``) emit spans carrying:
 
 * ``xors`` -- the schedule's XOR count (a property of the schedule,
   audited by ``repro analyze``; execution strategy can never change it);
@@ -43,7 +43,7 @@ def kernel_attrs(span: Span, plan: object) -> None:
     """Stamp a schedule span with the kernel plan's lowering shape.
 
     Duck-typed on ``plan.stats()`` so the call site stays executor-
-    agnostic: fused and streaming plans have no ``stats`` and produce no
+    agnostic: streaming plans have no ``stats`` and produce no
     attributes.  ``kernel_ops`` replaces the stats key ``kernel_ops``
     verbatim; the others gain the ``kernel_`` prefix, keeping the plain
     ``xors``/``ops`` names reserved for schedule-level accounting.

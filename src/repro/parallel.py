@@ -1,4 +1,4 @@
-"""Batch and multi-threaded stripe coding.
+"""Batch stripe coding.
 
 Real arrays encode/decode *streams* of stripes, not one; this module
 provides that layer:
@@ -12,23 +12,16 @@ provides that layer:
   all ``n`` stripes at once, amortising the per-call NumPy dispatch
   floor that dominates single-stripe runs (this is where the data
   plane's >5x over streaming execution comes from);
-* thread-pool parallelism across stripes: NumPy's XOR kernels release
-  the GIL on the element buffers, so threads scale on multi-core
-  machines without any data copying (each worker owns a contiguous
-  chunk of the batch -- the "parallelise the outer loop over
-  independent work items" idiom).
+* a serial per-stripe fallback for every other code (Reed-Solomon,
+  streaming execution).
 
-The coding plans themselves are compiled once and shared read-only
-between threads, so throughput per stripe is identical to the
-single-stripe path; only the outer loop parallelises.  Results are
-bit-identical across every (path, workers) combination -- the
-differential tests pin that.
+Results are bit-identical across both paths -- the differential tests
+pin that.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -81,24 +74,19 @@ def alloc_word_batch(code: RAID6Code, n_stripes: int) -> np.ndarray:
 
 
 class BatchCoder:
-    """Encode/decode many stripes, optionally across threads.
+    """Encode/decode many stripes of one code.
 
-    ``workers = 1`` (default) runs serially; ``workers = n`` splits the
-    batch into ``n`` contiguous chunks processed concurrently.  Results
-    are bit-identical regardless of ``workers`` (asserted by the test
-    suite), because stripes are independent.
+    Stripes are independent, so a batch codes exactly as its stripes
+    would one at a time.
     """
 
-    def __init__(self, code: RAID6Code, *, workers: int = 1) -> None:
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
+    def __init__(self, code: RAID6Code) -> None:
         self.code = code
-        self.workers = int(workers)
         #: transposed-view cache for the kernel wide path, keyed by
-        #: (batch identity, chunk bounds).  Returning the *same* view
-        #: object per batch lets the plan's bound-program cache hit, so
-        #: steady-state batch coding rebinds nothing.
-        self._views: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]] = {}
+        #: batch identity.  Returning the *same* view object per batch
+        #: lets the plan's bound-program cache hit, so steady-state
+        #: batch coding rebinds nothing.
+        self._views: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- internals ---------------------------------------------------------
 
@@ -113,95 +101,43 @@ class BatchCoder:
     def _wide_plan(self, erasures: tuple[int, ...] | None):
         """The code's kernel plan when the wide path applies, else None.
 
-        The wide path requires kernel execution: only
-        :class:`~repro.engine.kernels.KernelPlan` accepts the 4-D
-        transposed batch view.  Fused/streaming codes fall back to the
-        per-stripe loop.
+        The wide path is the kernel data plane's.  Streaming codes keep
+        the per-stripe loop (one region op per scheduled op per stripe,
+        the cost model they exist to measure), and codes without
+        schedules have no plan.
         """
         code = self.code
         if not isinstance(code, XorScheduleCode) or code.execution != "kernel":
             return None
-        if erasures is None:
-            if code._encode_plan is None:
-                code._encode_plan = code._compile(code.encode_schedule())
-            return code._encode_plan
-        plan = code._decode_plans.get(erasures)
-        if plan is None:
-            # Recompiled per call for codes that disable the plan cache
-            # (the Jerasure-like baseline does its matrix work per call
-            # by design -- the wide path must not hide that cost).
-            plan = code._compile(code.build_decode_schedule(erasures))
-            if code.cache_decode_plans:
-                code._decode_plans[erasures] = plan
-        return plan
+        return code.plan(erasures)
 
-    def _wide_view(self, batch: np.ndarray, lo: int, hi: int) -> np.ndarray:
-        """Zero-copy kernel view of ``batch[lo:hi]``: (cols, rows, n, words)."""
-        key = (id(batch), lo, hi)
-        entry = self._views.get(key)
+    def _wide_view(self, batch: np.ndarray) -> np.ndarray:
+        """Zero-copy kernel view of ``batch``: (cols, rows, n, words)."""
+        entry = self._views.get(id(batch))
         if entry is not None and entry[0] is batch:
             return entry[1]
-        view = batch[lo:hi].transpose(1, 2, 0, 3)
+        view = batch.transpose(1, 2, 0, 3)
         if len(self._views) >= 4:
             self._views.pop(next(iter(self._views)))
-        self._views[key] = (batch, view)
+        self._views[id(batch)] = (batch, view)
         return view
 
-    def _run(self, batch: np.ndarray, fn, plan=None) -> np.ndarray:
-        n = batch.shape[0]
-        if plan is not None and n > 0:
-            if self.workers == 1 or n == 1:
-                plan.run(self._wide_view(batch, 0, n))
-                return batch
-            bounds = np.linspace(0, n, self.workers + 1, dtype=int)
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                futures = [
-                    pool.submit(plan.run, self._wide_view(batch, int(a), int(b)))
-                    for a, b in zip(bounds[:-1], bounds[1:])
-                    if a < b
-                ]
-                for f in futures:
-                    f.result()  # propagate exceptions
-            return batch
-        if self.workers == 1 or n == 1:
-            for i in range(n):
-                fn(batch[i])
-            return batch
-        bounds = np.linspace(0, n, self.workers + 1, dtype=int)
-
-        def work(chunk):
-            for i in range(*chunk):
-                fn(batch[i])
-
-        with ThreadPoolExecutor(max_workers=self.workers) as pool:
-            futures = [
-                pool.submit(work, (int(a), int(b)))
-                for a, b in zip(bounds[:-1], bounds[1:])
-                if a < b
-            ]
-            for f in futures:
-                f.result()  # propagate exceptions
+    def _run(
+        self, batch: np.ndarray, fn: Callable[[np.ndarray], object], plan
+    ) -> np.ndarray:
+        if plan is not None:
+            plan.run(self._wide_view(batch))
+        else:
+            for stripe in batch:
+                fn(stripe)
         return batch
-
-    def _warm_plans(self, erasures=None) -> None:
-        """Compile plans before threads share them."""
-        code = self.code
-        if isinstance(code, XorScheduleCode):
-            if erasures is None:
-                code.encode_schedule()
-                if code._encode_plan is None:
-                    code._encode_plan = code._compile(code.encode_schedule())
-            elif code.cache_decode_plans:
-                scratch = code.alloc_stripe()
-                code.decode(scratch, list(erasures))
 
     # -- public API -------------------------------------------------------------
 
     def encode(self, batch: np.ndarray) -> np.ndarray:
         """Fill parity columns of every stripe in the batch, in place."""
         self._check_batch(batch)
-        self._warm_plans()
-        return self._run(batch, self.code.encode, plan=self._wide_plan(None))
+        return self._run(batch, self.code.encode, self._wide_plan(None))
 
     def decode(self, batch: np.ndarray, erasures: Sequence[int]) -> np.ndarray:
         """Recover the same erasure pattern in every stripe, in place.
@@ -213,9 +149,8 @@ class BatchCoder:
         ers = check_erasures(erasures, self.code.n_cols)
         if not ers:
             return batch
-        self._warm_plans(ers)
         return self._run(
             batch,
             lambda stripe: self.code.decode(stripe, ers),
-            plan=self._wide_plan(ers),
+            self._wide_plan(ers),
         )

@@ -13,12 +13,11 @@ random stripe through every pair:
   (bit-matrix dumb/smart scheduling), encode and decode;
 * **executor vs. executor** -- the same schedule run through
   :func:`~repro.engine.executor.execute_bits` (bit-plane reference),
-  the fused :class:`~repro.engine.executor.CompiledSchedule` (per-group
-  and levelized-batch modes), the op-at-a-time
-  :class:`~repro.engine.executor.StreamingSchedule`, and the levelized
-  bulk-XOR :class:`~repro.engine.kernels.KernelPlan` -- both on a
-  single stripe and bound wide over a word-packed two-stripe batch
-  (the kernel data plane's layout);
+  the op-at-a-time :class:`~repro.engine.executor.StreamingSchedule`
+  (word-level reference), and the levelized bulk-XOR
+  :class:`~repro.engine.kernels.KernelPlan` -- both on a single stripe
+  and bound wide over a word-packed two-stripe batch (the kernel data
+  plane's layout);
 * **round-trip** -- encode, erase any <= 2 columns, decode, compare to
   the original.
 
@@ -45,7 +44,8 @@ import numpy as np
 from repro.analysis.concurrency import sanitizer
 from repro.analysis.concurrency.sanitizer import AliasViolationError
 from repro.codes import make_code
-from repro.engine.executor import StreamingSchedule, compile_schedule, execute_bits
+from repro.engine.executor import StreamingSchedule, execute_bits
+from repro.engine.kernels import compile_kernel
 from repro.sim.scenario import (
     DivergenceError,
     SimScenario,
@@ -122,43 +122,37 @@ def _diverge(what: str, case: StripeCase, a: np.ndarray, b: np.ndarray) -> None:
 def _check_executors(sched, buf_ref: np.ndarray, what: str, case: StripeCase) -> None:
     """All execution strategies must transform identical inputs identically.
 
-    ``buf_ref`` is the *input* stripe; the fused per-group compile is
-    taken as the candidate baseline and every other strategy -- the
-    levelized batch mode, the streaming op-at-a-time engine, the
-    bulk-XOR kernel plan (single-stripe and word-packed wide), and the
-    bit-level reference on each of two probe bit-planes -- must match.
+    ``buf_ref`` is the *input* stripe; the op-at-a-time streaming
+    executor is the word-level reference, and the bulk-XOR kernel plan
+    (single-stripe and word-packed wide) and the bit-level reference on
+    each of two probe bit-planes must match it.
 
-    Both compiles run with ``validate=True``, so the lowering is also
-    *symbolically* proved equivalent to the source schedule -- a fusion
-    bug is caught even on inputs whose values happen to mask it.
+    The kernel compiles with ``validate=True``, so its lowering is also
+    *symbolically* proved equivalent to the source schedule -- a
+    lowering bug is caught even on inputs whose values happen to mask
+    it.
     """
-    fused = compile_schedule(sched, validate=True).run(buf_ref.copy())
-    batched = compile_schedule(sched, batched=True, validate=True).run(buf_ref.copy())
-    if not np.array_equal(fused, batched):
-        _diverge(f"{what}: fused-vs-levelized executor", case, fused, batched)
     streaming = StreamingSchedule(sched).run(buf_ref.copy())
-    if not np.array_equal(fused, streaming):
-        _diverge(f"{what}: fused-vs-streaming executor", case, fused, streaming)
-    kplan = compile_schedule(sched, kernel=True, validate=True)
+    kplan = compile_kernel(sched, validate=True)
     kernel = kplan.run(buf_ref.copy())
-    if not np.array_equal(fused, kernel):
-        _diverge(f"{what}: fused-vs-kernel executor", case, fused, kernel)
+    if not np.array_equal(streaming, kernel):
+        _diverge(f"{what}: streaming-vs-kernel executor", case, streaming, kernel)
     # Kernel wide path: the same plan bound over a word-packed
     # two-stripe batch (stripe i at words [i*w, (i+1)*w)) must leave
     # the single-stripe result in both halves.
     words = buf_ref.shape[2]
     wide = kplan.run(np.concatenate([buf_ref, buf_ref], axis=2))
     for lo in (0, words):
-        if not np.array_equal(fused, wide[:, :, lo:lo + words]):
+        if not np.array_equal(streaming, wide[:, :, lo:lo + words]):
             _diverge(f"{what}: kernel wide path (stripe at word {lo})",
-                     case, fused, wide[:, :, lo:lo + words])
+                     case, streaming, wide[:, :, lo:lo + words])
     # Bit-plane probe: a schedule is GF(2)-linear, so running the bit
     # reference on any single bit plane must equal that plane of the
     # word execution.  Plane 0 and the top plane bracket the word.
     for plane in (0, 63):
         bits = ((buf_ref[:, :, 0] >> np.uint64(plane)) & np.uint64(1)).astype(np.uint8)
         execute_bits(sched, bits)
-        word_plane = ((fused[:, :, 0] >> np.uint64(plane)) & np.uint64(1)).astype(np.uint8)
+        word_plane = ((streaming[:, :, 0] >> np.uint64(plane)) & np.uint64(1)).astype(np.uint8)
         if not np.array_equal(bits, word_plane):
             _diverge(f"{what}: bit-plane {plane} vs word executor", case, bits, word_plane)
 

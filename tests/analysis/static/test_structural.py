@@ -1,9 +1,9 @@
 """Tests for the structural (ordering) checker's own API.
 
-End-to-end behaviour against real codes, the scratch-garbage
-regression, and the ``verify_schedule`` compatibility wrapper live in
-``tests/engine/test_verify.py``; this file covers the analyzer-native
-surface (``collect`` mode, per-cell garbage, diagnostics wording).
+End-to-end behaviour against real codes and the scratch-garbage
+regression live in ``tests/engine/test_verify.py``; this file covers
+the analyzer-native surface (``collect`` mode, per-cell garbage,
+diagnostics wording).
 """
 
 import pytest

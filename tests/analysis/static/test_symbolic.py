@@ -11,9 +11,8 @@ from repro.analysis.static.symbolic import (
     is_garbage,
     pristine_state,
     symbolic_execute,
-    symbolic_execute_groups,
 )
-from repro.engine.executor import compile_schedule, execute_bits
+from repro.engine.executor import execute_bits
 from repro.engine.ops import Schedule
 
 
@@ -98,27 +97,6 @@ class TestAgainstBitExecution:
                     for _tag, c, r in final[(col, row)]:
                         want ^= int(bits[c, r])
                     assert ref[col, row] == want
-
-
-class TestGroups:
-    def test_groups_match_schedule(self):
-        from repro.codes import make_code
-
-        code = make_code("liberation-optimal", 4, p=5)
-        sched = code.build_encode_schedule()
-        compiled = compile_schedule(sched)
-        want = symbolic_execute(sched)
-        got = symbolic_execute_groups(sched.cols, sched.rows, compiled._groups)
-        assert got == want
-
-    def test_init_copy_discards_prior_value(self):
-        # dst <- xor(srcs) must not include dst's old value.
-        got = symbolic_execute_groups(2, 1, [(1, [0], True)])
-        assert got[(1, 0)] == expr((0, 0))
-
-    def test_accumulating_group_keeps_prior_value(self):
-        got = symbolic_execute_groups(2, 1, [(1, [0], False)])
-        assert got[(1, 0)] == expr((0, 0), (1, 0))
 
 
 class TestFormatting:

@@ -176,7 +176,7 @@ class TestRebuild:
 
                 for col in dead:
                     addr = await cluster.start_replacement(col)
-                    sched = RebuildScheduler(arr, batch_stripes=2, workers=2)
+                    sched = RebuildScheduler(arr, batch_stripes=2)
                     sched.start(col, addr)
                     rebuilt = await sched.wait()
                     assert rebuilt == arr.n_stripes
@@ -217,6 +217,30 @@ class TestRebuild:
 
         data, back = asyncio.run(run())
         assert back == data
+
+    def test_out_of_range_column_rejected_before_the_provider_runs(self):
+        """A bad column must not start a spare: -1 would pick the Q
+        column's node, and ``n_cols`` would surface an IndexError."""
+
+        async def run():
+            code, cluster = sim_cluster(n_stripes=2)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                asked = []
+
+                async def provider(column):
+                    asked.append(column)
+                    return await cluster.start_replacement(column)
+
+                sched = RebuildScheduler(arr)
+                for column in (-1, code.n_cols):
+                    with pytest.raises(ValueError, match="out of range"):
+                        await sched.rebuild_column(column, target_provider=provider)
+                return asked, dict(cluster.replacements)
+
+        asked, replacements = asyncio.run(run())
+        assert asked == []
+        assert replacements == {}
 
     def test_rebuild_survives_concurrent_second_loss(self):
         async def run():

@@ -1,14 +1,12 @@
-"""Unit tests for the metrics registry, via the cluster compat shim.
+"""Unit tests for the metrics registry the cluster reports through.
 
-The registry itself lives in ``repro.obs.metrics`` now (where the
-gauge/merge/Prometheus behaviour is tested); importing through
-``repro.cluster.metrics`` here keeps the compatibility re-export under
-test.
+Gauge, merge and Prometheus behaviour is tested in
+``tests/obs/test_metrics.py``.
 """
 
 import pytest
 
-from repro.cluster.metrics import Counter, Gauge, Histogram, MetricsRegistry
+from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 
 
 class TestCounter:

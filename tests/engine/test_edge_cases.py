@@ -5,20 +5,15 @@ the buffers callers actually hold: empty word axes (a zero-byte
 object's stripe tail), odd word counts (element sizes that are not a
 power of two), non-contiguous views (a stripe sliced out of a larger
 transport buffer), and the kernel plan's trailing-shape freedom (batch
-views).  Each case compares against the fused executor or a contiguous
-copy, so these are equivalence tests, not just smoke.
+views).  Each case compares against the streaming executor or a
+contiguous copy, so these are equivalence tests, not just smoke.
 """
 
 import numpy as np
 import pytest
 
 from repro.codes import make_code
-from repro.engine.executor import (
-    StreamingSchedule,
-    compile_schedule,
-    execute_bits,
-    execute_words,
-)
+from repro.engine.executor import StreamingSchedule, execute_bits
 from repro.engine.kernels import compile_kernel
 from repro.engine.ops import Schedule, XorOp
 
@@ -41,25 +36,14 @@ class TestZeroLengthWordAxis:
     def test_all_word_executors_accept_empty_words(self):
         sched = _sched()
         empty = np.zeros((sched.cols, sched.rows, 0), dtype=np.uint64)
-        for run in (
-            lambda b: execute_words(sched, b),
-            compile_schedule(sched).run,
-            compile_schedule(sched, batched=True).run,
-            StreamingSchedule(sched).run,
-            compile_kernel(sched).run,
-        ):
+        for run in (StreamingSchedule(sched).run, compile_kernel(sched).run):
             out = run(empty.copy())
             assert out.shape == empty.shape
 
     def test_empty_schedule_is_identity(self):
         sched = Schedule(4, 3, [])
         buf = _random_words((4, 3, 2))
-        for run in (
-            lambda b: execute_words(sched, b),
-            compile_schedule(sched).run,
-            StreamingSchedule(sched).run,
-            compile_kernel(sched).run,
-        ):
+        for run in (StreamingSchedule(sched).run, compile_kernel(sched).run):
             np.testing.assert_array_equal(run(buf.copy()), buf)
         bits = np.ones((4, 3), dtype=np.uint8)
         np.testing.assert_array_equal(execute_bits(sched, bits.copy()), bits)
@@ -72,9 +56,8 @@ class TestOddWordCounts:
         sched = code.encode_schedule()
         buf = code.alloc_stripe()
         buf[: code.k] = _random_words(buf[: code.k].shape, seed=element_size)
-        ref = compile_schedule(sched).run(buf.copy())
+        ref = StreamingSchedule(sched).run(buf.copy())
         np.testing.assert_array_equal(compile_kernel(sched).run(buf.copy()), ref)
-        np.testing.assert_array_equal(StreamingSchedule(sched).run(buf.copy()), ref)
 
     def test_single_word_stripe(self):
         code = _code(8)
@@ -102,12 +85,40 @@ class TestNonContiguousBuffers:
         n, words = 3, 1
         batch = np.zeros((n, code.total_cols, code.rows, words), dtype=np.uint64)
         batch[:, : code.k] = _random_words((n, code.k, code.rows, words), seed=5)
-        refs = [compile_schedule(sched).run(batch[i].copy()) for i in range(n)]
+        refs = [StreamingSchedule(sched).run(batch[i].copy()) for i in range(n)]
         wide = batch.transpose(1, 2, 0, 3)
         assert wide.base is batch
         compile_kernel(sched).run(wide)
         for i in range(n):
             np.testing.assert_array_equal(batch[i], refs[i])
+
+    def test_streaming_runs_in_place_on_transposed_batch_view(self):
+        # Only the (cols, rows) axes merge; the trailing (n, words)
+        # axes of a transposed stripe-major batch stay as they are, so
+        # the ops write through to the batch instead of into a copy.
+        code = _code()
+        sched = code.encode_schedule()
+        n, words = 3, 2
+        batch = np.zeros((n, code.total_cols, code.rows, words), dtype=np.uint64)
+        batch[:, : code.k] = _random_words((n, code.k, code.rows, words), seed=6)
+        refs = [compile_kernel(sched).run(batch[i].copy()) for i in range(n)]
+        StreamingSchedule(sched).run(batch.transpose(1, 2, 0, 3))
+        for i in range(n):
+            np.testing.assert_array_equal(batch[i], refs[i])
+
+    def test_streaming_rejects_a_stripe_whose_axes_cannot_merge(self):
+        # A Fortran-ordered stripe's (cols, rows) axes merge only into a
+        # copy; running there would leave the parity untouched.
+        code = make_code("liberation-optimal", 5, p=5, execution="streaming")
+        stripe = np.asfortranarray(_random_words(code.alloc_stripe().shape, seed=8))
+        stripe[code.k :] = 0
+        with pytest.raises(ValueError, match="cannot merge"):
+            code.encode(stripe)
+        assert not stripe[code.k :].any()
+        # The kernel codes the same view in place.
+        kcode = make_code("liberation-optimal", 5, p=5)
+        kcode.encode(stripe)
+        assert kcode.verify(np.ascontiguousarray(stripe))
 
     def test_kernel_word_packed_batch(self):
         # Word-packed layout (cols, rows, n*words): one plan call covers
@@ -134,9 +145,9 @@ class TestShapeRejection:
         sched = _sched()
         bad = np.zeros((sched.cols, sched.rows + 1, 1), dtype=np.uint64)
         with pytest.raises(ValueError):
-            execute_words(sched, bad)
+            StreamingSchedule(sched).run(bad)
         with pytest.raises(ValueError):
-            compile_schedule(sched).run(bad)
+            compile_kernel(sched).run(bad)
 
 
 class TestBoundProgramCache:

@@ -1,24 +1,23 @@
-"""Tests for schedule execution: bit reference vs compiled word engines.
+"""Tests for schedule execution: the bit reference, streaming and kernel.
 
-The central invariant: for any legal schedule, the fused
-:class:`CompiledSchedule`, the :class:`StreamingSchedule` and the
-op-by-op bit executor compute identical results.
+The central invariant: for any legal schedule, the kernel plan (on one
+stripe and word-packed wide over several), the :class:`StreamingSchedule`
+and the op-by-op bit executor compute identical results.  The random
+schedules here reach shapes the code families never emit -- copies
+anywhere, cells read mid-accumulation, sources overwritten after use --
+so they are the kernel lowering's arbitrary-schedule coverage.
 """
 
 import numpy as np
 import pytest
 
-from repro.engine.executor import (
-    CompiledSchedule,
-    StreamingSchedule,
-    compile_schedule,
-    execute_bits,
-    execute_words,
-)
+from repro.engine.executor import StreamingSchedule, execute_bits
+from repro.engine.kernels import KernelPlan, _validate_kernel, compile_kernel
 from repro.engine.ops import Schedule
+from repro.engine.verify import ScheduleViolation
 
 
-def random_schedule(rng, cols=5, rows=4, n_ops=60):
+def random_schedule(rng, cols=5, rows=4, n_ops=60, p_copy=0.15):
     """A random legal schedule with read-write interleavings."""
     s = Schedule(cols, rows)
     for _ in range(n_ops):
@@ -26,16 +25,50 @@ def random_schedule(rng, cols=5, rows=4, n_ops=60):
         src = (int(rng.integers(0, cols)), int(rng.integers(0, rows)))
         if src == dst:
             continue
-        if not s.touched(dst) or rng.random() < 0.15:
+        if not s.touched(dst) or rng.random() < p_copy:
             s.copy_cell(dst, src)
         else:
             s.accumulate(dst, src)
     return s
 
 
-def bits_of_words(words):
-    """Unpack a (cols, rows, words) uint64 stripe into per-bit planes."""
-    return np.unpackbits(words.view(np.uint8), axis=-1)
+def random_geometry_schedule(rng):
+    """A random schedule over 2-7 columns, 1-8 rows, up to 150 ops."""
+    return random_schedule(
+        rng,
+        cols=int(rng.integers(2, 8)),
+        rows=int(rng.integers(1, 9)),
+        n_ops=int(rng.integers(1, 151)),
+        p_copy=float(rng.uniform(0.05, 0.3)),
+    )
+
+
+def run_all(sched, buf):
+    """Run ``sched`` over copies of ``buf`` through every word executor.
+
+    The streaming executor is the word-level reference; the validated
+    kernel plan must match it on one stripe and on each block of a
+    word-packed three-stripe batch, and the bit reference must match
+    its low and high bit planes.  Returns the agreed output.
+    """
+    ref = StreamingSchedule(sched).run(buf.copy())
+    plan = compile_kernel(sched, validate=True)
+    np.testing.assert_array_equal(plan.run(buf.copy()), ref, err_msg="kernel")
+    words = buf.shape[2]
+    wide = plan.run(np.concatenate([buf, buf, buf], axis=2))
+    for i in range(3):
+        np.testing.assert_array_equal(
+            wide[:, :, i * words : (i + 1) * words], ref, err_msg=f"kernel wide {i}"
+        )
+    for plane in (0, 63):
+        bits = ((buf[:, :, 0] >> np.uint64(plane)) & np.uint64(1)).astype(np.uint8)
+        execute_bits(sched, bits)
+        np.testing.assert_array_equal(
+            bits,
+            ((ref[:, :, 0] >> np.uint64(plane)) & np.uint64(1)).astype(np.uint8),
+            err_msg=f"bit plane {plane}",
+        )
+    return ref
 
 
 class TestBitExecutor:
@@ -56,13 +89,18 @@ class TestEquivalence:
     @pytest.mark.parametrize("seed", range(12))
     def test_compiled_matches_bits(self, seed):
         rng = np.random.default_rng(seed)
-        sched = random_schedule(rng)
-        bits = rng.integers(0, 2, (5, 4)).astype(np.uint8)
+        sched = random_geometry_schedule(rng)
+        bits = rng.integers(0, 2, (sched.cols, sched.rows)).astype(np.uint8)
         # Word buffer whose single word's low bit mirrors `bits`.
         words = bits.astype(np.uint64)[:, :, None]
+        wide = np.repeat(words, 3, axis=2)  # word-packed three-stripe batch
         execute_bits(sched, bits)
-        compile_schedule(sched).run(words)
+        plan = compile_kernel(sched, validate=True)
+        plan.run(words)
+        plan.run(wide)
         assert np.array_equal(words[:, :, 0] & 1, bits)
+        for i in range(3):
+            assert np.array_equal(wide[:, :, i] & 1, bits)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_streaming_matches_bits(self, seed):
@@ -76,29 +114,22 @@ class TestEquivalence:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_batched_matches_sequential(self, seed):
+        # One kernel call over a word-packed batch must equal running
+        # each stripe through the op-at-a-time executor in turn.
         rng = np.random.default_rng(100 + seed)
-        sched = random_schedule(rng, n_ops=120)
-        base = rng.integers(0, 2**64, (5, 4, 3), dtype=np.uint64)
-        a, b = base.copy(), base.copy()
-        compile_schedule(sched).run(a)
-        plan = compile_schedule(sched)
-        CompiledSchedule(plan.cols, plan.rows, [], batched=True)  # smoke ctor
-        from repro.engine.executor import _Group  # rebuild batched from groups
-
-        groups = [
-            _Group(dst, list(srcs), init)
-            for (dst, srcs, init) in plan._groups
+        sched = random_geometry_schedule(rng)
+        n, words = 4, 3
+        stripes = [
+            rng.integers(0, 2**64, (sched.cols, sched.rows, words), dtype=np.uint64)
+            for _ in range(n)
         ]
-        CompiledSchedule(plan.cols, plan.rows, groups, batched=True).run(b)
-        assert np.array_equal(a, b)
-
-    def test_execute_words_one_shot(self):
-        s = Schedule(3, 1)
-        s.copy_cell((2, 0), (0, 0))
-        s.accumulate((2, 0), (1, 0))
-        buf = np.array([[[5]], [[3]], [[0]]], dtype=np.uint64)
-        execute_words(s, buf)
-        assert buf[2, 0, 0] == 6
+        packed = np.concatenate(stripes, axis=2)
+        compile_kernel(sched, validate=True).run(packed)
+        streaming = StreamingSchedule(sched)
+        for i, stripe in enumerate(stripes):
+            np.testing.assert_array_equal(
+                packed[:, :, i * words : (i + 1) * words], streaming.run(stripe)
+            )
 
 
 class TestHazards:
@@ -114,9 +145,7 @@ class TestHazards:
         s.copy_cell((3, 0), (2, 0))  # Q <- E  (partial P!)
         s.accumulate((2, 0), (1, 0))  # P continues accumulating
         buf = np.array([[[0b100]], [[0b010]], [[0]], [[0]]], dtype=np.uint64)
-        execute_words(s, buf.copy())
-        out = buf.copy()
-        compile_schedule(s).run(out)
+        out = run_all(s, buf)
         assert out[3, 0, 0] == 0b110  # saw a^b, not the final P
         assert out[2, 0, 0] == 0b100  # a^b^b
 
@@ -126,8 +155,8 @@ class TestHazards:
         s.copy_cell((1, 0), (0, 0))  # B <- A
         s.copy_cell((0, 0), (2, 0))  # A <- C (overwrites the source)
         buf = np.array([[[7]], [[0]], [[9]]], dtype=np.uint64)
-        compile_schedule(s).run(buf)
-        assert buf[1, 0, 0] == 7 and buf[0, 0, 0] == 9
+        out = run_all(s, buf)
+        assert out[1, 0, 0] == 7 and out[0, 0, 0] == 9
 
     def test_in_place_syndrome_update(self):
         """Decode pattern: produce, consume, update, consume again."""
@@ -143,23 +172,15 @@ class TestHazards:
         a, b, c = expect[0, 0].copy(), expect[1, 0].copy(), expect[0, 1].copy()
         expect[2, 0] = a ^ b ^ c
         expect[2, 1] = (a ^ b) ^ (a ^ b ^ c)
-        compile_schedule(s).run(buf)
-        assert np.array_equal(buf, expect)
+        assert np.array_equal(run_all(s, buf), expect)
 
 
 class TestCompiledProperties:
-    def test_group_count_reported(self):
-        s = Schedule(3, 1)
-        for j in range(2):
-            s.xor_into((2, 0), (j, 0))
-        plan = compile_schedule(s)
-        assert plan.n_groups == 1
-
     def test_run_shape_mismatch(self):
         s = Schedule(3, 2)
         s.copy_cell((2, 0), (0, 0))
         with pytest.raises(ValueError):
-            compile_schedule(s).run(np.zeros((3, 3, 1), dtype=np.uint64))
+            compile_kernel(s).run(np.zeros((3, 3, 1), dtype=np.uint64))
         with pytest.raises(ValueError):
             StreamingSchedule(s).run(np.zeros((3, 3, 1), dtype=np.uint64))
 
@@ -171,7 +192,7 @@ class TestCompiledProperties:
 
 
 class TestCompileValidation:
-    """compile_schedule(validate=True): the lowering is symbolically
+    """compile_kernel(validate=True): the lowering is symbolically
     proved equivalent to the source schedule at compile time."""
 
     def _real_schedules(self):
@@ -185,38 +206,30 @@ class TestCompileValidation:
 
     def test_real_schedules_validate(self):
         for sched in self._real_schedules():
-            compile_schedule(sched, validate=True)
-            compile_schedule(sched, batched=True, validate=True)
+            compile_kernel(sched, validate=True)
 
     def test_planted_lowering_bug_is_caught(self):
         from repro.codes import make_code
-        from repro.engine.executor import CompiledSchedule, _validate_compilation
-        from repro.engine.verify import ScheduleViolation
 
         sched = make_code("liberation-optimal", 4, p=5).build_encode_schedule()
-        good = compile_schedule(sched)
-        # Corrupt one fused group: drop its last source term.
-        dst, srcs, init = good._groups[0]
-        bad = CompiledSchedule.__new__(CompiledSchedule)
-        bad.cols, bad.rows = good.cols, good.rows
-        bad.batched, bad._batches = False, None
-        bad._groups = [(dst, srcs[:-1], init)] + good._groups[1:]
+        good = compile_kernel(sched)
+        # Corrupt the lowering: drop one slice XOR's source term.
+        ops = list(good.ops)
+        ops.remove(next(op for op in ops if op.kind == "xor"))
+        bad = KernelPlan(good.cols, good.rows, ops, n_levels=good.n_levels)
         with pytest.raises(ScheduleViolation, match="lowering diverges"):
-            _validate_compilation(sched, bad)
+            _validate_kernel(sched, bad)
 
-    def test_wrong_group_order_is_caught(self):
-        from repro.engine.executor import CompiledSchedule, _validate_compilation
-        from repro.engine.verify import ScheduleViolation
-
-        # dst2 copies dst1's accumulated value, so group order matters.
+    def test_wrong_op_order_is_caught(self):
+        # dst2 copies dst1's accumulated value, so op order matters.
         s = Schedule(4, 1)
         s.copy_cell((2, 0), (0, 0))
         s.accumulate((2, 0), (1, 0))
         s.copy_cell((3, 0), (2, 0))
-        good = compile_schedule(s, validate=True)
-        bad = CompiledSchedule.__new__(CompiledSchedule)
-        bad.cols, bad.rows = good.cols, good.rows
-        bad.batched, bad._batches = False, None
-        bad._groups = list(reversed(good._groups))
+        good = compile_kernel(s, validate=True)
+        assert len(good.ops) > 1
+        bad = KernelPlan(
+            good.cols, good.rows, list(reversed(good.ops)), n_levels=good.n_levels
+        )
         with pytest.raises(ScheduleViolation, match="lowering diverges"):
-            _validate_compilation(s, bad)
+            _validate_kernel(s, bad)

@@ -9,10 +9,10 @@ that claim three ways:
   p in {5, 7, 11, 13} (plus Cauchy RS, which is parameterized by ``w``
   rather than ``p``), random data, encode plus a menu of single- and
   double-erasure decodes, each schedule run through the naive
-  streaming executor, the fused executor, the kernel plan on a single
-  stripe, the kernel plan bound wide over a word-packed batch, and the
-  bit-plane reference -- all byte-identical, with every kernel
-  lowering symbolically proved (``validate=True``);
+  streaming executor, the kernel plan on a single stripe, the kernel
+  plan bound wide over a word-packed batch, and the bit-plane
+  reference -- all byte-identical, with every kernel lowering
+  symbolically proved (``validate=True``);
 * a **Hypothesis fuzz** over random (family, p, k, data, erasures)
   cases -- the shapes the grid's fixed menu cannot enumerate;
 * **mutation canaries** -- a single flipped XOR, planted either in the
@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.codes import make_code
-from repro.engine.executor import StreamingSchedule, compile_schedule, execute_bits
+from repro.engine.executor import StreamingSchedule, execute_bits
 from repro.engine.kernels import KernelOp, KernelPlan, _validate_kernel, compile_kernel
 from repro.engine.ops import Schedule, XorOp
 from repro.engine.verify import ScheduleViolation
@@ -77,22 +77,20 @@ def erasure_menu(code):
 def assert_paths_agree(schedule, buf, what):
     """Every execution path of ``schedule`` maps ``buf`` identically.
 
-    Returns the agreed output stripe.  The fused executor is the
-    arbitrary candidate baseline; naive streaming, the kernel plan
-    (single-stripe and word-packed wide over three stripes), and the
-    bit-plane reference must all match it byte for byte.
+    Returns the agreed output stripe.  The op-at-a-time streaming
+    executor is the word-level reference; the kernel plan (single-stripe
+    and word-packed wide over three stripes) and the bit-plane
+    reference must match it byte for byte.
     """
-    fused = compile_schedule(schedule).run(buf.copy())
     streaming = StreamingSchedule(schedule).run(buf.copy())
-    np.testing.assert_array_equal(fused, streaming, err_msg=f"{what}: streaming")
     plan = compile_kernel(schedule, validate=True)
     kernel = plan.run(buf.copy())
-    np.testing.assert_array_equal(fused, kernel, err_msg=f"{what}: kernel")
+    np.testing.assert_array_equal(streaming, kernel, err_msg=f"{what}: kernel")
     words = buf.shape[2]
     wide = plan.run(np.concatenate([buf, buf, buf], axis=2))
     for i in range(3):
         np.testing.assert_array_equal(
-            fused,
+            streaming,
             wide[:, :, i * words : (i + 1) * words],
             err_msg=f"{what}: kernel wide path, stripe {i}",
         )
@@ -102,10 +100,10 @@ def assert_paths_agree(schedule, buf, what):
     execute_bits(schedule, bits)
     np.testing.assert_array_equal(
         bits,
-        (fused[:, :, 0] & np.uint64(1)).astype(np.uint8),
+        (streaming[:, :, 0] & np.uint64(1)).astype(np.uint8),
         err_msg=f"{what}: bit-plane reference",
     )
-    return fused
+    return streaming
 
 
 class TestDifferentialGrid:
@@ -221,7 +219,7 @@ class TestMutationCanary:
         sched = code.encode_schedule()
         mutated = self._flip_source_row(sched)
         buf = filled(code, seed=7)
-        ref = compile_schedule(sched).run(buf.copy())
+        ref = StreamingSchedule(sched).run(buf.copy())
         bad = compile_kernel(mutated).run(buf.copy())
         assert not np.array_equal(ref, bad), (
             "a flipped XOR in the source schedule must change the output"

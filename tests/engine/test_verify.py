@@ -1,11 +1,11 @@
-"""Tests for static schedule verification."""
+"""Tests for the structural schedule checker against real codes."""
 
 import itertools
 
 import pytest
 
 from repro.engine.ops import Schedule
-from repro.engine.verify import ScheduleViolation, verify_schedule
+from repro.analysis.static.structural import ScheduleViolation, check_structure
 
 
 class TestReadDiscipline:
@@ -13,26 +13,26 @@ class TestReadDiscipline:
         s = Schedule(3, 2)
         s.copy_cell((1, 0), (0, 0))  # write erased col 1 first
         s.accumulate((1, 0), (2, 0))
-        verify_schedule(s, unreadable_cols=[1])
+        check_structure(s, unreadable_cols=[1])
 
     def test_read_of_unwritten_erased_cell_flagged(self):
         s = Schedule(3, 2)
         s.copy_cell((2, 0), (1, 0))  # reads erased col 1 without writing
         with pytest.raises(ScheduleViolation, match="reads unwritten"):
-            verify_schedule(s, unreadable_cols=[1])
+            check_structure(s, unreadable_cols=[1])
 
     def test_accumulate_into_unwritten_erased_cell_flagged(self):
         s = Schedule(3, 2)
         s.mark_touched((1, 0))
         s.accumulate((1, 0), (0, 0))  # dst holds garbage yet accumulates
         with pytest.raises(ScheduleViolation, match="accumulates into unwritten"):
-            verify_schedule(s, unreadable_cols=[1])
+            check_structure(s, unreadable_cols=[1])
 
     def test_write_then_read_is_fine(self):
         s = Schedule(3, 2)
         s.copy_cell((1, 0), (0, 0))
         s.copy_cell((2, 1), (1, 0))
-        verify_schedule(s, unreadable_cols=[1])
+        check_structure(s, unreadable_cols=[1])
 
 
 class TestCoverage:
@@ -40,13 +40,13 @@ class TestCoverage:
         s = Schedule(3, 2)
         s.copy_cell((1, 0), (0, 0))
         with pytest.raises(ScheduleViolation, match="never writes"):
-            verify_schedule(s, required_dsts=[(1, 0), (1, 1)])
+            check_structure(s, required_dsts=[(1, 0), (1, 1)])
 
     def test_full_coverage_passes(self):
         s = Schedule(3, 2)
         s.copy_cell((1, 0), (0, 0))
         s.copy_cell((1, 1), (0, 1))
-        verify_schedule(s, required_dsts=[(1, 0), (1, 1)])
+        check_structure(s, required_dsts=[(1, 0), (1, 1)])
 
 
 class TestAgainstRealCodes:
@@ -72,7 +72,7 @@ class TestAgainstRealCodes:
         ):
             sched = code.build_decode_schedule(pat)
             required = {(c, r) for c in pat for r in range(code.rows)}
-            verify_schedule(
+            check_structure(
                 sched,
                 unreadable_cols=pat,
                 garbage_cols=scratch,
@@ -89,7 +89,7 @@ class TestAgainstRealCodes:
                 for c in (code.p_col, code.q_col)
                 for r in range(code.rows)
             }
-            verify_schedule(code.encode_schedule(), required_dsts=required)
+            check_structure(code.encode_schedule(), required_dsts=required)
 
 
 class TestScratchGarbage:
@@ -99,10 +99,9 @@ class TestScratchGarbage:
     a copy before any read.  A reordered schedule that reads the staging
     cell *before* that copy silently consumes garbage -- and the later
     copy into the (erased-pattern-unrelated) scratch cell must not be
-    treated as making those earlier reads safe.  The original
-    ``verify_schedule`` could not see this because callers had no way to
-    declare scratch columns as garbage-holding; ``garbage_cols`` closes
-    the hole.
+    treated as making those earlier reads safe.  The original checker
+    could not see this because callers had no way to declare scratch
+    columns as garbage-holding; ``garbage_cols`` closes the hole.
     """
 
     @staticmethod
@@ -128,14 +127,14 @@ class TestScratchGarbage:
         code, bad = self._reordered_evenodd_decode()
         scratch = range(code.n_cols, code.total_cols)
         with pytest.raises(ScheduleViolation, match="scratch"):
-            verify_schedule(bad, unreadable_cols=(0, 1), garbage_cols=scratch)
+            check_structure(bad, unreadable_cols=(0, 1), garbage_cols=scratch)
 
     def test_hole_without_declaration_documented(self):
         # Without garbage_cols the checker cannot know the scratch
         # column holds garbage: the reordered schedule passes.  This
         # documents why decode verification must declare scratch.
         code, bad = self._reordered_evenodd_decode()
-        verify_schedule(bad, unreadable_cols=(0, 1))
+        check_structure(bad, unreadable_cols=(0, 1))
 
     def test_symbolic_prover_catches_it_too(self):
         # The functional proof rejects the same mutant independently of
@@ -151,7 +150,7 @@ class TestScratchGarbage:
 
         code = make_code("evenodd", 4, p=5)
         sched = code.build_decode_schedule((0, 1))
-        verify_schedule(
+        check_structure(
             sched,
             unreadable_cols=(0, 1),
             garbage_cols=range(code.n_cols, code.total_cols),

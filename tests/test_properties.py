@@ -12,11 +12,8 @@ from hypothesis import given, settings, strategies as st
 from repro.codes import make_code
 from repro.core.decoder import decode_schedule
 from repro.core.encoder import encode_schedule
-from repro.engine.executor import (
-    StreamingSchedule,
-    compile_schedule,
-    execute_bits,
-)
+from repro.engine.executor import StreamingSchedule, execute_bits
+from repro.engine.kernels import compile_kernel
 from repro.engine.ops import Schedule
 from repro.gf.gf256 import GF256
 from repro.utils.modular import Mod, mod_inverse
@@ -120,9 +117,10 @@ class TestLiberationBounds:
 class TestExecutorEquivalence:
     @st.composite
     def schedules(draw):
-        cols = draw(st.integers(2, 6))
-        rows = draw(st.integers(1, 5))
-        n_ops = draw(st.integers(1, 80))
+        cols = draw(st.integers(2, 7))
+        rows = draw(st.integers(1, 8))
+        n_ops = draw(st.integers(1, 150))
+        p_copy = draw(st.floats(0.05, 0.3))
         rng = np.random.default_rng(draw(st.integers(0, 2**31)))
         s = Schedule(cols, rows)
         for _ in range(n_ops):
@@ -130,7 +128,7 @@ class TestExecutorEquivalence:
             src = (int(rng.integers(0, cols)), int(rng.integers(0, rows)))
             if dst == src:
                 continue
-            if not s.touched(dst) or rng.random() < 0.2:
+            if not s.touched(dst) or rng.random() < p_copy:
                 s.copy_cell(dst, src)
             else:
                 s.accumulate(dst, src)
@@ -139,23 +137,30 @@ class TestExecutorEquivalence:
     @settings(max_examples=100, deadline=None)
     @given(sched=schedules(), seed=st.integers(0, 2**31))
     def test_three_executors_agree(self, sched, seed):
+        """Bit reference, streaming and the validated kernel plan (one
+        stripe, and word-packed wide) agree on arbitrary schedules."""
         rng = np.random.default_rng(seed)
         bits = rng.integers(0, 2, (sched.cols, sched.rows)).astype(np.uint8)
-        words = bits.astype(np.uint64)[:, :, None]
-        streaming = words.copy()
+        words = rng.integers(0, 2**64, (sched.cols, sched.rows, 2), dtype=np.uint64)
+        words[:, :, 0] = (words[:, :, 0] & ~np.uint64(1)) | bits
+        streaming = StreamingSchedule(sched).run(words.copy())
+        plan = compile_kernel(sched, validate=True)
+        kernel = plan.run(words.copy())
+        wide = plan.run(np.concatenate([words, words], axis=2))
         execute_bits(sched, bits)
-        compile_schedule(sched).run(words)
-        StreamingSchedule(sched).run(streaming)
-        assert np.array_equal(words[:, :, 0], bits.astype(np.uint64))
-        assert np.array_equal(streaming, words)
+        assert np.array_equal(streaming[:, :, 0] & np.uint64(1), bits.astype(np.uint64))
+        assert np.array_equal(kernel, streaming)
+        assert np.array_equal(wide[:, :, :2], streaming)
+        assert np.array_equal(wide[:, :, 2:], streaming)
 
     @settings(max_examples=60, deadline=None)
     @given(sched=schedules())
     def test_xor_count_invariant_under_compilation(self, sched):
-        """Compilation may fuse ops but never changes the declared cost."""
+        """Lowering reorganises ops but never changes the declared cost."""
         before = sched.n_xors
-        compile_schedule(sched)
+        plan = compile_kernel(sched)
         assert sched.n_xors == before
+        assert plan.n_cell_xors == before
 
 
 class TestWordCodecProperty:
