@@ -59,7 +59,7 @@ async def demo() -> None:
             done, total = scheduler.progress
             print(f"rebuilt column {col}: {rebuilt} stripes ({done}/{total})")
 
-        assert all(await arr.ping()), "replacement nodes not serving"
+        assert all((await arr.ping()).values()), "replacement nodes not serving"
 
         # Full redundancy restored: a *different* double failure decodes.
         for col in (0, code.q_col):
@@ -69,7 +69,7 @@ async def demo() -> None:
               "redundancy fully restored")
 
         stats = await arr.stats()
-        live = [n for n in stats["nodes"] if n is not None]
+        live = [n for n in stats["nodes"].values() if n is not None]
         served = sum(n["stats"]["counters"].get("requests_get", 0) for n in live)
         print(f"stats: {len(live)} nodes reachable, {served} GET requests served, "
               f"client counters {stats['client']['counters']}")

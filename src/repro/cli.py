@@ -690,13 +690,13 @@ def cmd_cluster_heal(args) -> int:
             await monitor.probe_once()
         rows = [
             {
-                "column": entry["column"],
-                "state": "FAILED" if entry["failed"]
+                "column": entry["id"],
+                "state": "FAILED" if entry["state"] == "dead"
                 else ("missing" if entry["misses"] else "alive"),
                 "misses": entry["misses"],
                 "breaker": entry["breaker"],
             }
-            for entry in monitor.status()["columns"]
+            for entry in monitor.status()["nodes"]
         ]
         print(format_table(rows, title=f"column health after {args.probes} probes"))
         if args.rebuild is not None:
@@ -706,7 +706,7 @@ def cmd_cluster_heal(args) -> int:
             print(f"rebuilt {done} stripes; column {args.rebuild} now served by "
                   f"{args.spare}")
             return 0
-        return 0 if not any(monitor.failed) else 1
+        return 1 if monitor.dead() else 0
 
     return asyncio.run(run())
 

@@ -11,13 +11,13 @@ injectable :class:`~repro.sim.transport.Transport`, so the same code
 path runs on real sockets in production and on virtual time +
 in-memory pipes under :mod:`repro.sim`, where scenarios replay
 bit-identically from a seed.  :class:`ClusterArray` is the data path: it stripes
-full-stripe writes across ``k + 2`` :class:`~repro.cluster.node.StripNode`
-servers (column ``c`` lives on node ``c``; the cluster relies on node
-placement, not rotation, for failure independence), serves **degraded
-reads** by pulling survivor strips and decoding with the configured
-code (the paper's Algorithm 4 path for ``liberation-optimal``, plan
-cached per erasure pattern), and degrades gracefully while any two
-nodes are unreachable or faulty.
+writes across :class:`~repro.cluster.node.StripNode` servers (column
+order over ``k + 2`` nodes, or rendezvous placement over a membership
+table; either way the ``k + 2`` strips of a stripe sit on distinct
+nodes), serves **degraded reads** by pulling survivor strips and
+decoding with the configured code (the paper's Algorithm 4 path for
+``liberation-optimal``, plan cached per erasure pattern), and degrades
+gracefully while any two columns are unreachable, faulty or stale.
 
 Everything here is asyncio-native; the CLI and examples wrap entry
 points in ``asyncio.run``.
@@ -33,6 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cluster import protocol
+from repro.cluster.membership import MembershipTable
+from repro.cluster.placement import ColumnOrder, PlacementMap
 from repro.cluster.protocol import FrameChecksumError, ProtocolError, read_frame, write_frame
 from repro.codes.base import RAID6Code
 from repro.obs.metrics import MetricsRegistry
@@ -422,21 +424,53 @@ def cached_client(cache: dict, key, address: tuple[str, int], make) -> NodeClien
 
 
 class ClusterArray:
-    """A RAID-6 array whose strips live on ``k + 2`` network nodes.
+    """A RAID-6 array whose strips live on network nodes.
 
     The mirror image of :class:`repro.array.raid6.RAID6Array` with the
     disk accesses replaced by concurrent RPCs, one per column and node
     for all the stripes an operation touches.  Reads always succeed
     while at most two columns are lost (in any mix of stopped nodes,
-    network faults and disk errors); writes skip unreachable columns
-    the way a degraded array skips failed disks, leaving the stripe
-    recoverable through the parity that *was* written.
+    network faults, disk errors and strips a degraded write left
+    stale); writes skip unreachable columns the way a degraded array
+    skips failed disks, leaving the stripe recoverable through the
+    parity that *was* written.
+
+    ``nodes`` says where the strips live:
+
+    * ``k + 2`` addresses give a static
+      :class:`~repro.cluster.membership.MembershipTable` whose node ids
+      are the column numbers, placed by
+      :class:`~repro.cluster.placement.ColumnOrder`: column *c* of every
+      stripe on node *c*.
+    * A :class:`~repro.cluster.membership.MembershipTable` places every
+      stripe by rendezvous hashing over its LIVE nodes
+      (:class:`~repro.cluster.placement.PlacementMap`).
+
+    Nothing past the constructor tells the two apart.  Every
+    ``(stripe, column)`` routes through :meth:`holders` to a node id,
+    and from there to that node's client and circuit breaker.
+
+    * :attr:`locations` is the authoritative holder map.  A stripe is
+      pinned to its placement on first touch; afterwards only a
+      rebalancer flip moves it, so routing never follows placement to a
+      node that holds nothing yet.
+    * **Epoch-bump retry**: an RPC that fails with
+      :class:`NodeUnavailableError` after the membership epoch moved
+      re-resolves its holders and spends one retry (``epoch_retries``),
+      so a request racing a migration, a drain or a repointed node sees
+      one slow answer, not an error.
+    * **Stripe locks** (:meth:`stripe_lock`) serialize everything that
+      reads a stripe and then writes it -- read-modify-write, scrub
+      repairs, rebuild windows, migrations -- against every write of
+      that stripe.  A batch takes its stripes' locks in ascending order.
+      Plain reads take no lock; they only wait out a stripe's migration
+      (:attr:`migrating`).
     """
 
     def __init__(
         self,
         code: RAID6Code,
-        addresses: list[tuple[str, int]] | None,
+        nodes: list[tuple[str, int]] | MembershipTable,
         n_stripes: int,
         *,
         policy: RetryPolicy | None = None,
@@ -446,13 +480,6 @@ class ClusterArray:
         tracer: Tracer | None = None,
         hedge_after: float | None = None,
     ) -> None:
-        # ``addresses=None`` is the elastic mode: a subclass overrides
-        # the ``_client_for`` / ``_breaker_for`` resolvers to route each
-        # (column, stripe) through placement instead of a fixed list.
-        if addresses is not None and len(addresses) != code.n_cols:
-            raise ValueError(
-                f"need {code.n_cols} node addresses (k+2), got {len(addresses)}"
-            )
         if n_stripes <= 0:
             raise ValueError("n_stripes must be positive")
         self.code = code
@@ -464,15 +491,37 @@ class ClusterArray:
         self.rng = rng
         self.tracer = tracer
         self.hedge_after = hedge_after
-        self.clients = (
-            [] if addresses is None else [self._make_client(addr) for addr in addresses]
-        )
-        #: per-column circuit breakers, installed by
-        #: :class:`repro.cluster.health.HealthMonitor`; None = no gating
-        self.breakers: list | None = None
+        if isinstance(nodes, MembershipTable):
+            self.membership = nodes
+            self.placement = PlacementMap(nodes, code.n_cols)
+        else:
+            if len(nodes) != code.n_cols:
+                raise ValueError(
+                    f"need {code.n_cols} node addresses (k+2), got {len(nodes)}"
+                )
+            self.membership = MembershipTable()
+            for column, address in enumerate(nodes):
+                self.membership.join(column, address, live=True)
+            self.placement = ColumnOrder(self.membership, range(code.n_cols))
+        if self.membership.metrics is None:
+            self.membership.metrics = self.metrics
+            self.membership._export()
+        #: authoritative current holders (stripe -> node id per column)
+        self.locations: dict[int, tuple] = {}
+        #: per-node circuit breakers, installed and fed by
+        #: :class:`~repro.cluster.health.HealthMonitor`; none = no gating
+        self.breakers: dict = {}
         #: stripes whose last write skipped columns -- the scrubber's
         #: priority queue (stripe -> set of stale columns)
         self.dirty_stripes: dict[int, set[int]] = {}
+        #: stripes with a migration in flight (set by the rebalancer);
+        #: readers of such a stripe wait for the flip instead of racing
+        #: the window where a target's disk slot is being overwritten
+        self.migrating: set[int] = set()
+        self._clients: dict = {}
+        #: stripe -> [lock, holders + waiters]; an entry lives only
+        #: while someone holds or awaits its lock
+        self._locks: dict[int, list] = {}
 
     def _make_client(self, address: tuple[str, int]) -> NodeClient:
         return NodeClient(
@@ -501,41 +550,99 @@ class ClusterArray:
         if not 0 <= stripe < self.n_stripes:
             raise IndexError(f"stripe {stripe} out of range [0, {self.n_stripes})")
 
-    def replace_node(self, column: int, node: tuple[str, int] | NodeClient) -> None:
-        """Point a column at a replacement node (post-rebuild).
+    # -- routing -----------------------------------------------------------
+
+    def holders(self, stripe: int) -> tuple:
+        """Node ids holding ``stripe``'s columns, pinned on first touch."""
+        locs = self.locations.get(stripe)
+        if locs is None:
+            locs = self.locations[stripe] = self.placement.nodes_for(stripe)
+        return locs
+
+    def _placed(self, stripe: int) -> tuple:
+        """:meth:`holders` without pinning: a stripe not yet touched
+        answers with its current placement."""
+        return self.locations.get(stripe) or self.placement.nodes_for(stripe)
+
+    def column_node(self, column: int):
+        """The node holding ``column`` of every stripe, or None when the
+        column is spread over several nodes."""
+        node_id = self._placed(0)[column]
+        for stripe in range(1, self.n_stripes):
+            if self._placed(stripe)[column] != node_id:
+                return None
+        return node_id
+
+    def client_for_node(self, node_id) -> NodeClient:
+        """Cached client for one node, rebuilt if its address changed."""
+        return cached_client(
+            self._clients, node_id, self.membership.address_of(node_id),
+            self._make_client,
+        )
+
+    def _route(self, node_id) -> tuple:
+        return self.client_for_node(node_id), self.breakers.get(node_id)
+
+    def replace_node(self, node_id, node: tuple[str, int] | NodeClient) -> None:
+        """Point ``node_id`` at a replacement node (post-rebuild).
 
         ``node`` is the replacement's address, or an open client to it
         (the rebuild hands over its own, pooled connections and all).
-        The replaced client is closed.  Any circuit-breaker state
-        belongs to the *old* node, so the column's breaker resets --
-        otherwise a freshly rebuilt column would stay short-circuited
-        for the rest of the cooldown.
+        The replaced client is closed and the table records the new
+        address, bumping the epoch.  Any circuit-breaker state belongs
+        to the *old* node, so the node's breaker resets -- otherwise a
+        freshly rebuilt column would stay short-circuited for the rest
+        of the cooldown.
         """
         client = node if isinstance(node, NodeClient) else self._make_client(node)
-        self.clients[column].close()
-        self.clients[column] = client
-        if self.breakers is not None:
-            self.breakers[column].reset()
+        self.membership.relocate(node_id, client.address)
+        old = self._clients.get(node_id)
+        if old is not None and old is not client:
+            old.close()
+        self._clients[node_id] = client
+        breaker = self.breakers.get(node_id)
+        if breaker is not None:
+            breaker.reset()
 
     def close(self) -> None:
         """Close the idle connections of every node client."""
-        for client in self.clients:
+        for client in self._clients.values():
             client.close()
+
+    # -- stripe locks ------------------------------------------------------
+
+    @contextlib.asynccontextmanager
+    async def stripe_lock(self, stripe: int):
+        """Hold the lock every read-then-write of ``stripe`` holds."""
+        entry = self._locks.get(stripe)
+        if entry is None:
+            entry = self._locks[stripe] = [asyncio.Lock(), 0]
+        entry[1] += 1
+        try:
+            async with entry[0]:
+                yield
+        finally:
+            entry[1] -= 1
+            if not entry[1]:
+                del self._locks[stripe]
+
+    def stripe_locks(self, stripes):
+        """The locks of ``stripes``, held together and taken in ascending
+        order -- the order of every batch, so two batches sharing
+        stripes never deadlock."""
+        return acquire_all(self.stripe_lock(s) for s in sorted(set(stripes)))
 
     # -- strip RPCs --------------------------------------------------------
 
-    def _client_for(self, column: int, stripe: int | None) -> NodeClient:
-        """Resolve the node serving ``column`` (of ``stripe``).
-
-        The static array ignores ``stripe`` -- column *c* lives on node
-        *c* forever.  :class:`~repro.cluster.elastic.ElasticArray`
-        overrides this to route through the placement map at the
-        current membership epoch.
-        """
-        return self.clients[column]
-
-    def _breaker_for(self, column: int, stripe: int | None):
-        return self.breakers[column] if self.breakers is not None else None
+    def _node_for(self, column: int, stripe: int | None):
+        if stripe is not None:
+            return self.holders(stripe)[column]
+        node_id = self.column_node(column)
+        if node_id is None:
+            raise ValueError(
+                f"column {column} is spread over several nodes; pass stripe="
+            )
+        return node_id
 
     async def _column_request(
         self,
@@ -546,9 +653,20 @@ class ClusterArray:
         *,
         stripe: int | None = None,
     ) -> tuple[dict, bytes]:
-        """One RPC to the node serving ``column`` (of ``stripe``)."""
-        route = (self._client_for(column, stripe), self._breaker_for(column, stripe))
-        return await self._node_request(route, column, verb, header, payload)
+        """One RPC to the node serving ``column`` of ``stripe`` (of every
+        stripe when ``stripe`` is None), with one epoch-bump retry."""
+        def send():
+            route = self._route(self._node_for(column, stripe))
+            return self._node_request(route, column, verb, header, payload)
+
+        epoch = self.membership.epoch
+        try:
+            return await send()
+        except NodeUnavailableError:
+            if self.membership.epoch == epoch:
+                raise
+            self.metrics.counter("epoch_retries").inc()
+            return await send()
 
     async def _node_request(
         self, route: tuple, column: int, verb: str, header: dict | None,
@@ -588,29 +706,46 @@ class ClusterArray:
         return [stripes[i : i + per_frame] for i in range(0, len(stripes), per_frame)]
 
     def _routes(self, column: int, stripes: list[int]) -> list[tuple[tuple, list[int]]]:
-        """``stripes`` of ``column`` grouped by serving node, as one
+        """``stripes`` of ``column`` grouped by holder, as one
         ``(route, stripes)`` batch per node and frame."""
-        groups: dict[tuple, list[int]] = {}
+        groups: dict = {}
         for stripe in stripes:
-            route = (self._client_for(column, stripe), self._breaker_for(column, stripe))
-            groups.setdefault(route, []).append(stripe)
-        return [
-            (route, frame)
-            for route, group in groups.items()
-            for frame in self._frames(group)
-        ]
+            groups.setdefault(self.holders(stripe)[column], []).append(stripe)
+        routed = []
+        for node_id, group in groups.items():
+            route = self._route(node_id)
+            routed += [(route, frame) for frame in self._frames(group)]
+        return routed
 
     async def _fan_out(
         self, verb: str, plan: list[tuple[int, list[int]]], payload_for=None
     ) -> list[tuple[int, list[int], object]]:
         """``verb`` for each ``(column, stripes)`` of ``plan``: one RPC
-        per column and serving node (and frame), all concurrent, with
-        payload ``payload_for(column, batch)``.
+        per column and holder (and frame), all concurrent, with payload
+        ``payload_for(column, batch)``.
 
         Returns ``(column, batch, outcome)`` per RPC, the outcome being
         its ``(reply, payload)`` or the :class:`NodeUnavailableError` /
-        :class:`RemoteDiskError` that lost every strip of the batch.
+        :class:`RemoteDiskError` that lost every strip of the batch.  If
+        the epoch moved while it ran, the stripes of unreachable batches
+        are regrouped by their holders at the new epoch and sent once
+        more.
         """
+        epoch = self.membership.epoch
+        done = await self._send(verb, plan, payload_for)
+        failed: dict[int, list[int]] = {}
+        for column, batch, outcome in done:
+            if isinstance(outcome, NodeUnavailableError):
+                failed.setdefault(column, []).extend(batch)
+        if not failed or self.membership.epoch == epoch:
+            return done
+        self.metrics.counter("epoch_retries").inc()
+        kept = [d for d in done if not isinstance(d[2], NodeUnavailableError)]
+        return kept + await self._send(verb, list(failed.items()), payload_for)
+
+    async def _send(
+        self, verb: str, plan: list[tuple[int, list[int]]], payload_for
+    ) -> list[tuple[int, list[int], object]]:
         batches = [
             (column, route, batch)
             for column, stripes in plan
@@ -640,7 +775,7 @@ class ClusterArray:
         self, stripes: list[int], columns: list[int], bufs: list[np.ndarray]
     ) -> dict[int, list[int]]:
         """Fetch ``columns`` of ``stripes`` into ``bufs`` (one buffer per
-        stripe), one ``get`` per column and serving node; returns each
+        stripe), one ``get`` per column and holder; returns each
         stripe's lost columns.  A strip behind a latent sector costs
         only its own stripe's column."""
         code = self.code
@@ -677,6 +812,16 @@ class ClusterArray:
         """Fetch ``columns`` of one stripe into ``buf``; returns the losers."""
         return (await self._gather([stripe], columns, [buf]))[stripe]
 
+    def _erasures(self, lost: dict[int, list[int]], columns) -> dict[int, set[int]]:
+        """Each stripe's ``lost`` columns plus its known-stale ones among
+        ``columns``: a strip a degraded write skipped answers with old
+        bytes, so a read counts it as lost."""
+        out = {}
+        for stripe, cols in lost.items():
+            stale = self.dirty_stripes.get(stripe)
+            out[stripe] = set(cols) | stale.intersection(columns) if stale else set(cols)
+        return out
+
     async def _store_strip(self, column: int, stripe: int, strip: np.ndarray) -> None:
         # Ship a view, not a copy (ascontiguousarray is a no-op for the
         # usual stripe-column slice).
@@ -691,26 +836,44 @@ class ClusterArray:
     # -- stripe I/O --------------------------------------------------------
 
     async def _read_stripes(self, stripes: list[int]) -> list[np.ndarray]:
+        """Assemble stripe buffers once no stripe of them is mid-migration."""
+        # A stripe whose migration is in its hazard window is read only
+        # after the routing flip, not in a half-moved state.
+        while True:
+            moving = next((s for s in stripes if s in self.migrating), None)
+            if moving is None:
+                break
+            async with self.stripe_lock(moving):
+                pass
+        return await self._fetch_stripes(stripes)
+
+    async def _fetch_stripes(self, stripes: list[int]) -> list[np.ndarray]:
         """Assemble stripe buffers, decoding around lost columns.
 
-        The sunny-day path is one ``get`` per data column (and serving
-        node) for all of ``stripes``; only the stripes that lost a
-        column widen the fetch to the parity columns, again batched,
-        and run the erasure decode on their survivors.
+        The sunny-day path is one ``get`` per data column (and holder)
+        for all of ``stripes``; only the stripes that lost a column --
+        unreachable, unreadable or known stale -- widen the fetch to the
+        parity columns, again batched, and run the erasure decode on
+        their survivors.  So a stale P or Q matters only to a stripe
+        that decodes.
         """
         code = self.code
         for stripe in stripes:
             self._check_stripe(stripe)
         bufs = [code.alloc_stripe() for _ in stripes]
-        lost = await self._gather(stripes, list(range(code.k)), bufs)
+        data = range(code.k)
+        lost = self._erasures(await self._gather(stripes, list(data), bufs), data)
         degraded = [(s, buf) for s, buf in zip(stripes, bufs) if lost[s]]
         if degraded:
-            parity_lost = await self._gather(
-                [s for s, _ in degraded], [code.p_col, code.q_col],
-                [buf for _, buf in degraded],
+            parity = [code.p_col, code.q_col]
+            parity_lost = self._erasures(
+                await self._gather(
+                    [s for s, _ in degraded], parity, [buf for _, buf in degraded]
+                ),
+                parity,
             )
             for stripe, buf in degraded:
-                missing = sorted(lost[stripe] + parity_lost[stripe])
+                missing = sorted(lost[stripe] | parity_lost[stripe])
                 if len(missing) > 2:
                     raise ClusterDegradedError(
                         f"stripe {stripe}: columns {missing} lost; RAID-6 tolerates 2"
@@ -730,16 +893,25 @@ class ClusterArray:
         self, stripes: list[int], bufs: list[np.ndarray], *,
         columns: list[int] | None = None,
     ) -> dict[int, list[int]]:
+        """:meth:`_put_stripes` under the stripes' locks."""
+        async with self.stripe_locks(stripes):
+            return await self._put_stripes(stripes, bufs, columns=columns)
+
+    async def _put_stripes(
+        self, stripes: list[int], bufs: list[np.ndarray], *,
+        columns: list[int] | None = None,
+    ) -> dict[int, list[int]]:
         """Scatter (selected columns of) stripe buffers to the nodes: one
-        ``put`` per column and serving node carries every stripe's strip.
+        ``put`` per column and holder carries every stripe's strip.
 
         Columns whose node cannot be reached are skipped -- degraded
         write semantics -- unless that would leave a stripe beyond
         RAID-6 tolerance, which raises :class:`ClusterDegradedError`.
         Returns each stripe's *skipped* columns (empty means fully
-        durable), and records them in :attr:`dirty_stripes` so the
-        scrubber repairs the stale columns first once their nodes
-        return.
+        durable), and records them in :attr:`dirty_stripes` so reads
+        decode around the stale strips and the scrubber repairs them
+        first once their nodes return.  The caller holds the stripes'
+        locks.
         """
         for stripe in stripes:
             self._check_stripe(stripe)
@@ -762,15 +934,18 @@ class ClusterArray:
         beyond = []
         for stripe in stripes:
             lost = skipped[stripe]
-            if not lost:
-                if columns is None:
-                    # A clean full-stripe write supersedes any stale columns.
-                    self.dirty_stripes.pop(stripe, None)
-                continue
-            self.metrics.counter("degraded_writes").inc()
+            if lost:
+                self.metrics.counter("degraded_writes").inc()
             if len(lost) > 2:
                 beyond.append(stripe)
-            else:
+            elif columns is None:
+                # A full-stripe write supersedes every older stale column:
+                # only the ones it skipped are stale now.
+                if lost:
+                    self.dirty_stripes[stripe] = set(lost)
+                else:
+                    self.dirty_stripes.pop(stripe, None)
+            elif lost:
                 self.dirty_stripes.setdefault(stripe, set()).update(lost)
         if beyond:
             raise ClusterDegradedError(
@@ -782,7 +957,7 @@ class ClusterArray:
         self, stripe: int, buf: np.ndarray, *, columns: list[int] | None = None
     ) -> list[int]:
         """Scatter (selected columns of) one stripe buffer; returns the
-        columns skipped (see :meth:`_write_stripes`)."""
+        columns skipped (see :meth:`_put_stripes`)."""
         return (await self._write_stripes([stripe], [buf], columns=columns))[stripe]
 
     # -- byte-addressed user I/O -------------------------------------------
@@ -807,7 +982,9 @@ class ClusterArray:
         other touched stripe is read first -- all of them in one batched
         read -- and patched (read-modify-write).  Spans apply in order.
         All touched stripes then go out in one ``put`` per column and
-        serving node.
+        holder.  The stripes' locks are held from the read to the put,
+        so two writes into one stripe cannot both patch the same old
+        image.
         """
         sdb = self.stripe_data_bytes
         pieces: dict[int, list[tuple[int, bytes]]] = {}
@@ -825,22 +1002,23 @@ class ClusterArray:
                 )
                 pos += take
         stripes = sorted(pieces)
-        rmw = [s for s in stripes if all(len(c) < sdb for _, c in pieces[s])]
-        read = dict(zip(rmw, await self._read_stripes(rmw)))
-        bufs = []
-        for stripe in stripes:
-            buf = read.get(stripe)
-            if buf is None:
-                buf = self.code.alloc_stripe()
-                self.metrics.counter("full_stripe_writes").inc()
-            else:
-                self.metrics.counter("rmw_writes").inc()
-            view = self._stripe_payload(buf)
-            for within, chunk in pieces[stripe]:
-                view[within : within + len(chunk)] = chunk
-            self.code.encode(buf)
-            bufs.append(buf)
-        await self._write_stripes(stripes, bufs)
+        async with self.stripe_locks(stripes):
+            rmw = [s for s in stripes if all(len(c) < sdb for _, c in pieces[s])]
+            read = dict(zip(rmw, await self._fetch_stripes(rmw)))
+            bufs = []
+            for stripe in stripes:
+                buf = read.get(stripe)
+                if buf is None:
+                    buf = self.code.alloc_stripe()
+                    self.metrics.counter("full_stripe_writes").inc()
+                else:
+                    self.metrics.counter("rmw_writes").inc()
+                view = self._stripe_payload(buf)
+                for within, chunk in pieces[stripe]:
+                    view[within : within + len(chunk)] = chunk
+                self.code.encode(buf)
+                bufs.append(buf)
+            await self._put_stripes(stripes, bufs)
 
     async def read(self, offset: int, length: int) -> bytes:
         """Read user bytes, transparently decoding around failures."""
@@ -849,7 +1027,7 @@ class ClusterArray:
     async def read_spans(self, spans: list[tuple[int, int]]) -> list[bytes]:
         """Read ``(offset, length)`` byte spans as one batch: every
         stripe they touch is fetched by one ``get`` per column and
-        serving node, decoding around failures."""
+        holder, decoding around failures."""
         sdb = self.stripe_data_bytes
         touched: set[int] = set()
         for offset, length in spans:
@@ -871,33 +1049,43 @@ class ClusterArray:
             out.append(blob[start : start + length])
         return out
 
-    # -- health / metrics --------------------------------------------------
+    # -- health / metrics (node-keyed) -------------------------------------
 
-    async def ping(self) -> list[bool]:
-        """Liveness of every column's node (never raises)."""
-        results = await asyncio.gather(
-            *(c.request("ping") for c in self.clients), return_exceptions=True
-        )
-        return [not isinstance(r, BaseException) for r in results]
+    async def _ask_each(self, node_ids, verb: str) -> dict:
+        """``verb`` to every node of ``node_ids``; the reply header, or
+        None where the node did not answer."""
 
-    async def node_stats(self) -> list[dict | None]:
-        """Each node's ``stats`` reply header (None if unreachable)."""
-        results = await asyncio.gather(
-            *(c.request("stats") for c in self.clients), return_exceptions=True
-        )
-        return [None if isinstance(r, BaseException) else r[0] for r in results]
+        async def ask(node_id) -> dict | None:
+            try:
+                reply, _ = await self.client_for_node(node_id).request(verb)
+            except Exception:
+                return None
+            return reply
+
+        return dict(zip(node_ids, await asyncio.gather(*(ask(n) for n in node_ids))))
+
+    async def ping(self) -> dict:
+        """Liveness of every probed node, keyed by node id (never raises)."""
+        replies = await self._ask_each(self.membership.probed(), "ping")
+        return {node_id: reply is not None for node_id, reply in replies.items()}
+
+    async def node_stats(self) -> dict:
+        """Each serving node's ``stats`` reply header (None if unreachable)."""
+        return await self._ask_each(self.membership.serving(), "stats")
 
     async def stats(self) -> dict:
-        """Aggregate view: client-side metrics plus per-node snapshots."""
+        """Aggregate view: the epoch, client-side metrics and per-node
+        snapshots keyed by node id."""
         nodes = await self.node_stats()
         return {
+            "epoch": self.membership.epoch,
             "client": self.metrics.snapshot(),
-            "nodes": [
-                None
+            "nodes": {
+                node_id: None
                 if reply is None
-                else {"column": reply.get("column"),
+                else {"held": reply.get("held"),
                       "stats": reply.get("stats"),
                       "disk": reply.get("disk")}
-                for reply in nodes
-            ],
+                for node_id, reply in nodes.items()
+            },
         }

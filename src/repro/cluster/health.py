@@ -3,24 +3,29 @@
 Three mechanisms close the gap between "a node misbehaves" and "the
 operator notices":
 
-* **Heartbeats** -- :class:`HealthMonitor` pings every column on a
-  fixed cadence with a one-shot probe (no retries: the cadence *is*
-  the retry loop) and counts consecutive misses per column.
-* **Circuit breakers** -- each column gets a :class:`CircuitBreaker`
+* **Heartbeats** -- :class:`HealthMonitor` pings every probed node of
+  the array's membership table on a fixed cadence with a one-shot
+  probe (no retries: the cadence *is* the retry loop), counts
+  consecutive misses per node, and writes its verdicts into the table:
+  ``miss_threshold`` misses mark a node DEAD, an answer brings a
+  JOINING or DEAD node LIVE.
+* **Circuit breakers** -- each node gets a :class:`CircuitBreaker`
   (installed on :attr:`ClusterArray.breakers`) that the data path
-  consults before every RPC.  A column that keeps timing out is
+  consults before every RPC.  A node that keeps timing out is
   short-circuited to an immediate
   :class:`~repro.cluster.client.NodeUnavailableError` -- the degraded
   read path takes over instantly instead of burning a retry budget per
   request -- until a half-open trial shows the node recovered.  The
   breaker runs on an injectable clock, so the sim drives it in virtual
   time.
-* **Auto-heal** -- once a column's consecutive misses cross the
-  threshold, the monitor declares it failed, asks ``spare_provider``
-  for a replacement address, streams a
-  :class:`~repro.cluster.rebuild.RebuildScheduler` rebuild onto it,
-  and repoints the array: fault to restored redundancy with no human
-  in the loop.
+* **Auto-heal** -- a DEAD node that holds one column of every stripe
+  (a column-ordered array) is healed by asking ``spare_provider`` for
+  a replacement address, streaming a
+  :class:`~repro.cluster.rebuild.RebuildScheduler` rebuild onto it and
+  repointing the node's id: fault to restored redundancy with no human
+  in the loop.  Under rendezvous placement a DEAD node's strips are
+  the :class:`~repro.cluster.rebalance.Rebalancer`'s to re-place;
+  ``on_change`` wakes it.
 
 Slow-but-alive nodes are the hedged reads' job
 (``ClusterArray(hedge_after=...)``), not the breaker's: hedging
@@ -39,6 +44,7 @@ from repro.cluster.client import (
     RetryPolicy,
     cached_client,
 )
+from repro.cluster.membership import PROBED_STATES, NodeState
 from repro.cluster.rebuild import RebuildScheduler
 from repro.sim.clock import Clock
 
@@ -144,17 +150,19 @@ class CircuitBreaker:
 class HealthMonitor:
     """Heartbeat prober + auto-heal driver for one :class:`ClusterArray`.
 
-    Constructing the monitor installs a breaker per column on
-    ``array.breakers``.  Drive it either with the background loop
+    Constructing the monitor installs a breaker for every probed node
+    on ``array.breakers``.  Drive it either with the background loop
     (:meth:`start` / :meth:`stop`) or, in deterministic tests, by
     calling :meth:`probe_once` / :meth:`heal` directly.
 
-    ``spare_provider`` is an async callable ``column -> address`` that
-    produces a blank replacement node (e.g.
+    ``spare_provider`` is an async callable ``node_id -> address`` that
+    produces a blank replacement for a dead node (e.g.
     :meth:`LocalCluster.start_replacement`); ``on_rebuilt`` is called
-    with the column after the rebuild repoints the array (e.g.
-    :meth:`LocalCluster.promote_replacement`).  Without a provider the
-    monitor only observes.
+    with the node id after the rebuild repoints it (e.g.
+    :meth:`LocalCluster.promote_replacement`).  In a column-ordered
+    array the node id is the column number.  Without a provider the
+    monitor only observes.  ``on_change(epoch)`` fires after any round
+    that changed the table.
     """
 
     def __init__(
@@ -169,42 +177,54 @@ class HealthMonitor:
         min_open_interval: float = 0.0,
         spare_provider=None,
         on_rebuilt=None,
+        on_change=None,
         rebuild_batch: int = 16,
     ) -> None:
         self.array = array
+        self.membership = array.membership
         self.clock = array.clock
         self.interval = float(interval)
         self.miss_threshold = int(miss_threshold)
         self.probe_policy = RetryPolicy(attempts=1, timeout=float(probe_timeout))
+        self.failure_threshold = int(failure_threshold)
+        self.reset_timeout = float(reset_timeout)
+        self.min_open_interval = float(min_open_interval)
         self.spare_provider = spare_provider
         self.on_rebuilt = on_rebuilt
+        self.on_change = on_change
         self.rebuild_batch = int(rebuild_batch)
-        n = array.code.n_cols
-        self.misses = [0] * n
-        self.failed = [False] * n
-        self.healing: set[int] = set()
-        array.breakers = [
-            CircuitBreaker(
-                self.clock,
-                failure_threshold=failure_threshold,
-                reset_timeout=reset_timeout,
-                min_open_interval=min_open_interval,
-                metrics=array.metrics,
-            )
-            for _ in range(n)
-        ]
-        self._probes: dict[int, NodeClient] = {}
+        self.misses: dict = {}
+        #: nodes whose rebuild is running
+        self.healing: set = set()
+        #: spares of failed heals, kept for the next attempt (node id -> address)
+        self._spares: dict = {}
+        self._probes: dict = {}
         self._task: asyncio.Task | None = None
+        for node_id in self.membership.probed():
+            self._breaker(node_id)
+
+    def _breaker(self, node_id) -> CircuitBreaker:
+        breakers = self.array.breakers
+        if node_id not in breakers:
+            breakers[node_id] = CircuitBreaker(
+                self.clock,
+                failure_threshold=self.failure_threshold,
+                reset_timeout=self.reset_timeout,
+                min_open_interval=self.min_open_interval,
+                metrics=self.array.metrics,
+            )
+        return breakers[node_id]
 
     # -- probing -------------------------------------------------------------
 
-    def _probe_client(self, column: int) -> NodeClient:
-        # One per column, its connection kept open between rounds, and
-        # rebuilt when the array repoints the column; shares the
-        # array's seams (and metrics) for determinism.
+    def _probe_client(self, node_id) -> NodeClient:
+        # One per node, its connection kept open between rounds, and
+        # rebuilt when the node's address changes (a replacement, a
+        # restart); shares the array's seams (and metrics) for
+        # determinism.
         array = self.array
         return cached_client(
-            self._probes, column, array.clients[column].address,
+            self._probes, node_id, self.membership.address_of(node_id),
             lambda address: NodeClient(
                 address,
                 policy=self.probe_policy,
@@ -215,72 +235,114 @@ class HealthMonitor:
             ),
         )
 
-    async def probe_once(self) -> list[bool]:
-        """One heartbeat round; returns per-column liveness.
+    async def probe_once(self) -> dict:
+        """One heartbeat round; returns per-node liveness.
 
-        Updates miss counters and feeds the breakers, then marks any
-        column over the miss threshold as failed (auto-heal is
-        :meth:`heal`'s job, so deterministic tests can split the two).
+        Updates miss counters, feeds the breakers and writes verdicts
+        into the table (healing is :meth:`heal`'s job, so deterministic
+        tests can split the two).  A node that left the probed set while
+        the round was out gets no verdict.
         """
-        array = self.array
-        cols = range(array.code.n_cols)
+        table = self.membership
+        targets = table.probed()
+        epoch = table.epoch
+        for gone in sorted(self._probes.keys() - set(targets)):
+            self._probes.pop(gone).close()
 
-        async def probe(col: int) -> bool:
+        async def probe(node_id) -> bool:
             try:
-                await self._probe_client(col).request("ping")
+                await self._probe_client(node_id).request("ping")
             except ClusterError:
                 return False
             return True
 
-        alive = list(await asyncio.gather(*(probe(c) for c in cols)))
-        for col, ok in zip(cols, alive):
-            breaker = array.breakers[col]
+        alive = dict(zip(targets, await asyncio.gather(*(probe(n) for n in targets))))
+        metrics = self.array.metrics
+        for node_id, ok in alive.items():
+            entry = table.nodes.get(node_id)
+            if entry is None or entry.state not in PROBED_STATES:
+                continue
+            breaker = self._breaker(node_id)
             if ok:
-                self.misses[col] = 0
-                if self.failed[col] and col not in self.healing:
-                    self.failed[col] = False  # came back on its own
+                self.misses[node_id] = 0
                 breaker.record_success()
+                if (
+                    entry.state in (NodeState.JOINING, NodeState.DEAD)
+                    and node_id not in self.healing
+                ):
+                    table.mark_live(node_id)  # joined, or came back on its own
             else:
-                self.misses[col] += 1
+                self.misses[node_id] = self.misses.get(node_id, 0) + 1
                 breaker.record_failure()
-                array.metrics.counter("heartbeat_misses").inc()
-                if self.misses[col] >= self.miss_threshold and not self.failed[col]:
-                    self.failed[col] = True
-                    array.metrics.counter("columns_failed").inc()
+                metrics.counter("heartbeat_misses").inc()
+                if (
+                    self.misses[node_id] >= self.miss_threshold
+                    and entry.state is not NodeState.DEAD
+                ):
+                    table.mark_dead(node_id)
+                    metrics.counter("nodes_dead").inc()
+        self._changed(epoch)
         return alive
+
+    def _changed(self, epoch: int) -> None:
+        if self.membership.epoch != epoch and self.on_change is not None:
+            self.on_change(self.membership.epoch)
+
+    def dead(self) -> list:
+        """DEAD node ids, sorted."""
+        return sorted(
+            n for n, e in self.membership.nodes.items() if e.state is NodeState.DEAD
+        )
 
     # -- healing -------------------------------------------------------------
 
-    async def heal(self) -> list[int]:
-        """Rebuild every failed column onto a spare; returns columns healed.
+    async def heal(self) -> list:
+        """Rebuild every DEAD column-holding node onto a spare; returns
+        the node ids healed.
 
         Sequential by design: RAID-6 tolerates two losses, and a
-        rebuild already reads every surviving column.
+        rebuild already reads every surviving column.  A rebuild that
+        fails (say a third column is down) is counted on
+        ``heals_failed`` and retried on a later round, onto the same
+        spare.
         """
         if self.spare_provider is None:
             return []
-        healed: list[int] = []
-        for col, bad in enumerate(self.failed):
-            if not bad or col in self.healing:
-                continue
-            self.healing.add(col)
+        array = self.array
+        epoch = self.membership.epoch
+        healed = []
+        for node_id in self.dead():
+            first = array._placed(0)
+            column = first.index(node_id) if node_id in first else None
+            if (
+                column is None
+                or node_id in self.healing
+                or array.column_node(column) != node_id
+            ):
+                continue  # placed by rendezvous: the rebalancer's to re-place
+            self.healing.add(node_id)
             try:
-                address = await self.spare_provider(col)
-                scheduler = RebuildScheduler(
-                    self.array, batch_stripes=self.rebuild_batch
-                )
-                await scheduler.rebuild_column(col, address)
-                if self.on_rebuilt is not None:
-                    self.on_rebuilt(col)
+                address = self._spares.pop(node_id, None)
+                if address is None:
+                    address = await self.spare_provider(node_id)
+                try:
+                    await RebuildScheduler(
+                        array, batch_stripes=self.rebuild_batch
+                    ).rebuild_column(column, address)
+                except ClusterError:
+                    self._spares[node_id] = address
+                    array.metrics.counter("heals_failed").inc()
+                    continue
             finally:
-                self.healing.discard(col)
-            self.failed[col] = False
-            self.misses[col] = 0
-            # reset(), not record_success(): the column is a brand-new
-            # node, so the flap guard must not keep it short-circuited.
-            self.array.breakers[col].reset()
-            self.array.metrics.counter("columns_healed").inc()
-            healed.append(col)
+                self.healing.discard(node_id)
+            if self.on_rebuilt is not None:
+                self.on_rebuilt(node_id)
+            # The rebuild repointed the id (LIVE again, breaker reset:
+            # the flap guard must not hold a brand-new node open).
+            self.misses[node_id] = 0
+            array.metrics.counter("nodes_healed").inc()
+            healed.append(node_id)
+        self._changed(epoch)
         return healed
 
     # -- background driving --------------------------------------------------
@@ -293,38 +355,44 @@ class HealthMonitor:
         async def loop() -> None:
             while True:
                 await self.probe_once()
-                if any(self.failed):
-                    await self.heal()
+                await self.heal()
                 await self.clock.sleep(self.interval)
 
         self._task = asyncio.get_running_loop().create_task(loop())
         return self._task
 
     async def stop(self) -> None:
+        """Cancel the loop; re-raises whatever ended it early."""
         task, self._task = self._task, None
-        if task is not None and not task.done():
+        for probe in self._probes.values():
+            probe.close()
+        self._probes.clear()
+        if task is None:
+            return
+        if not task.done():
             task.cancel()
             try:
                 await task
             except asyncio.CancelledError:
                 pass
-        for probe in self._probes.values():
-            probe.close()
-        self._probes.clear()
+        elif not task.cancelled():
+            task.result()
 
     # -- introspection -------------------------------------------------------
 
     def status(self) -> dict:
-        """Operator view: per-column liveness, breaker state, healing."""
+        """Operator view: per-node state, misses, breaker, healing."""
+        table, breakers = self.membership, self.array.breakers
         return {
-            "columns": [
+            "epoch": table.epoch,
+            "nodes": [
                 {
-                    "column": col,
-                    "misses": self.misses[col],
-                    "failed": self.failed[col],
-                    "healing": col in self.healing,
-                    "breaker": self.array.breakers[col].state.value,
+                    **entry.to_dict(),
+                    "misses": self.misses.get(node_id, 0),
+                    "healing": node_id in self.healing,
+                    "breaker": breakers[node_id].state.value
+                    if node_id in breakers else "closed",
                 }
-                for col in range(self.array.code.n_cols)
-            ]
+                for node_id, entry in sorted(table.nodes.items())
+            ],
         }

@@ -1,12 +1,12 @@
 """Spin up a whole cluster in one process (tests, examples, demos).
 
-:class:`LocalCluster` owns ``k + 2`` :class:`~repro.cluster.node.StripNode`
-servers on loopback ephemeral ports -- one per column -- plus the
-lifecycle verbs the failure drills need: stop a node (simulating a
-machine loss), start a blank replacement for a column (the rebuild
-target), and tear everything down.  Being in-process, tests can also
-reach into ``cluster.nodes[c].faults`` / ``.disk`` directly instead of
-going through the ``fault`` verb.
+:class:`LocalCluster` owns :class:`~repro.cluster.node.StripNode`
+servers on loopback ephemeral ports plus the lifecycle verbs the
+failure drills need: stop a node (simulating a machine loss), restart
+it, start a blank replacement for a column (the rebuild target), add a
+node to the pool, and tear everything down.  Being in-process, tests
+can also reach into ``cluster.nodes[i].faults`` / ``.disk`` directly
+instead of going through the ``fault`` verb.
 """
 
 from __future__ import annotations
@@ -15,17 +15,25 @@ import asyncio
 import random
 
 from repro.cluster.client import ClusterArray, RetryPolicy
+from repro.cluster.membership import MembershipTable
 from repro.cluster.node import StripNode
 from repro.codes.base import RAID6Code
 from repro.obs.tracing import Tracer
 from repro.sim.clock import Clock
 from repro.sim.transport import Transport
 
-__all__ = ["LocalCluster", "ElasticLocalCluster"]
+__all__ = ["LocalCluster"]
 
 
 class LocalCluster:
-    """``k + 2`` loopback strip nodes for one code geometry.
+    """Loopback strip nodes for one code geometry; node ids are ints.
+
+    Without ``n_nodes`` the cluster is ``k + 2`` nodes, node *c* serving
+    column *c*: arrays built via :meth:`array` get the node addresses,
+    hence a static column-ordered table each.  With ``n_nodes >= k + 2``
+    it is a pool whose shared :attr:`membership` table is the routing
+    authority: arrays place stripes over it by rendezvous, and the
+    drills mutate it (:meth:`add_node`, :meth:`restart_node`).
 
     ``transport``/``clock`` default to real sockets and the event-loop
     clock; pass a :class:`~repro.sim.transport.MemoryTransport` and
@@ -40,6 +48,7 @@ class LocalCluster:
         self,
         code: RAID6Code,
         n_stripes: int,
+        n_nodes: int | None = None,
         *,
         host: str = "127.0.0.1",
         transport: Transport | None = None,
@@ -52,21 +61,33 @@ class LocalCluster:
         self.transport = transport
         self.clock = clock
         self.tracer = tracer
-        strip_words = code.rows * (code.element_size // 8)
-        self.nodes: list[StripNode] = [
-            StripNode(col, n_stripes, strip_words, host=host,
-                      transport=transport, clock=clock, tracer=tracer)
-            for col in range(code.n_cols)
-        ]
+        #: the pool's shared table; None for a column-ordered cluster
+        self.membership = None if n_nodes is None else MembershipTable()
+        count = code.n_cols if n_nodes is None else int(n_nodes)
+        if count < code.n_cols:
+            raise ValueError(f"need at least {code.n_cols} nodes (k+2), got {count}")
+        #: node ``i`` is ``nodes[i]``
+        self.nodes: list[StripNode] = [self._make_node(i) for i in range(count)]
         #: replacement nodes started via :meth:`start_replacement`
         self.replacements: dict[int, StripNode] = {}
         #: arrays built by :meth:`array`; :meth:`stop` closes their clients
         self._arrays: list[ClusterArray] = []
 
+    def _make_node(self, node_id: int) -> StripNode:
+        return StripNode(
+            node_id, self.n_stripes, self.code.rows * (self.code.element_size // 8),
+            host=self.host, transport=self.transport, clock=self.clock,
+            tracer=self.tracer,
+        )
+
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> list[tuple[str, int]]:
+        """Start every node (a pool admits each LIVE); returns addresses."""
         await asyncio.gather(*(n.start() for n in self.nodes))
+        if self.membership is not None:
+            for node_id, node in enumerate(self.nodes):
+                self.membership.join(node_id, node.address, live=True)
         return self.addresses
 
     async def stop(self) -> None:
@@ -88,38 +109,57 @@ class LocalCluster:
 
     # -- failure drills ----------------------------------------------------
 
-    async def stop_node(self, column: int) -> None:
-        """Take one column's node offline (machine loss)."""
-        await self.nodes[column].stop()
+    async def stop_node(self, node_id: int) -> None:
+        """Take one node offline (machine loss); a pool's table learns
+        of it from the heartbeat monitor (or an explicit ``mark_dead``)."""
+        await self.nodes[node_id].stop()
 
-    async def restart_node(self, column: int) -> tuple[str, int]:
+    async def restart_node(self, node_id: int) -> tuple[str, int]:
         """Bring a stopped node back (reboot after a crash).
 
         Durable state -- disk contents, intent log, checksum sidecars
         -- survives in the :class:`StripNode` object; only the
-        listening socket was lost.  Returns the (new) address.
+        listening socket was lost.  Returns the (new) address, which a
+        pool's table records under the same id and state.
         """
-        return await self.nodes[column].start()
+        address = await self.nodes[node_id].start()
+        if self.membership is not None:
+            self.membership.nodes[node_id].address = (address[0], int(address[1]))
+        return address
 
-    async def start_replacement(self, column: int) -> tuple[str, int]:
-        """Start a blank node for ``column``; returns its address.
+    async def add_node(self, *, live: bool = True) -> int:
+        """Start one blank node; returns its id.
+
+        A pool joins it to its table -- LIVE, or with ``live=False``
+        JOINING, for heartbeat-promotion drills.  A column-ordered
+        cluster has no shared table: join the node to an array's own
+        ``membership`` to use it there.
+        """
+        node_id = len(self.nodes)
+        node = self._make_node(node_id)
+        self.nodes.append(node)
+        await node.start()
+        if self.membership is not None:
+            self.membership.join(node_id, node.address, live=live)
+        return node_id
+
+    async def start_replacement(self, node_id: int) -> tuple[str, int]:
+        """Start a blank replacement for node ``node_id`` (in a
+        column-ordered cluster, the node of that column); returns its
+        address.
 
         The caller hands the address to the rebuild scheduler; once the
-        rebuild repoints the array, :attr:`nodes` is updated so later
-        drills target the live replacement.
+        rebuild repoints the array, :meth:`promote_replacement` updates
+        :attr:`nodes` so later drills target the live replacement.
         """
-        node = StripNode(
-            column, self.n_stripes, self.nodes[column].disk.strip_words,
-            host=self.host, transport=self.transport, clock=self.clock,
-            tracer=self.tracer,
-        )
+        node = self._make_node(node_id)
         await node.start()
-        self.replacements[column] = node
+        self.replacements[node_id] = node
         return node.address
 
-    def promote_replacement(self, column: int) -> None:
-        """Make the replacement the column's node of record."""
-        self.nodes[column] = self.replacements.pop(column)
+    def promote_replacement(self, node_id: int) -> None:
+        """Make the replacement the node of record for ``node_id``."""
+        self.nodes[node_id] = self.replacements.pop(node_id)
 
     # -- convenience -------------------------------------------------------
 
@@ -127,7 +167,7 @@ class LocalCluster:
         """A :class:`~repro.cluster.health.HealthMonitor` wired for self-heal.
 
         Spares come from :meth:`start_replacement`; after each rebuild
-        the replacement is promoted to the column's node of record.
+        the replacement is promoted to the dead node's id.
         Extra ``kwargs`` pass through to the monitor (thresholds,
         intervals, breaker tuning).
         """
@@ -140,6 +180,12 @@ class LocalCluster:
             **kwargs,
         )
 
+    def rebalancer(self, array: ClusterArray, **kwargs):
+        """A :class:`~repro.cluster.rebalance.Rebalancer` for ``array``."""
+        from repro.cluster.rebalance import Rebalancer
+
+        return Rebalancer(array, **kwargs)
+
     def array(
         self,
         *,
@@ -147,150 +193,14 @@ class LocalCluster:
         rng: random.Random | None = None,
         hedge_after: float | None = None,
     ) -> ClusterArray:
-        """A :class:`ClusterArray` wired to this cluster's nodes."""
+        """A :class:`ClusterArray` over this cluster: column-ordered over
+        the current addresses, or placed by rendezvous over the pool."""
         arr = ClusterArray(
-            self.code, self.addresses, self.n_stripes, policy=policy,
-            transport=self.transport, clock=self.clock, rng=rng,
-            tracer=self.tracer, hedge_after=hedge_after,
+            self.code,
+            self.addresses[: self.code.n_cols]
+            if self.membership is None else self.membership,
+            self.n_stripes, policy=policy, transport=self.transport,
+            clock=self.clock, rng=rng, tracer=self.tracer, hedge_after=hedge_after,
         )
         self._arrays.append(arr)
         return arr
-
-
-class ElasticLocalCluster:
-    """A pool of ``n_nodes >= k + 2`` loopback nodes plus a membership table.
-
-    The elastic twin of :class:`LocalCluster`: nodes are identities
-    (``"n0"``, ``"n1"``, ...) rather than columns, the shared
-    :class:`~repro.cluster.membership.MembershipTable` is the routing
-    authority, and churn drills mutate the pool -- :meth:`add_node`,
-    :meth:`stop_node`, :meth:`restart_node` -- instead of swapping a
-    fixed column's machine.  Arrays built via :meth:`array` route every
-    (stripe, column) through placement over this table.
-    """
-
-    def __init__(
-        self,
-        code: RAID6Code,
-        n_stripes: int,
-        n_nodes: int | None = None,
-        *,
-        host: str = "127.0.0.1",
-        transport: Transport | None = None,
-        clock: Clock | None = None,
-        tracer: Tracer | None = None,
-    ) -> None:
-        from repro.cluster.membership import MembershipTable
-
-        self.code = code
-        self.n_stripes = int(n_stripes)
-        self.host = host
-        self.transport = transport
-        self.clock = clock
-        self.tracer = tracer
-        self.membership = MembershipTable()
-        self.nodes: dict[str, StripNode] = {}
-        #: arrays built by :meth:`array`; :meth:`stop` closes their clients
-        self._arrays: list = []
-        self._next_id = 0
-        self._strip_words = code.rows * (code.element_size // 8)
-        n_nodes = code.n_cols if n_nodes is None else int(n_nodes)
-        if n_nodes < code.n_cols:
-            raise ValueError(
-                f"need at least {code.n_cols} nodes (k+2), got {n_nodes}"
-            )
-        for _ in range(n_nodes):
-            self._new_node()
-
-    def _new_node(self) -> str:
-        node_id = f"n{self._next_id}"
-        self._next_id += 1
-        self.nodes[node_id] = StripNode(
-            self._next_id - 1, self.n_stripes, self._strip_words, host=self.host,
-            transport=self.transport, clock=self.clock, tracer=self.tracer,
-        )
-        return node_id
-
-    # -- lifecycle ---------------------------------------------------------
-
-    async def start(self) -> dict[str, tuple[str, int]]:
-        """Start every node and admit it LIVE; returns id -> address."""
-        await asyncio.gather(*(n.start() for n in self.nodes.values()))
-        for node_id in sorted(self.nodes):
-            self.membership.join(node_id, self.nodes[node_id].address, live=True)
-        return {nid: n.address for nid, n in self.nodes.items()}
-
-    async def stop(self) -> None:
-        for arr in self._arrays:
-            arr.close()
-        live = [n for n in self.nodes.values() if n.running]
-        await asyncio.gather(*(n.stop() for n in live))
-
-    async def __aenter__(self) -> "ElasticLocalCluster":
-        await self.start()
-        return self
-
-    async def __aexit__(self, *exc) -> None:
-        await self.stop()
-
-    # -- churn drills ------------------------------------------------------
-
-    async def add_node(self, *, live: bool = True) -> str:
-        """Start one blank node and join it; returns its id.
-
-        ``live=False`` parks it in JOINING for heartbeat-promotion
-        drills; the default admits it straight into the placement pool.
-        """
-        node_id = self._new_node()
-        await self.nodes[node_id].start()
-        self.membership.join(node_id, self.nodes[node_id].address, live=live)
-        return node_id
-
-    async def stop_node(self, node_id: str) -> None:
-        """Take one node offline (machine loss); membership learns via
-        the heartbeat monitor (or an explicit ``mark_dead``)."""
-        await self.nodes[node_id].stop()
-
-    async def restart_node(self, node_id: str) -> tuple[str, int]:
-        """Reboot a stopped node; durable state survives in the object.
-
-        The fresh ephemeral port is recorded in the table (same id, new
-        address) without changing the node's state.
-        """
-        address = await self.nodes[node_id].start()
-        entry = self.membership.nodes.get(node_id)
-        if entry is not None:
-            entry.address = (address[0], int(address[1]))
-        return address
-
-    # -- convenience -------------------------------------------------------
-
-    def array(
-        self,
-        *,
-        policy: RetryPolicy | None = None,
-        rng: random.Random | None = None,
-        hedge_after: float | None = None,
-    ):
-        """An :class:`~repro.cluster.elastic.ElasticArray` over this pool."""
-        from repro.cluster.elastic import ElasticArray
-
-        arr = ElasticArray(
-            self.code, self.membership, self.n_stripes, policy=policy,
-            transport=self.transport, clock=self.clock, rng=rng,
-            tracer=self.tracer, hedge_after=hedge_after,
-        )
-        self._arrays.append(arr)
-        return arr
-
-    def monitor(self, array, **kwargs):
-        """A :class:`~repro.cluster.membership.MembershipMonitor` for ``array``."""
-        from repro.cluster.membership import MembershipMonitor
-
-        return MembershipMonitor(array, **kwargs)
-
-    def rebalancer(self, array, **kwargs):
-        """A :class:`~repro.cluster.rebalance.Rebalancer` for ``array``."""
-        from repro.cluster.rebalance import Rebalancer
-
-        return Rebalancer(array, **kwargs)

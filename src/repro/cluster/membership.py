@@ -1,11 +1,11 @@
-"""Epoch-numbered cluster membership: node states, table, heartbeat monitor.
+"""Epoch-numbered cluster membership: node states and the node table.
 
 The membership table is the single authority on *who is in the cluster
 and in what role*.  Every mutation bumps a monotonically increasing
 **epoch**; routing decisions (placement, client retries, gateway extent
 resolution) are always made "as of epoch E", and a client that loses a
 race with a membership change re-resolves at the new epoch and retries
-instead of failing (see ``ElasticArray._column_request``).
+instead of failing (see ``ClusterArray._column_request``).
 
 Node life cycle::
 
@@ -20,8 +20,10 @@ Node life cycle::
 * ``DRAINING`` -- still serving (reads **and** strip writes) but no
   longer placement-eligible, so the rebalancer migrates its strips
   away; removal is gated on the drain completing.
-* ``DEAD`` -- failed heartbeats; not eligible, not routable.  Strips it
-  held are re-placed and rebuilt via the decode path.
+* ``DEAD`` -- failed heartbeats; not eligible.  Under rendezvous
+  placement the rebalancer re-places its strips through the decode
+  path; a column-ordered array rebuilds its column onto a replacement
+  (:meth:`MembershipTable.relocate` then revives the id).
 * ``LEFT`` -- tombstone; kept so the epoch history stays explainable.
 
 Placement eligibility is ``LIVE`` only; **serving** (routable for data)
@@ -29,28 +31,20 @@ is ``LIVE`` + ``DRAINING``.  The distinction is what makes drains
 graceful: foreground traffic keeps flowing to a draining node while the
 migrator empties it.
 
-:class:`MembershipMonitor` is the heartbeat prober -- the elastic twin
-of :class:`~repro.cluster.health.HealthMonitor`, reusing the same
-one-shot-probe + consecutive-miss pattern and per-node circuit
-breakers, but keyed by node id instead of column index and feeding
-verdicts into the table (``mark_dead`` / auto-revive).
+:class:`~repro.cluster.health.HealthMonitor` renders the heartbeat
+verdicts (``mark_dead``, ``mark_live``) into the table.
 """
 
 from __future__ import annotations
 
-import asyncio
 import enum
 from dataclasses import dataclass
-
-from repro.cluster.client import ClusterError, NodeClient, RetryPolicy, cached_client
-from repro.cluster.health import CircuitBreaker
 
 __all__ = [
     "NodeState",
     "NodeEntry",
     "MembershipError",
     "MembershipTable",
-    "MembershipMonitor",
 ]
 
 
@@ -70,9 +64,15 @@ PROBED_STATES = frozenset(
 )
 
 
+#: A node's identity: the column number in a column-ordered table, an
+#: int in :class:`~repro.cluster.local.LocalCluster` pools, any string
+#: in an operator-managed table.
+NodeId = int | str
+
+
 @dataclass
 class NodeEntry:
-    node_id: str
+    node_id: NodeId
     address: tuple[str, int]
     state: NodeState
     since_epoch: int
@@ -105,7 +105,7 @@ class MembershipTable:
 
     def __init__(self, *, metrics=None) -> None:
         self.epoch = 0
-        self.nodes: dict[str, NodeEntry] = {}
+        self.nodes: dict[NodeId, NodeEntry] = {}
         self.metrics = metrics
         self._export()
 
@@ -126,7 +126,7 @@ class MembershipTable:
         return self._bump()
 
     def join(
-        self, node_id: str, address: tuple[str, int], *, live: bool = False
+        self, node_id: NodeId, address: tuple[str, int], *, live: bool = False
     ) -> int:
         """Announce a node.  Re-joining a DEAD/LEFT id revives it.
 
@@ -144,7 +144,7 @@ class MembershipTable:
         )
         return self._bump()
 
-    def _transition(self, node_id: str, allowed: frozenset, to: NodeState) -> int:
+    def _transition(self, node_id: NodeId, allowed: frozenset, to: NodeState) -> int:
         entry = self.nodes.get(node_id)
         if entry is None:
             raise MembershipError(f"unknown node {node_id!r}")
@@ -156,7 +156,7 @@ class MembershipTable:
         entry.since_epoch = self._bump()
         return entry.since_epoch
 
-    def mark_live(self, node_id: str) -> int:
+    def mark_live(self, node_id: NodeId) -> int:
         """JOINING/DEAD/DRAINING -> LIVE (heartbeat OK / drain cancelled)."""
         return self._transition(
             node_id,
@@ -164,7 +164,7 @@ class MembershipTable:
             NodeState.LIVE,
         )
 
-    def drain(self, node_id: str) -> int:
+    def drain(self, node_id: NodeId) -> int:
         """LIVE/JOINING -> DRAINING: keep serving, stop placing."""
         return self._transition(
             node_id,
@@ -172,43 +172,58 @@ class MembershipTable:
             NodeState.DRAINING,
         )
 
-    def mark_dead(self, node_id: str) -> int:
+    def mark_dead(self, node_id: NodeId) -> int:
         """Heartbeat verdict: node stopped answering."""
         return self._transition(node_id, PROBED_STATES - {NodeState.DEAD}, NodeState.DEAD)
 
-    def remove(self, node_id: str) -> int:
+    def remove(self, node_id: NodeId) -> int:
         """DRAINING/DEAD -> LEFT tombstone (drain finished / operator GC)."""
         return self._transition(
             node_id, frozenset({NodeState.DRAINING, NodeState.DEAD}), NodeState.LEFT
         )
 
+    def relocate(self, node_id: NodeId, address: tuple[str, int]) -> int:
+        """Point ``node_id`` at a replacement's address.
+
+        The replacement holds the node's strips (a rebuild wrote them),
+        so a DEAD node comes back LIVE.
+        """
+        entry = self.nodes.get(node_id)
+        if entry is None:
+            raise MembershipError(f"unknown node {node_id!r}")
+        entry.address = (address[0], int(address[1]))
+        if entry.state is NodeState.DEAD:
+            entry.state = NodeState.LIVE
+        entry.since_epoch = self._bump()
+        return entry.since_epoch
+
     # -- views ---------------------------------------------------------------
 
-    def state_of(self, node_id: str) -> NodeState:
+    def state_of(self, node_id: NodeId) -> NodeState:
         entry = self.nodes.get(node_id)
         if entry is None:
             raise MembershipError(f"unknown node {node_id!r}")
         return entry.state
 
-    def address_of(self, node_id: str) -> tuple[str, int]:
+    def address_of(self, node_id: NodeId) -> tuple[str, int]:
         entry = self.nodes.get(node_id)
         if entry is None:
             raise MembershipError(f"unknown node {node_id!r}")
         return entry.address
 
-    def placement_pool(self) -> tuple[str, ...]:
+    def placement_pool(self) -> tuple[NodeId, ...]:
         """Sorted LIVE node ids -- the placement-eligible set."""
         return tuple(
             sorted(n for n, e in self.nodes.items() if e.state is NodeState.LIVE)
         )
 
-    def serving(self) -> tuple[str, ...]:
+    def serving(self) -> tuple[NodeId, ...]:
         """Sorted node ids routable for data (LIVE + DRAINING)."""
         return tuple(
             sorted(n for n, e in self.nodes.items() if e.state in SERVING_STATES)
         )
 
-    def probed(self) -> tuple[str, ...]:
+    def probed(self) -> tuple[NodeId, ...]:
         return tuple(
             sorted(n for n, e in self.nodes.items() if e.state in PROBED_STATES)
         )
@@ -253,152 +268,3 @@ class MembershipTable:
     def __repr__(self) -> str:
         counts = {k: v for k, v in self.counts().items() if v}
         return f"MembershipTable(epoch={self.epoch}, {counts})"
-
-
-class MembershipMonitor:
-    """Heartbeat prober for an :class:`~repro.cluster.elastic.ElasticArray`.
-
-    Probes every non-LEFT node each round with a one-shot ping (the
-    cadence is the retry loop, mirroring
-    :class:`~repro.cluster.health.HealthMonitor`), maintains a
-    :class:`CircuitBreaker` per node id on ``array.node_breakers``, and
-    drives table transitions: ``miss_threshold`` consecutive misses
-    mark a node DEAD; a successful probe promotes JOINING to LIVE and
-    revives DEAD nodes.  ``on_change(epoch)`` fires after any table
-    mutation so a rebalancer can wake up.
-    """
-
-    def __init__(
-        self,
-        array,
-        *,
-        interval: float = 1.0,
-        miss_threshold: int = 3,
-        probe_timeout: float = 0.5,
-        failure_threshold: int = 3,
-        reset_timeout: float = 5.0,
-        min_open_interval: float = 0.0,
-        on_change=None,
-    ) -> None:
-        self.array = array
-        self.membership: MembershipTable = array.membership
-        self.clock = array.clock
-        self.interval = float(interval)
-        self.miss_threshold = int(miss_threshold)
-        self.probe_policy = RetryPolicy(attempts=1, timeout=float(probe_timeout))
-        self.failure_threshold = int(failure_threshold)
-        self.reset_timeout = float(reset_timeout)
-        self.min_open_interval = float(min_open_interval)
-        self.on_change = on_change
-        self.misses: dict[str, int] = {}
-        self._probes: dict[str, NodeClient] = {}
-        self._task: asyncio.Task | None = None
-
-    def _breaker(self, node_id: str) -> CircuitBreaker:
-        breakers = self.array.node_breakers
-        if node_id not in breakers:
-            breakers[node_id] = CircuitBreaker(
-                self.clock,
-                failure_threshold=self.failure_threshold,
-                reset_timeout=self.reset_timeout,
-                min_open_interval=self.min_open_interval,
-                metrics=self.array.metrics,
-            )
-        return breakers[node_id]
-
-    def _probe_client(self, node_id: str) -> NodeClient:
-        # One per node, its connection kept open between rounds, and
-        # rebuilt when the node comes back at a new address.
-        array = self.array
-        return cached_client(
-            self._probes, node_id, self.membership.address_of(node_id),
-            lambda address: NodeClient(
-                address,
-                policy=self.probe_policy,
-                metrics=array.metrics,
-                transport=array.transport,
-                clock=array.clock,
-                tracer=array.tracer,
-            ),
-        )
-
-    async def probe_once(self) -> dict[str, bool]:
-        """One heartbeat round; returns per-node liveness verdicts."""
-        table = self.membership
-        targets = table.probed()
-        epoch_before = table.epoch
-        for gone in sorted(self._probes.keys() - set(targets)):
-            self._probes.pop(gone).close()
-
-        async def probe(node_id: str) -> bool:
-            try:
-                await self._probe_client(node_id).request("ping")
-            except ClusterError:
-                return False
-            return True
-
-        alive = dict(
-            zip(targets, await asyncio.gather(*(probe(n) for n in targets)))
-        )
-        for node_id, ok in alive.items():
-            breaker = self._breaker(node_id)
-            state = table.state_of(node_id)
-            if ok:
-                self.misses[node_id] = 0
-                breaker.record_success()
-                if state is NodeState.JOINING or state is NodeState.DEAD:
-                    table.mark_live(node_id)
-            else:
-                self.misses[node_id] = self.misses.get(node_id, 0) + 1
-                breaker.record_failure()
-                self.array.metrics.counter("heartbeat_misses").inc()
-                if (
-                    self.misses[node_id] >= self.miss_threshold
-                    and state is not NodeState.DEAD
-                ):
-                    table.mark_dead(node_id)
-                    self.array.metrics.counter("nodes_dead").inc()
-        if table.epoch != epoch_before and self.on_change is not None:
-            self.on_change(table.epoch)
-        return alive
-
-    def start(self) -> asyncio.Task:
-        if self._task is not None and not self._task.done():
-            raise RuntimeError("membership loop already running")
-
-        async def loop() -> None:
-            while True:
-                await self.probe_once()
-                await self.clock.sleep(self.interval)
-
-        self._task = asyncio.get_running_loop().create_task(loop())
-        return self._task
-
-    async def stop(self) -> None:
-        task, self._task = self._task, None
-        if task is not None and not task.done():
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
-        for probe in self._probes.values():
-            probe.close()
-        self._probes.clear()
-
-    def status(self) -> dict:
-        """Operator view: per-node state, misses, breaker."""
-        table = self.membership
-        return {
-            "epoch": table.epoch,
-            "nodes": [
-                {
-                    **entry.to_dict(),
-                    "misses": self.misses.get(node_id, 0),
-                    "breaker": self._breaker(node_id).state.value
-                    if node_id in self.array.node_breakers
-                    else "closed",
-                }
-                for node_id, entry in sorted(table.nodes.items())
-            ],
-        }

@@ -27,6 +27,11 @@ guarantee (losing one node loses at most one column of any stripe).
 :class:`~repro.cluster.membership.MembershipTable` and caches per
 stripe, keyed by the eligible pool, so steady-state lookups are a dict
 hit and every epoch bump naturally invalidates only what changed.
+
+:class:`ColumnOrder` is the other placement a
+:class:`~repro.cluster.client.ClusterArray` knows: the static table of
+an array built from ``k + 2`` addresses, column *c* of every stripe on
+node *c*.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ __all__ = [
     "placement_score",
     "place_stripe",
     "PlacementMap",
+    "ColumnOrder",
     "movement_fraction",
 ]
 
@@ -104,6 +110,33 @@ class PlacementMap:
 
     def node_for(self, stripe: int, column: int) -> str:
         return self.nodes_for(stripe)[column]
+
+
+class ColumnOrder:
+    """Column *c* of every stripe on ``ids[c]``.
+
+    A column whose node has left the placement pool (drained, dead)
+    moves to the lowest LIVE id outside ``ids`` -- a node joined as a
+    spare -- when there is one, and otherwise stays put: the stripe is
+    then degraded, never unplaceable.  So every stripe stays in column
+    order (one node per column), and a join followed by a drain moves
+    one column wholesale.
+    """
+
+    def __init__(self, membership, ids) -> None:
+        self.membership = membership
+        self.ids = tuple(ids)
+        #: (pool, placement) of the last call: every stripe shares it
+        self._last: tuple = (None, self.ids)
+
+    def nodes_for(self, stripe: int) -> tuple:
+        pool = self.membership.placement_pool()
+        if pool != self._last[0]:
+            spares = iter(n for n in pool if n not in self.ids)
+            self._last = (
+                pool, tuple(i if i in pool else next(spares, i) for i in self.ids)
+            )
+        return self._last[1]
 
 
 def movement_fraction(

@@ -1,15 +1,15 @@
 """Background stripe migration: drain/fill nodes under a throttle.
 
-The rebalancer converges :attr:`ElasticArray.locations` (where stripes
-*are*) toward :class:`~repro.cluster.placement.PlacementMap` (where the
-current membership epoch says they *should* be).  One stripe's
+The rebalancer converges :attr:`ClusterArray.locations` (where stripes
+*are*) toward the array's placement (where the current membership
+epoch says they *should* be).  One stripe's
 migration is a small two-phase transaction per moving column, reusing
 the node's intent log and idempotent ``commit`` verb:
 
-1. **Assemble** -- read the stripe through the decode path (dead or
-   faulty sources are reconstructed like any degraded read) and
-   re-encode parity, so the migrated image is internally consistent
-   even when the source copy was stale.
+1. **Assemble** -- read the stripe through the decode path (dead,
+   faulty or stale sources are reconstructed like any degraded read)
+   and re-encode parity, so the migrated image is internally
+   consistent even when a source copy was stale.
 2. **Stage** -- ``migrate-in`` logs the strip image as an intent on the
    target; the reply's CRC-32 must match the locally computed one, so
    a frame mangled in flight dies here, before anything is durable.
@@ -47,7 +47,6 @@ import zlib
 import numpy as np
 
 from repro.cluster.client import ClusterArray, ClusterError
-from repro.cluster.elastic import ElasticArray
 from repro.cluster.membership import MembershipError, NodeState
 from repro.cluster.txn import TxnCrashPoint
 from repro.sim.clock import Clock
@@ -95,7 +94,7 @@ class TokenBucket:
 
 
 class Rebalancer:
-    """Throttled stripe migrator for one :class:`ElasticArray`.
+    """Throttled stripe migrator for one :class:`ClusterArray`.
 
     Drive it with :meth:`run_until_converged` (tests, drains) or the
     background loop (:meth:`start` / :meth:`stop`).  ``crash`` is a
@@ -106,7 +105,7 @@ class Rebalancer:
 
     def __init__(
         self,
-        array: ElasticArray,
+        array: ClusterArray,
         *,
         rate_bytes: float | None = None,
         burst_bytes: float | None = None,
@@ -137,7 +136,7 @@ class Rebalancer:
     # -- protocol plumbing ---------------------------------------------------
 
     async def _rpc(
-        self, node_id: str, verb: str, header: dict, payload: bytes = b""
+        self, node_id, verb: str, header: dict, payload: bytes = b""
     ) -> dict:
         self.crash.step()
         reply, _ = await self.array.client_for_node(node_id).request(
@@ -151,7 +150,7 @@ class Rebalancer:
 
     # -- planning ------------------------------------------------------------
 
-    def targets(self, stripe: int) -> tuple[str, ...]:
+    def targets(self, stripe: int) -> tuple:
         return self.array.placement.nodes_for(stripe)
 
     def misplaced(self) -> list[int]:
@@ -162,7 +161,7 @@ class Rebalancer:
             if self.array.holders(s) != self.targets(s)
         ]
 
-    def strips_on(self, node_id: str) -> int:
+    def strips_on(self, node_id) -> int:
         """How many strips currently route to ``node_id`` (drain progress)."""
         return sum(
             1
@@ -173,7 +172,7 @@ class Rebalancer:
     # -- one stripe ----------------------------------------------------------
 
     async def _stage(
-        self, node_id: str, stripe: int, payload, crc: int
+        self, node_id, stripe: int, payload, crc: int
     ) -> tuple[str, bool]:
         """Stage one strip image on its target; returns ``(txn, landed)``.
 
@@ -240,8 +239,8 @@ class Rebalancer:
     async def _migrate_locked(
         self,
         stripe: int,
-        current: tuple[str, ...],
-        target: tuple[str, ...],
+        current: tuple,
+        target: tuple,
         moving: list[int],
     ) -> None:
         array = self.array
@@ -249,29 +248,10 @@ class Rebalancer:
 
         # 1. assemble through the decode path, re-encode for parity
         # consistency (a read leaves unfetched parity columns zero).
-        # The base-class read bypasses the elastic override's
-        # migration gate -- we hold this stripe's lock ourselves.
-        # Columns on the dirty list answered their last write stale, so
-        # they join the erasure set: the decode recovers their fresh
-        # strips instead of copying old bytes into the new placement.
-        stale = set(array.dirty_stripes.get(stripe, ()))
-        if stale:
-            buf = code.alloc_stripe()
-            missing = await array._gather_columns(
-                stripe, list(range(code.n_cols)), buf
-            )
-            erasures = sorted(set(missing) | stale)
-            if len(erasures) > 2:
-                raise RebalanceError(
-                    f"stripe {stripe}: columns {erasures} lost or stale; "
-                    "RAID-6 tolerates 2"
-                )
-            for col in erasures:
-                buf[col] = 0
-            code.decode(buf, erasures)
-            array.metrics.counter("decodes").inc()
-        else:
-            (buf,) = await ClusterArray._read_stripes(array, [stripe])
+        # The fetch skips the read path's migration gate -- we hold
+        # this stripe's lock ourselves -- and decodes around columns a
+        # degraded write left stale, so no old bytes move.
+        (buf,) = await array._fetch_stripes([stripe])
         code.encode(buf)
 
         payloads: dict[int, bytes] = {}
@@ -314,9 +294,11 @@ class Rebalancer:
 
         # 4. flip: the atomic commit point of the whole migration
         array.locations[stripe] = tuple(target)
-        # Every column just landed a freshly encoded strip, so any
-        # stale-column marks from degraded writes are now satisfied.
-        array.dirty_stripes.pop(stripe, None)
+        # The moved columns just landed freshly encoded strips; a stale
+        # column that stayed put is still stale.
+        stale = array.dirty_stripes.pop(stripe, set())
+        if stale - set(moving):
+            array.dirty_stripes[stripe] = stale - set(moving)
         array.membership.bump()
         array.metrics.counter("stripes_migrated").inc()
         array.metrics.counter("migration_bytes").inc(
@@ -325,13 +307,15 @@ class Rebalancer:
 
         # 5. decode-path verification through the new route, then release
         if self.verify_reads:
-            (check,) = await ClusterArray._read_stripes(array, [stripe])
+            (check,) = await array._fetch_stripes([stripe])
             if bytes(array._stripe_payload(check)) != bytes(
                 array._stripe_payload(buf)
             ):
                 # The new copies verified strip-by-strip but the stripe
                 # does not read back: revert routing and fail loudly.
                 array.locations[stripe] = tuple(current)
+                if stale:
+                    array.dirty_stripes[stripe] = stale
                 array.membership.bump()
                 raise RebalanceError(
                     f"stripe {stripe}: post-flip read-back diverged"
@@ -341,8 +325,8 @@ class Rebalancer:
     async def _release_sources(
         self,
         stripe: int,
-        current: tuple[str, ...],
-        target: tuple[str, ...],
+        current: tuple,
+        target: tuple,
         moving: list[int],
     ) -> None:
         """Release the old copies, fenced by each source's own CRC.
@@ -420,7 +404,7 @@ class Rebalancer:
             )
         return moved
 
-    async def drain(self, node_id: str, *, remove: bool = True) -> int:
+    async def drain(self, node_id, *, remove: bool = True) -> int:
         """Gracefully empty one node; returns the stripes migrated.
 
         Marks the node DRAINING (it keeps serving reads and strip

@@ -13,7 +13,13 @@ A window costs one ``get`` per surviving column and one ``put`` to the
 replacement, each carrying every stripe of the window.  A rebuild
 tolerates a *second* concurrent loss: whatever columns turn out to be
 unreachable while fetching a window are simply added to that window's
-erasure pattern, up to the code's two-column budget.
+erasure pattern, up to the code's two-column budget.  Each window
+holds its stripes' locks from the fetch to the last push, so a write
+cannot land between them and be lost on the replacement.
+
+A column rebuild needs one node to hold the column for every stripe
+(a column-ordered array); under rendezvous placement a lost node's
+strips are re-placed by the :class:`~repro.cluster.rebalance.Rebalancer`.
 """
 
 from __future__ import annotations
@@ -88,12 +94,13 @@ class RebuildScheduler:
         table's join queue) instead of a hard-wired spare.  The
         replacement node must already be listening (a blank
         :class:`~repro.cluster.node.StripNode` of the same geometry).
-        On success the array's column is repointed at it, restoring
-        full redundancy.  Returns the number of stripes rebuilt.
+        On success the node that held the column is repointed at it,
+        restoring full redundancy.  Returns the number of stripes
+        rebuilt.
 
-        Elastic arrays do not use column rebuilds at all: a dead node
-        there is healed by the rebalancer re-placing its strips
-        (decode on read, placement-chosen targets per stripe).
+        Raises :class:`ValueError` before any RPC, and before asking
+        the provider, when no single node holds ``column`` of every
+        stripe.
         """
         array = self.array
         code = array.code
@@ -101,6 +108,13 @@ class RebuildScheduler:
         # spare node for the column it is handed.
         if not 0 <= column < code.n_cols:
             raise ValueError(f"column {column} out of range [0, {code.n_cols})")
+        node_id = array.column_node(column)
+        if node_id is None:
+            raise ValueError(
+                f"column {column} is spread over several nodes; a rebuild "
+                "needs one node per column (the rebalancer re-places spread "
+                "strips)"
+            )
         if address is None:
             if target_provider is None:
                 raise ValueError("need an address or a target_provider")
@@ -115,51 +129,52 @@ class RebuildScheduler:
         for start, stop in iter_batches(array.n_stripes, self.batch_stripes):
             stripes = list(range(start, stop))
             batch = alloc_batch(code, stop - start)
-            # One `get` per survivor carries the whole window.
-            lost = await array._gather(stripes, survivors, list(batch))
-            also_lost = sorted({col for cols in lost.values() for col in cols})
-            base = {column, *also_lost}
-            # Columns on the dirty list hold *stale* strips: they
-            # answered the fetch, but with pre-degraded-write data.
-            # Folding them into the erasure pattern keeps the rebuild
-            # from baking old bytes into the replacement -- and the
-            # decode recovers their fresh strips as a by-product.
-            patterns: list[tuple[int, ...]] = []
-            for i in range(stop - start):
-                stale = array.dirty_stripes.get(start + i, set())
-                erasures = sorted(base | set(stale))
-                if len(erasures) > 2:
-                    raise ClusterDegradedError(
-                        f"rebuild window [{start}, {stop}): columns {erasures} "
-                        "lost or stale"
+            async with array.stripe_locks(stripes):
+                # One `get` per survivor carries the whole window.
+                lost = await array._gather(stripes, survivors, list(batch))
+                also_lost = sorted({col for cols in lost.values() for col in cols})
+                base = {column, *also_lost}
+                # Columns on the dirty list hold *stale* strips: they
+                # answered the fetch, but with pre-degraded-write data.
+                # Folding them into the erasure pattern keeps the rebuild
+                # from baking old bytes into the replacement -- and the
+                # decode recovers their fresh strips as a by-product.
+                patterns: list[tuple[int, ...]] = []
+                for i in range(stop - start):
+                    stale = array.dirty_stripes.get(start + i, set())
+                    erasures = sorted(base | set(stale))
+                    if len(erasures) > 2:
+                        raise ClusterDegradedError(
+                            f"rebuild window [{start}, {stop}): columns "
+                            f"{erasures} lost or stale"
+                        )
+                    for col in erasures:
+                        batch[i, col] = 0
+                    patterns.append(tuple(erasures))
+                # Yield before the batch decode so queued traffic proceeds.
+                await asyncio.sleep(0)
+                if len(set(patterns)) == 1:
+                    self.coder.decode(batch, list(patterns[0]))
+                else:  # mixed dirtiness: per-stripe patterns
+                    for i, erasures in enumerate(patterns):
+                        code.decode(batch[i], list(erasures))
+                # ... and one `put` pushes it to the replacement.
+                rebuilt = batch[:, column]
+                await asyncio.gather(
+                    *(
+                        replacement.request(
+                            "put", {"stripes": frame},
+                            np.ascontiguousarray(
+                                rebuilt[frame[0] - start : frame[-1] - start + 1]
+                            ).data,
+                        )
+                        for frame in array._frames(stripes)
                     )
-                for col in erasures:
-                    batch[i, col] = 0
-                patterns.append(tuple(erasures))
-            # Yield before the batch decode so queued traffic proceeds.
-            await asyncio.sleep(0)
-            if len(set(patterns)) == 1:
-                self.coder.decode(batch, list(patterns[0]))
-            else:  # mixed dirtiness: per-stripe patterns
-                for i, erasures in enumerate(patterns):
-                    code.decode(batch[i], list(erasures))
-            # ... and one `put` pushes it to the replacement.
-            rebuilt = batch[:, column]
-            await asyncio.gather(
-                *(
-                    replacement.request(
-                        "put", {"stripes": frame},
-                        np.ascontiguousarray(
-                            rebuilt[frame[0] - start : frame[-1] - start + 1]
-                        ).data,
-                    )
-                    for frame in array._frames(stripes)
                 )
-            )
-            await self._freshen_dirty(start, patterns, batch, column)
+                await self._freshen_dirty(start, patterns, batch, column)
             done += stop - start
             metrics.counter("rebuild_stripes_done").inc(stop - start)
-        array.replace_node(column, replacement)
+        array.replace_node(node_id, replacement)
         return done
 
     async def _freshen_dirty(

@@ -138,7 +138,16 @@ class ClusterScrubber:
     async def scrub_stripe(
         self, stripe: int, *, repair: bool = True
     ) -> ClusterScrubReport:
-        """Full verify (and repair) of one stripe; returns a 1-stripe report."""
+        """Full verify (and repair) of one stripe; returns a 1-stripe report.
+
+        Holds the stripe's lock from the fetch to the last repair, so a
+        write landing meanwhile cannot be overwritten by a repair
+        decoded from the stripe's older image.
+        """
+        async with self.array.stripe_lock(stripe):
+            return await self._scrub_stripe(stripe, repair)
+
+    async def _scrub_stripe(self, stripe: int, repair: bool) -> ClusterScrubReport:
         array, code = self.array, self.array.code
         report = ClusterScrubReport(stripes_scanned=1)
         buf = code.alloc_stripe()

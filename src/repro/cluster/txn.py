@@ -107,8 +107,8 @@ class TwoPhaseWriter:
         self, column: int, verb: str, header: dict, payload: bytes = b""
     ) -> dict:
         self.crash.step()
-        # The stripe rides along for routing: on an elastic array the
-        # (column, stripe) pair resolves to a node via placement.
+        # The stripe rides along for routing: the (column, stripe) pair
+        # resolves to a node through the array's holders.
         reply, _ = await self.array._column_request(
             column, verb, header, payload, stripe=header.get("stripe")
         )
@@ -126,10 +126,14 @@ class TwoPhaseWriter:
         beyond that the transaction aborts and
         :class:`ClusterDegradedError` is raised.  Returns the skipped
         columns; the stripe is all-new on the participants when the
-        call returns.
+        call returns.  Holds the array's stripe lock throughout.
         """
+        self.array._check_stripe(stripe)
+        async with self.array.stripe_lock(stripe):
+            return await self._write_locked(stripe, buf)
+
+    async def _write_locked(self, stripe: int, buf: np.ndarray) -> list[int]:
         array = self.array
-        array._check_stripe(stripe)
         cols = list(range(array.code.n_cols))
         txn = self._next_txn()
         array.metrics.counter("txn_writes").inc()
@@ -170,10 +174,12 @@ class TwoPhaseWriter:
             # recovery will roll the survivors forward.
             array.metrics.counter("txn_commit_stalls").inc()
 
+        # The transaction rewrote every column, so only the ones it
+        # skipped or could not commit are stale now.
         if skipped or dirty:
             array.metrics.counter("degraded_writes").inc()
-            array.dirty_stripes.setdefault(stripe, set()).update(skipped + dirty)
-        elif not skipped:
+            array.dirty_stripes[stripe] = set(skipped + dirty)
+        else:
             array.dirty_stripes.pop(stripe, None)
         return skipped
 
@@ -191,27 +197,28 @@ class TwoPhaseWriter:
     async def recover(self) -> dict:
         """Resolve every pending intent left by crashed writers.
 
-        Scans all columns for logged intents, then decides each
-        transaction the presumed-abort way: any participant in state
-        ``committed`` means the coordinator reached phase 2, so the
-        rest roll forward; otherwise everyone rolls back.  Unreachable
-        nodes are skipped and picked up by the next pass (the verbs
-        are idempotent).  Returns
+        Scans every probed node of the array's table for logged
+        intents, then decides each transaction the presumed-abort way:
+        any participant in state ``committed`` means the coordinator
+        reached phase 2, so the rest roll forward; otherwise everyone
+        rolls back.  Unreachable nodes are skipped and picked up by the
+        next pass (the verbs are idempotent).  Returns
         ``{"rolled_forward": [...], "rolled_back": [...]}`` of txn ids.
         """
         array = self.array
         cols = list(range(array.code.n_cols))
+        nodes = array.membership.probed()
 
-        async def intents_of(col: int) -> list[dict]:
+        async def intents_of(node_id) -> list[dict]:
             try:
-                reply, _ = await array.clients[col].request("intents")
+                reply, _ = await array.client_for_node(node_id).request("intents")
             except ClusterError:
                 return []
             return list(reply.get("txns", ()))
 
-        found = await asyncio.gather(*(intents_of(c) for c in cols))
+        found = await asyncio.gather(*(intents_of(n) for n in nodes))
         pending: dict[str, dict] = {}
-        for col, recs in zip(cols, found):
+        for node_id, recs in zip(nodes, found):
             for rec in recs:
                 entry = pending.setdefault(
                     rec["txn"],
@@ -219,16 +226,17 @@ class TwoPhaseWriter:
                      "part": [int(c) for c in rec["part"]] or cols,
                      "holders": []},
                 )
-                entry["holders"].append(col)
+                entry["holders"].append(node_id)
 
         rolled_forward: list[str] = []
         rolled_back: list[str] = []
         for txn in sorted(pending):
             entry = pending[txn]
+            route = array.holders(entry["stripe"])
             commit = False
             for col in entry["part"]:
                 try:
-                    reply, _ = await array.clients[col].request(
+                    reply, _ = await array.client_for_node(route[col]).request(
                         "txn-status", {"txn": txn}
                     )
                 except ClusterError:
@@ -237,13 +245,15 @@ class TwoPhaseWriter:
                     commit = True
                     break
             verb = "commit" if commit else "abort"
-            for col in entry["holders"]:
+            for node_id in entry["holders"]:
                 try:
-                    await array.clients[col].request(verb, {"txn": txn})
+                    await array.client_for_node(node_id).request(verb, {"txn": txn})
                 except ClusterError:
                     continue  # next recovery pass finishes the job
-                if commit:
-                    array.dirty_stripes.get(entry["stripe"], set()).discard(col)
+                if commit and node_id in route:
+                    array.dirty_stripes.get(entry["stripe"], set()).discard(
+                        route.index(node_id)
+                    )
             (rolled_forward if commit else rolled_back).append(txn)
             array.metrics.counter(
                 "txn_rolled_forward" if commit else "txn_rolled_back"

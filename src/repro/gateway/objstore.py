@@ -349,14 +349,12 @@ class ObjectGateway:
         return self.allocator.free_bytes
 
     def stats(self) -> dict:
-        """Gateway-level snapshot: directory + space + admission.
-
-        Over an elastic array the snapshot also carries the membership
-        epoch the gateway is routing by -- every extent I/O resolves
-        (stripe, column) through the array's placement map, so the
-        epoch pins which routing generation served the numbers.
+        """Gateway-level snapshot: directory + space + admission, and
+        the membership epoch the gateway is routing by -- every extent
+        I/O resolves (stripe, column) through the array's holders, so
+        the epoch pins which routing generation served the numbers.
         """
-        out = {
+        return {
             "objects": len(self.index),
             "bytes_stored": sum(m.size for m in self.index.values()),
             "free_bytes": self.allocator.free_bytes,
@@ -364,8 +362,5 @@ class ObjectGateway:
             "cached_stripes": len(self.cache),
             "inflight": self.admission.inflight,
             "queued": self.admission.queued,
+            "epoch": self.array.membership.epoch,
         }
-        membership = getattr(self.array, "membership", None)
-        if membership is not None:
-            out["epoch"] = membership.epoch
-        return out

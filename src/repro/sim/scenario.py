@@ -46,8 +46,7 @@ import numpy as np
 from repro.array.faults import ALWAYS, NetworkFaultPlan
 from repro.array.raid6 import RAID6Array
 from repro.cluster.client import ClusterError, RetryPolicy
-from repro.cluster.health import HealthMonitor
-from repro.cluster.local import ElasticLocalCluster, LocalCluster
+from repro.cluster.local import LocalCluster
 from repro.cluster.rebuild import RebuildScheduler
 from repro.cluster.scrub import ClusterScrubber
 from repro.cluster.txn import ClientCrash, TwoPhaseWriter
@@ -111,12 +110,10 @@ GATEWAY_OPS = frozenset(
      "check_objects"}
 )
 
-#: Op kinds of the membership-churn vocabulary.  Their presence switches
-#: the runner onto an :class:`~repro.cluster.local.ElasticLocalCluster`
-#: (placement-routed array, heartbeat monitor, rebalancer) instead of
-#: the fixed ``k + 2`` cluster; nodes are identities, not columns.
-#: Plain scenarios never construct them, so existing seeds keep their
-#: digests.
+#: Op kinds of the membership-churn vocabulary.  Their campaigns run on
+#: a :class:`~repro.cluster.local.LocalCluster` pool of ``n_nodes``
+#: (rendezvous placement, heartbeat monitor, rebalancer) instead of the
+#: ``k + 2`` column-ordered cluster; nodes are identities, not columns.
 ELASTIC_OPS = frozenset(
     {"join", "leave", "drain", "epoch_bump", "rebalance", "check_placement"}
 )
@@ -247,7 +244,7 @@ def generate_scenario(
         n_cols = k + 2
         sc.n_nodes = n_cols + rng.randint(1, 3)
         next_id = sc.n_nodes
-        live = {f"n{i}" for i in range(sc.n_nodes)}
+        live = set(range(sc.n_nodes))
 
         def espan() -> tuple[int, int]:
             if rng.random() < 0.3:
@@ -279,7 +276,7 @@ def generate_scenario(
             elif kind == "rebalance":
                 ops.append({"op": "rebalance"})
             elif kind == "join":
-                live.add(f"n{next_id}")
+                live.add(next_id)
                 next_id += 1
                 ops.append({"op": "join"})
                 if rng.random() < 0.5:
@@ -524,17 +521,10 @@ def run_scenario(
         kwargs = {"p": scenario.p, "element_size": scenario.element_size}
         cluster_code = code_factory(scenario.code, scenario.k, **kwargs)
         model_code = code_factory(scenario.code, scenario.k, **kwargs)
-        elastic = any(op["op"] in ELASTIC_OPS for op in scenario.ops)
-        if elastic:
-            cluster = ElasticLocalCluster(
-                cluster_code, scenario.n_stripes, scenario.n_nodes or None,
-                transport=transport, clock=clock, tracer=tracer,
-            )
-        else:
-            cluster = LocalCluster(
-                cluster_code, scenario.n_stripes, transport=transport,
-                clock=clock, tracer=tracer,
-            )
+        cluster = LocalCluster(
+            cluster_code, scenario.n_stripes, scenario.n_nodes or None,
+            transport=transport, clock=clock, tracer=tracer,
+        )
         model = RAID6Array(model_code, scenario.n_stripes)
         trace: list = []
 
@@ -604,36 +594,30 @@ def run_scenario(
                     )
                 return got
 
-            # The self-healing machinery attaches only when the op list
-            # uses it, so plain scenarios replay with their historical
-            # digests (a HealthMonitor installs circuit breakers, which
-            # change the data path's failure handling).
-            # Elastic campaigns run the membership machinery: the
-            # heartbeat monitor converts a stopped node into a DEAD
-            # verdict, the rebalancer converges routing onto placement.
-            emonitor = rebalancer = None
-            if elastic:
-                emonitor = cluster.monitor(
-                    arr, miss_threshold=2, probe_timeout=0.2
+            # The self-healing and membership machinery attaches only
+            # when the op list uses it, so plain scenarios replay with
+            # their historical digests (a HealthMonitor installs circuit
+            # breakers, which change the data path's failure handling).
+            # The monitor turns a stopped node into a DEAD verdict and
+            # heals a dead column onto a spare; the rebalancer converges
+            # a pool's routing onto placement.
+            writer = scrubber = monitor = rebalancer = None
+            if any(op["op"] in CHAOS_OPS | ELASTIC_OPS for op in scenario.ops):
+                monitor = cluster.auto_healer(
+                    arr, miss_threshold=2, probe_timeout=0.2, rebuild_batch=2
                 )
                 rebalancer = cluster.rebalancer(arr)
-
-            writer = scrubber = monitor = None
             if any(op["op"] in CHAOS_OPS for op in scenario.ops):
                 writer = TwoPhaseWriter(arr, client_id=f"sim-{scenario.seed}")
                 scrubber = ClusterScrubber(arr, window=2)
-                monitor = HealthMonitor(
-                    arr, miss_threshold=2, probe_timeout=0.2,
-                    spare_provider=cluster.start_replacement,
-                    on_rebuilt=cluster.promote_replacement,
-                    rebuild_batch=2,
-                )
 
             async def txn_committed(txn: str) -> bool:
                 """Whether any participant recorded a commit decision."""
-                for client in arr.clients:
+                for node_id in arr.membership.probed():
                     try:
-                        reply, _ = await client.request("txn-status", {"txn": txn})
+                        reply, _ = await arr.client_for_node(node_id).request(
+                            "txn-status", {"txn": txn}
+                        )
                     except ClusterError:
                         continue
                     if reply.get("state") == "committed":
@@ -766,15 +750,15 @@ def run_scenario(
                 elif kind == "join":
                     record["node"] = await cluster.add_node(live=True)
                 elif kind == "leave":
-                    node_id = str(op["node"])
+                    node_id = int(op["node"])
                     await cluster.stop_node(node_id)
                     # The heartbeat monitor, not the test, renders the
                     # DEAD verdict -- miss_threshold consecutive probes.
-                    for _ in range(emonitor.miss_threshold):
-                        await emonitor.probe_once()
+                    for _ in range(monitor.miss_threshold):
+                        await monitor.probe_once()
                     record["state"] = arr.membership.state_of(node_id).value
                 elif kind == "drain":
-                    record["moved"] = await rebalancer.drain(str(op["node"]))
+                    record["moved"] = await rebalancer.drain(int(op["node"]))
                 elif kind == "epoch_bump":
                     record["epoch"] = arr.membership.bump()
                 elif kind == "rebalance":
@@ -829,14 +813,16 @@ def run_scenario(
                     record["healed"] = await monitor.heal()
                 elif kind == "check_quiescent":
                     unretired = []
-                    for col, client in enumerate(arr.clients):
+                    for node_id in arr.membership.probed():
                         try:
-                            reply, _ = await client.request("intents")
+                            reply, _ = await arr.client_for_node(node_id).request(
+                                "intents"
+                            )
                         except ClusterError:
-                            unretired.append({"column": col, "unreachable": True})
+                            unretired.append({"node": node_id, "unreachable": True})
                             continue
                         unretired += [
-                            {"column": col, "txn": rec["txn"]}
+                            {"node": node_id, "txn": rec["txn"]}
                             for rec in reply.get("txns", ())
                         ]
                     if unretired:

@@ -37,17 +37,15 @@ def sim_cluster(k=3, p=5, element_size=64, n_stripes=6):
 
 
 def elastic_sim_cluster(k=3, p=5, element_size=64, n_stripes=6, n_nodes=None):
-    """An elastic node pool on the simulation seam.
+    """A node pool with rendezvous placement on the simulation seam.
 
     Defaults to ``k + 4`` nodes so churn drills have headroom to drain
     and lose nodes while the placement pool stays >= ``k + 2``.
     """
-    from repro.cluster import ElasticLocalCluster
-
     code = make_code("liberation-optimal", k, p=p, element_size=element_size)
     if n_nodes is None:
         n_nodes = code.n_cols + 2
-    cluster = ElasticLocalCluster(
+    cluster = LocalCluster(
         code, n_stripes, n_nodes, transport=MemoryTransport(), clock=VirtualClock()
     )
     return code, cluster

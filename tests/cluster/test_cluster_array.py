@@ -13,7 +13,12 @@ import numpy as np
 import pytest
 
 from repro.cluster import ClusterArray, ClusterDegradedError, RebuildScheduler, RetryPolicy
-from tests.cluster.conftest import FAST_POLICY, payload_for, sim_cluster
+from tests.cluster.conftest import (
+    FAST_POLICY,
+    elastic_sim_cluster,
+    payload_for,
+    sim_cluster,
+)
 
 
 class TestHealthyPath:
@@ -184,7 +189,7 @@ class TestRebuild:
                     assert done == total
                     cluster.promote_replacement(col)
 
-                assert all(await arr.ping())
+                assert all((await arr.ping()).values())
                 # Full redundancy again: a fresh double loss elsewhere
                 # must still decode.
                 for col in (0, code.q_col):
@@ -196,6 +201,32 @@ class TestRebuild:
         data, back, stats = asyncio.run(run())
         assert back == data
         assert stats["client"]["counters"]["rebuild_stripes_done"] == 10
+
+    def test_rebuild_rejects_a_column_spread_over_several_nodes(self):
+        """Under rendezvous placement no node holds a whole column: the
+        rebuild refuses before it asks for a spare or sends an RPC."""
+
+        async def run():
+            _, cluster = elastic_sim_cluster()
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                await arr.write(0, payload_for(arr))
+                assert arr.column_node(1) is None
+                asked = []
+
+                async def provider(column):
+                    asked.append(column)
+                    return await cluster.start_replacement(column)
+
+                requests = arr.metrics.get("requests")
+                with pytest.raises(ValueError, match="spread"):
+                    await RebuildScheduler(arr).rebuild_column(
+                        1, target_provider=provider
+                    )
+                assert asked == []
+                assert arr.metrics.get("requests") == requests
+
+        asyncio.run(run())
 
     def test_array_serves_while_rebuild_runs(self):
         async def run():
@@ -276,7 +307,7 @@ class TestStatsView:
         code, stats = asyncio.run(run())
         assert stats["client"]["counters"]["full_stripe_writes"] == 2
         assert stats["nodes"][0] is None  # stopped node reports as unreachable
-        live = [n for n in stats["nodes"] if n is not None]
+        live = [n for n in stats["nodes"].values() if n is not None]
         assert len(live) == code.n_cols - 1
         # one batched put per node carried both stripes' strips
         assert all(n["stats"]["counters"]["requests_put"] == 1 for n in live)

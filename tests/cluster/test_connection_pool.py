@@ -211,12 +211,12 @@ class TestClientLifecycle:
                 arr = cluster.array(policy=FAST_POLICY)
                 monitor = HealthMonitor(arr)
                 for _ in range(5):
-                    assert all(await monitor.probe_once())
+                    assert all((await monitor.probe_once()).values())
                 assert arr.metrics.get("connects") == code.n_cols
                 # A repointed column gets a new probe; the old one hangs up.
                 spare = await cluster.start_replacement(2)
                 arr.replace_node(2, spare)
-                assert all(await monitor.probe_once())
+                assert all((await monitor.probe_once()).values())
                 assert arr.metrics.get("connects") == code.n_cols + 1
                 assert await open_connections(cluster.nodes[2]) == 0
                 await monitor.stop()
@@ -229,17 +229,17 @@ class TestClientLifecycle:
             code, cluster = elastic_sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                monitor = cluster.monitor(arr)
+                monitor = HealthMonitor(arr)
                 for _ in range(3):
                     await monitor.probe_once()
                 n_nodes = len(cluster.nodes)
                 assert arr.metrics.get("connects") == n_nodes
-                await cluster.stop_node("n0")
-                await cluster.restart_node("n0")  # same id, new address
+                await cluster.stop_node(0)
+                await cluster.restart_node(0)  # same id, new address
                 assert all((await monitor.probe_once()).values())
                 assert arr.metrics.get("connects") == n_nodes + 1
                 await monitor.stop()
-                held = [await open_connections(n) for n in cluster.nodes.values()]
+                held = [await open_connections(n) for n in cluster.nodes]
                 assert held == [0] * n_nodes
 
         asyncio.run(run())
@@ -262,8 +262,8 @@ class TestClientLifecycle:
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
                 await arr.write(0, payload_for(arr))
-                assert any(client._idle for client in arr.clients)
-            assert not any(client._idle for client in arr.clients)
+                assert any(client._idle for client in arr._clients.values())
+            assert not any(client._idle for client in arr._clients.values())
 
         asyncio.run(run())
 
@@ -272,11 +272,11 @@ class TestClientLifecycle:
             code, cluster = elastic_sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                await arr.client_for_node("n0").request("ping")
-                assert await open_connections(cluster.nodes["n0"]) == 1
-                cluster.membership.nodes["n0"].address = cluster.nodes["n1"].address
-                await arr.client_for_node("n0").request("ping")
-                assert await open_connections(cluster.nodes["n0"]) == 0
+                await arr.client_for_node(0).request("ping")
+                assert await open_connections(cluster.nodes[0]) == 1
+                cluster.membership.nodes[0].address = cluster.nodes[1].address
+                await arr.client_for_node(0).request("ping")
+                assert await open_connections(cluster.nodes[0]) == 0
 
         asyncio.run(run())
 
@@ -294,7 +294,7 @@ class TestClientLifecycle:
                 spare = await cluster.start_replacement(1)
                 await RebuildScheduler(arr).rebuild_column(1, spare)
                 replacement = cluster.replacements[1]
-                assert arr.clients[1].address == spare
+                assert arr.client_for_node(1).address == spare
                 held = await open_connections(replacement)
                 assert held > 0  # the rebuild's, still pooled
                 connects = arr.metrics.get("connects")

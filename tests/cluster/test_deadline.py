@@ -42,7 +42,7 @@ class TestDeadlineVsPerRpcTimeout:
                 cluster.nodes[0].faults = slow_plan()
                 t0 = cluster.clock.time()
                 with pytest.raises(NodeUnavailableError) as exc_info:
-                    await arr.clients[0].request("get", {"stripe": 0})
+                    await arr.client_for_node(0).request("get", {"stripe": 0})
                 elapsed = cluster.clock.time() - t0
                 # Not the deadline path: the historical behaviour.
                 assert not isinstance(exc_info.value, DeadlineExceededError)
@@ -62,7 +62,7 @@ class TestDeadlineVsPerRpcTimeout:
                 cluster.nodes[0].faults = slow_plan()
                 t0 = cluster.clock.time()
                 with pytest.raises(DeadlineExceededError):
-                    await arr.clients[0].request("get", {"stripe": 0})
+                    await arr.client_for_node(0).request("get", {"stripe": 0})
                 elapsed = cluster.clock.time() - t0
                 # Attempt 1 burns the full 0.2s timeout, the backoff
                 # fits, attempt 2 is clipped to the ~0.09s remainder:
@@ -85,7 +85,7 @@ class TestDeadlineVsPerRpcTimeout:
                 cluster.nodes[0].faults = NetworkFaultPlan(corrupt_frames=ALWAYS)
                 t0 = cluster.clock.time()
                 with pytest.raises(DeadlineExceededError):
-                    await arr.clients[0].request("get", {"stripe": 0})
+                    await arr.client_for_node(0).request("get", {"stripe": 0})
                 # The 5s backoff exceeded the remaining budget: the
                 # client must give up *before* sleeping it.
                 assert cluster.clock.time() - t0 < 1.5

@@ -37,7 +37,7 @@ def drill(k: int, p: int, plan: NetworkFaultPlan, *, via_wire: bool = False):
             data = payload_for(arr, seed=p)
             await arr.write(0, data)
             if via_wire:
-                await arr.clients[0].request("fault", {"plan": plan.to_header()})
+                await arr.client_for_node(0).request("fault", {"plan": plan.to_header()})
             else:
                 cluster.nodes[0].faults = plan
             back = await arr.read(0, arr.capacity)

@@ -8,9 +8,15 @@ without any operator involvement.
 
 import asyncio
 
-from repro.cluster import CircuitBreaker
+from repro.array.faults import NetworkFaultPlan
+from repro.cluster import CircuitBreaker, HealthMonitor, NodeState
 from repro.cluster.health import BreakerState
-from tests.cluster.conftest import FAST_POLICY, payload_for, sim_cluster
+from tests.cluster.conftest import (
+    FAST_POLICY,
+    elastic_sim_cluster,
+    payload_for,
+    sim_cluster,
+)
 
 
 class Tick:
@@ -142,15 +148,16 @@ class TestHealthMonitor:
                     arr, miss_threshold=2, probe_timeout=0.2
                 )
                 alive = await monitor.probe_once()
-                assert alive == [True] * code.n_cols
-                assert not any(monitor.failed)
+                assert alive == dict.fromkeys(range(code.n_cols), True)
+                assert monitor.dead() == []
 
                 await cluster.stop_node(3)
                 await monitor.probe_once()
-                assert not monitor.failed[3]  # one miss is not a failure
+                # one miss is not a failure
+                assert arr.membership.state_of(3) is NodeState.LIVE
                 await monitor.probe_once()
-                assert monitor.failed[3]
-                assert arr.metrics.get("columns_failed") == 1
+                assert arr.membership.state_of(3) is NodeState.DEAD
+                assert arr.metrics.get("nodes_dead") == 1
                 assert arr.metrics.get("heartbeat_misses") == 2
 
         asyncio.run(run())
@@ -190,18 +197,49 @@ class TestHealthMonitor:
                 await cluster.stop_node(2)
                 await monitor.probe_once()
                 await monitor.probe_once()
-                assert monitor.failed[2]
+                assert arr.membership.state_of(2) is NodeState.DEAD
 
                 healed = await monitor.heal()
                 assert healed == [2]
-                assert not monitor.failed[2]
+                assert arr.membership.state_of(2) is NodeState.LIVE
                 # The breaker reset with the rebuild: the column serves
                 # again without waiting out the cooldown.
                 assert arr.breakers[2].state is BreakerState.CLOSED
-                assert arr.metrics.get("columns_healed") == 1
+                assert arr.metrics.get("nodes_healed") == 1
                 assert await arr.read(0, arr.capacity) == data
                 # The promoted replacement holds real strips.
                 assert cluster.nodes[2].disk.read_strip(0).any()
+
+        asyncio.run(run())
+
+    def test_heal_on_a_pool_replaces_the_dead_node_by_its_id(self):
+        """A pool node that holds one column of every stripe heals like
+        a column-ordered one; the spare takes the node's id, not the
+        column's, so no other pool node is displaced."""
+
+        async def run():
+            code, cluster = elastic_sim_cluster(n_stripes=1)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr)
+                await arr.write(0, data)
+                held = arr.holders(0)
+                column, victim = next(
+                    (c, n) for c, n in enumerate(held) if n != c
+                )
+                bystander = cluster.nodes[column]
+                monitor = cluster.auto_healer(
+                    arr, miss_threshold=1, probe_timeout=0.2
+                )
+                await cluster.stop_node(victim)
+                await monitor.probe_once()
+                assert await monitor.heal() == [victim]
+                assert cluster.replacements == {}
+                assert cluster.nodes[column] is bystander
+                assert cluster.nodes[victim].running
+                assert arr.membership.address_of(victim) == cluster.nodes[victim].address
+                assert await arr.read(0, arr.capacity) == data
+                assert arr.metrics.get("decodes") == 0
 
         asyncio.run(run())
 
@@ -219,11 +257,78 @@ class TestHealthMonitor:
                 monitor.start()
                 await cluster.stop_node(4)
                 for _ in range(200):
-                    if arr.metrics.get("columns_healed"):
+                    if arr.metrics.get("nodes_healed"):
                         break
                     await arr.clock.sleep(1.0)
-                assert arr.metrics.get("columns_healed") == 1
+                assert arr.metrics.get("nodes_healed") == 1
                 await monitor.stop()
                 assert await arr.read(0, arr.capacity) == data
+
+        asyncio.run(run())
+
+
+class TestMonitorLoopSurvives:
+    """The background loop outlives a failed heal and a node leaving
+    the probed set mid-round."""
+
+    def test_failed_heal_is_counted_and_retried_onto_the_same_spare(self):
+        async def run():
+            code, cluster = sim_cluster()
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr)
+                await arr.write(0, data)
+                monitor = cluster.auto_healer(
+                    arr, interval=1.0, miss_threshold=2, probe_timeout=0.2,
+                    rebuild_batch=2,
+                )
+                spares = []
+                provide = monitor.spare_provider
+
+                async def counted(column):
+                    spares.append(column)
+                    return await provide(column)
+
+                monitor.spare_provider = counted
+                for col in (0, 1, 2):  # one beyond RAID-6: a heal cannot decode
+                    await cluster.stop_node(col)
+                task = monitor.start()
+                try:
+                    await arr.clock.sleep(10.0)
+                    assert arr.metrics.get("heals_failed") >= 3
+                    assert not task.done()
+                    for col in (1, 2):
+                        arr.replace_node(col, await cluster.restart_node(col))
+                    for _ in range(20):
+                        if not monitor.dead():
+                            break
+                        await arr.clock.sleep(1.0)
+                finally:
+                    await monitor.stop()
+                assert monitor.dead() == []
+                assert arr.metrics.get("nodes_healed") >= 1
+                # Each column got at most one spare: failed heals reused it.
+                assert sorted(spares) == sorted(set(spares))
+                assert await arr.read(0, arr.capacity) == data
+
+        asyncio.run(run())
+
+    def test_node_removed_mid_round_gets_no_verdict(self):
+        async def run():
+            _, cluster = elastic_sim_cluster()
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                table = arr.membership
+                monitor = HealthMonitor(arr, miss_threshold=1, probe_timeout=0.2)
+                victim = table.placement_pool()[0]
+                table.drain(victim)
+                cluster.nodes[victim].faults = NetworkFaultPlan(latency=10.0)
+                round_ = asyncio.ensure_future(monitor.probe_once())
+                await arr.clock.sleep(0.1)  # the victim's probe is out
+                table.remove(victim)  # its drain finished meanwhile
+                alive = await round_
+                assert alive[victim] is False
+                assert table.state_of(victim) is NodeState.LEFT
+                assert arr.metrics.get("nodes_dead") == 0
 
         asyncio.run(run())

@@ -10,7 +10,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import MembershipError, MembershipTable
+from repro.cluster import HealthMonitor, MembershipError, MembershipTable
 from repro.cluster.membership import NodeState
 from repro.obs.metrics import MetricsRegistry
 from tests.cluster.conftest import FAST_POLICY, elastic_sim_cluster, payload_for
@@ -121,21 +121,23 @@ class TestMembershipTable:
         assert snap["membership_nodes_live"] == 1
 
 
-class TestMembershipMonitor:
+class TestPoolHeartbeat:
+    """The heartbeat monitor's verdicts on a rendezvous pool's table."""
+
     def test_misses_mark_dead_after_threshold(self):
         async def run():
             _, cluster = elastic_sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                monitor = cluster.monitor(arr, miss_threshold=2, probe_timeout=0.2)
-                await cluster.stop_node("n1")
+                monitor = HealthMonitor(arr, miss_threshold=2, probe_timeout=0.2)
+                await cluster.stop_node(1)
                 await monitor.probe_once()
-                assert arr.membership.state_of("n1") is NodeState.LIVE  # one miss
+                assert arr.membership.state_of(1) is NodeState.LIVE  # one miss
                 epoch_before = arr.membership.epoch
                 await monitor.probe_once()
-                assert arr.membership.state_of("n1") is NodeState.DEAD
+                assert arr.membership.state_of(1) is NodeState.DEAD
                 assert arr.membership.epoch > epoch_before
-                assert "n1" not in arr.membership.placement_pool()
+                assert 1 not in arr.membership.placement_pool()
 
         asyncio.run(run())
 
@@ -144,13 +146,13 @@ class TestMembershipMonitor:
             _, cluster = elastic_sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                monitor = cluster.monitor(arr, miss_threshold=1, probe_timeout=0.2)
-                await cluster.stop_node("n2")
+                monitor = HealthMonitor(arr, miss_threshold=1, probe_timeout=0.2)
+                await cluster.stop_node(2)
                 await monitor.probe_once()
-                assert arr.membership.state_of("n2") is NodeState.DEAD
-                await cluster.restart_node("n2")
+                assert arr.membership.state_of(2) is NodeState.DEAD
+                await cluster.restart_node(2)
                 await monitor.probe_once()
-                assert arr.membership.state_of("n2") is NodeState.LIVE
+                assert arr.membership.state_of(2) is NodeState.LIVE
 
         asyncio.run(run())
 
@@ -159,7 +161,7 @@ class TestMembershipMonitor:
             _, cluster = elastic_sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                monitor = cluster.monitor(arr, miss_threshold=2, probe_timeout=0.2)
+                monitor = HealthMonitor(arr, miss_threshold=2, probe_timeout=0.2)
                 node_id = await cluster.add_node(live=False)
                 assert arr.membership.state_of(node_id) is NodeState.JOINING
                 assert node_id not in arr.membership.placement_pool()
@@ -175,13 +177,13 @@ class TestMembershipMonitor:
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
                 epochs = []
-                monitor = cluster.monitor(
+                monitor = HealthMonitor(
                     arr, miss_threshold=1, probe_timeout=0.2,
                     on_change=epochs.append,
                 )
                 await monitor.probe_once()
                 assert epochs == []  # healthy round: no mutation
-                await cluster.stop_node("n0")
+                await cluster.stop_node(0)
                 await monitor.probe_once()
                 assert epochs == [arr.membership.epoch]
 
@@ -195,7 +197,7 @@ class TestMembershipMonitor:
                 data = payload_for(arr, seed=3)
                 await arr.write(0, data)
                 victim = arr.holders(0)[0]
-                monitor = cluster.monitor(arr, miss_threshold=1, probe_timeout=0.2)
+                monitor = HealthMonitor(arr, miss_threshold=1, probe_timeout=0.2)
                 await cluster.stop_node(victim)
                 await monitor.probe_once()
                 assert arr.membership.state_of(victim) is NodeState.DEAD

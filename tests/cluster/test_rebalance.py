@@ -15,11 +15,16 @@ import asyncio
 
 import pytest
 
-from repro.cluster import ClusterError, MembershipError, TokenBucket
+from repro.cluster import ClusterError, HealthMonitor, MembershipError, TokenBucket
 from repro.cluster.membership import NodeState
 from repro.cluster.txn import ClientCrash
 from repro.sim import VirtualClock
-from tests.cluster.conftest import FAST_POLICY, elastic_sim_cluster, payload_for
+from tests.cluster.conftest import (
+    FAST_POLICY,
+    elastic_sim_cluster,
+    payload_for,
+    sim_cluster,
+)
 
 
 class TestTokenBucket:
@@ -105,7 +110,7 @@ class TestConvergence:
                 data = payload_for(arr, seed=3)
                 await arr.write(0, data)
                 victim = arr.holders(0)[0]
-                monitor = cluster.monitor(arr, miss_threshold=1, probe_timeout=0.2)
+                monitor = HealthMonitor(arr, miss_threshold=1, probe_timeout=0.2)
                 await cluster.stop_node(victim)
                 await monitor.probe_once()
                 assert arr.membership.state_of(victim) is NodeState.DEAD
@@ -170,7 +175,7 @@ class TestDrain:
                 data = payload_for(arr, seed=6)
                 await arr.write(0, data)
                 reb = cluster.rebalancer(arr)
-                victim = max(cluster.nodes, key=reb.strips_on)
+                victim = max(arr.membership.serving(), key=reb.strips_on)
                 assert reb.strips_on(victim) > 0
                 moved = await reb.drain(victim)
                 assert moved >= reb.strips_on(victim) == 0
@@ -188,9 +193,9 @@ class TestDrain:
                 arr = cluster.array(policy=FAST_POLICY)
                 reb = cluster.rebalancer(arr)
                 with pytest.raises(MembershipError):
-                    await reb.drain("n0")
+                    await reb.drain(0)
                 # Nothing changed: the node still serves and places.
-                assert arr.membership.state_of("n0") is NodeState.LIVE
+                assert arr.membership.state_of(0) is NodeState.LIVE
 
         asyncio.run(run())
 
@@ -205,7 +210,7 @@ class TestDrain:
                 model = bytearray(payload_for(arr, seed=7))
                 await arr.write(0, bytes(model))
                 reb = cluster.rebalancer(arr)
-                victim = max(cluster.nodes, key=reb.strips_on)
+                victim = max(arr.membership.serving(), key=reb.strips_on)
                 stripe_bytes = arr.stripe_data_bytes
                 stop = asyncio.Event()
                 failures: list[Exception] = []
@@ -260,6 +265,31 @@ def migration_fixture(seed):
         return cluster, arr, data, reb, stripe, new_id
 
     return build()
+
+
+class TestColumnOrderDrain:
+    def test_join_then_drain_moves_one_column_wholesale(self):
+        """A column-ordered array drains onto a spare joined to its own
+        table: the column moves to the spare for every stripe."""
+
+        async def run():
+            code, cluster = sim_cluster()
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr, seed=8)
+                await arr.write(0, data)
+                spare = await cluster.add_node()
+                arr.membership.join(spare, cluster.nodes[spare].address, live=True)
+                reb = cluster.rebalancer(arr)
+                assert reb.misplaced() == []  # a spare alone moves nothing
+                assert await reb.drain(1) == arr.n_stripes
+                assert arr.column_node(1) == spare
+                assert arr.membership.state_of(1) is NodeState.LEFT
+                await cluster.stop_node(1)
+                assert await arr.read(0, arr.capacity) == data
+                assert arr.metrics.get("decodes") == 0
+
+        asyncio.run(run())
 
 
 class TestCrashSweep:

@@ -1,12 +1,15 @@
 """MemoryTransport semantics: the failure surface must look exactly
 like real sockets (refused connections, EOF on close) minus the kernel
-timing noise."""
+timing noise.  The one real-socket test checks that AsyncioTransport's
+connections, which all read into one buffer, keep their bytes apart."""
 
 import asyncio
 
+import numpy as np
 import pytest
 
 from repro.sim import MemoryTransport
+from repro.sim.transport import READ_SIZE, AsyncioTransport
 
 
 def test_serve_connect_round_trip():
@@ -155,3 +158,39 @@ def test_ephemeral_ports_are_distinct_and_rebindable():
         assert again.address == a.address
 
     asyncio.run(run())
+
+
+@pytest.mark.slow
+def test_asyncio_connections_sharing_one_read_buffer_keep_their_bytes():
+    """Both ends of several concurrent connections read into one
+    transport's buffer; payloads span several reads each."""
+
+    async def run():
+        transport = AsyncioTransport()
+        size = 3 * READ_SIZE + 17
+
+        async def reverse(reader, writer):
+            data = await reader.readexactly(size)
+            writer.write(data[::-1])
+            await writer.drain()
+            writer.close()
+
+        listener = await transport.serve(reverse, "127.0.0.1", 0)
+
+        async def exchange(seed: int) -> bool:
+            payload = np.random.default_rng(seed).bytes(size)
+            reader, writer = await transport.connect(listener.address)
+            writer.write(payload)
+            await writer.drain()
+            back = await reader.readexactly(size)
+            writer.close()
+            return back == payload[::-1]
+
+        results = await asyncio.wait_for(
+            asyncio.gather(*(exchange(seed) for seed in range(4))), timeout=30
+        )
+        listener.close()
+        await listener.wait_closed()
+        return results
+
+    assert asyncio.run(run()) == [True] * 4

@@ -1,11 +1,15 @@
 """Tests for the file-level CLI tool."""
 
+import asyncio
 import json
 import pathlib
+import threading
 
 import pytest
 
 from repro.cli import main, MANIFEST_SUFFIX
+from repro.cluster import LocalCluster
+from repro.codes import make_code
 
 
 @pytest.fixture
@@ -326,6 +330,61 @@ class TestClusterMembershipCli:
         assert main(["stats", addr, "--shutdown"]) == 0
         thread.join(timeout=5)
         assert not thread.is_alive()
+
+
+@pytest.mark.slow
+class TestClusterHealCli:
+    """``cluster heal`` against real sockets: the nodes run on an event
+    loop in a background thread, the CLI runs its own in the test's."""
+
+    @pytest.fixture
+    def served(self):
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+        code = make_code("liberation-optimal", 3, p=5, element_size=64)
+        cluster = LocalCluster(code, 4)
+
+        def run(coro):
+            return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=60)
+
+        run(cluster.start())
+        yield cluster, run
+        run(cluster.stop())
+        loop.call_soon_threadsafe(loop.stop)
+        thread.join(timeout=5)
+        loop.close()
+
+    def test_stopped_node_fails_then_rebuild_heals_it(self, served, capsys):
+        cluster, run = served
+
+        async def write():
+            arr = cluster.array()
+            data = bytes(range(256)) * (arr.capacity // 256)
+            await arr.write(0, data)
+            return data
+
+        async def read():
+            arr = cluster.array()
+            return await arr.read(0, arr.capacity), arr.metrics.get("decodes")
+
+        data = run(write())
+        argv = ["cluster", "heal",
+                *(f"{host}:{port}" for host, port in cluster.addresses),
+                "--stripes", "4", "--p", "5", "--element-size", "64",
+                "--probes", "3", "--timeout", "0.5"]
+        run(cluster.stop_node(1))
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        assert "column" in out and "breaker" in out
+        row = next(line for line in out.splitlines() if "FAILED" in line)
+        assert "open" in row
+
+        host, port = run(cluster.start_replacement(1))
+        assert main([*argv, "--rebuild", "1", "--spare", f"{host}:{port}"]) == 0
+        assert "rebuilt 4 stripes" in capsys.readouterr().out
+        cluster.promote_replacement(1)
+        assert run(read()) == (data, 0)
 
 
 class TestRoundTripProperty:
