@@ -101,16 +101,28 @@ class NetworkFaultPlan:
         )
 
     @classmethod
-    def random(cls, rng, *, persistent: bool = True) -> "NetworkFaultPlan":
+    def slow_spell(cls, rng, timeout: float) -> "NetworkFaultPlan":
+        """The next data request waits 1.5-2.5 times ``timeout``, a
+        client's per-attempt timeout: the client gives up on it and
+        retries, and the first attempt wakes after the retry landed."""
+        return cls(latency=timeout * (1.5 + rng.random()), slow_requests=1)
+
+    @classmethod
+    def random(cls, rng, *, persistent: bool = True, timeout: float) -> "NetworkFaultPlan":
         """A seeded random plan (the sim fuzzer's fault vocabulary).
 
         ``persistent`` plans poison every data request (:data:`ALWAYS`
         budgets / latency far beyond any sane timeout), making the
         column a deterministic loss; transient plans use finite budgets
-        a retry policy is expected to absorb.  ``rng`` is a
-        ``random.Random`` so the same seed always yields the same plan.
+        a retry policy is expected to absorb, one of them a
+        :meth:`slow_spell` past the per-attempt ``timeout``.  ``rng`` is
+        a ``random.Random`` so the same seed always yields the same
+        plan.
         """
-        kind = rng.choice(["latency", "fail_requests", "drop_mid_frame", "corrupt_frames"])
+        kinds = ["latency", "fail_requests", "drop_mid_frame", "corrupt_frames"]
+        kind = rng.choice(kinds if persistent else kinds + ["slow_spell"])
+        if kind == "slow_spell":
+            return cls.slow_spell(rng, timeout)
         if kind == "latency":
             # Far above timeouts when persistent; sub-timeout blip otherwise.
             return cls(latency=10.0 + rng.random() if persistent else 0.001)

@@ -16,7 +16,9 @@ order over ``k + 2`` nodes, or rendezvous placement over a membership
 table; either way the ``k + 2`` strips of a stripe sit on distinct
 nodes), serves **degraded reads** by pulling survivor strips and
 decoding with the configured code (the paper's Algorithm 4 path for
-``liberation-optimal``, plan cached per erasure pattern), and degrades
+``liberation-optimal``, plan cached per erasure pattern), writes a
+partial stripe as a **delta write** (the touched data strips, and the
+parity delta XORed into the touched P and Q rows), and degrades
 gracefully while any two columns are unreachable, faulty or stale.
 
 Everything here is asyncio-native; the CLI and examples wrap entry
@@ -28,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import random
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -208,8 +211,9 @@ class NodeClient:
         self.tracer = tracer
         #: launch a duplicate request after this many seconds without a
         #: reply and take whichever finishes first (tail-latency hedge);
-        #: None disables.  Safe because every verb is idempotent -- the
-        #: retry loop already requires that.
+        #: None disables.  Safe because every verb is idempotent (an
+        #: ``xor`` by its write token) -- the retry loop already requires
+        #: that.
         self.hedge_after = hedge_after
         #: open connections awaiting the next attempt, most recent last
         self._idle: list[tuple[asyncio.StreamReader, object]] = []
@@ -423,6 +427,49 @@ def cached_client(cache: dict, key, address: tuple[str, int], make) -> NodeClien
     return client
 
 
+def _by_column(columns: dict[int, list[int]]) -> list[tuple[int, list[int]]]:
+    """A fan-out plan from each stripe's columns: ``(column, stripes)``
+    per column, stripes in ascending order."""
+    plan: dict[int, list[int]] = {}
+    for stripe in sorted(columns):
+        for col in columns[stripe]:
+            plan.setdefault(col, []).append(stripe)
+    return sorted(plan.items())
+
+
+def _touched(pieces: list[tuple[int, bytes]], unit: int) -> list[int]:
+    """The ``unit``-byte blocks of a stripe payload -- its strips, or
+    its elements -- that the ``(within, chunk)`` pieces write, in order."""
+    return sorted({
+        block
+        for within, chunk in pieces
+        for block in range(within // unit, (within + len(chunk) - 1) // unit + 1)
+    })
+
+
+def _strips_of(bufs: dict[int, np.ndarray]):
+    """The ``payload_for`` of a ``put`` of strips of the stripe buffers
+    ``bufs``: one strip ships as a view of its stripe buffer; several
+    are gathered into one buffer."""
+
+    def strips(col: int, batch: list[int]):
+        if len(batch) == 1:
+            return np.ascontiguousarray(bufs[batch[0]][col]).data
+        return np.concatenate([bufs[s][col] for s in batch]).data
+
+    return strips
+
+
+def _skipped(stripes, done) -> dict[int, list[int]]:
+    """Each stripe's columns that a fan-out's ``done`` batches lost."""
+    skipped: dict[int, list[int]] = {stripe: [] for stripe in stripes}
+    for col, batch, outcome in done:
+        if isinstance(outcome, ClusterError):
+            for stripe in batch:
+                skipped[stripe].append(col)
+    return skipped
+
+
 class ClusterArray:
     """A RAID-6 array whose strips live on network nodes.
 
@@ -522,6 +569,9 @@ class ClusterArray:
         #: stripe -> [lock, holders + waiters]; an entry lives only
         #: while someone holds or awaits its lock
         self._locks: dict[int, list] = {}
+        #: delta writes' token source (see :meth:`_write_token`)
+        self._nonce: str | None = None
+        self._writes = 0
 
     def _make_client(self, address: tuple[str, int]) -> NodeClient:
         return NodeClient(
@@ -718,10 +768,12 @@ class ClusterArray:
         return routed
 
     async def _fan_out(
-        self, verb: str, plan: list[tuple[int, list[int]]], payload_for=None
+        self, verb: str, plan: list[tuple[int, list[int]]], payload_for=None,
+        header_for=None,
     ) -> list[tuple[int, list[int], object]]:
         """``verb`` for each ``(column, stripes)`` of ``plan``: one RPC
-        per column and holder (and frame), all concurrent, with payload
+        per column and holder (and frame), all concurrent, with header
+        ``{"stripes": batch, **header_for(column, batch)}`` and payload
         ``payload_for(column, batch)``.
 
         Returns ``(column, batch, outcome)`` per RPC, the outcome being
@@ -732,7 +784,7 @@ class ClusterArray:
         more.
         """
         epoch = self.membership.epoch
-        done = await self._send(verb, plan, payload_for)
+        done = await self._send(verb, plan, payload_for, header_for)
         failed: dict[int, list[int]] = {}
         for column, batch, outcome in done:
             if isinstance(outcome, NodeUnavailableError):
@@ -741,10 +793,12 @@ class ClusterArray:
             return done
         self.metrics.counter("epoch_retries").inc()
         kept = [d for d in done if not isinstance(d[2], NodeUnavailableError)]
-        return kept + await self._send(verb, list(failed.items()), payload_for)
+        return kept + await self._send(
+            verb, list(failed.items()), payload_for, header_for
+        )
 
     async def _send(
-        self, verb: str, plan: list[tuple[int, list[int]]], payload_for
+        self, verb: str, plan: list[tuple[int, list[int]]], payload_for, header_for
     ) -> list[tuple[int, list[int], object]]:
         batches = [
             (column, route, batch)
@@ -754,7 +808,10 @@ class ClusterArray:
         outcomes = await asyncio.gather(
             *(
                 self._node_request(
-                    route, column, verb, {"stripes": batch},
+                    route, column, verb,
+                    {"stripes": batch}
+                    if header_for is None
+                    else {"stripes": batch, **header_for(column, batch)},
                     b"" if payload_for is None else payload_for(column, batch),
                 )
                 for column, route, batch in batches
@@ -772,17 +829,16 @@ class ClusterArray:
         ]
 
     async def _gather(
-        self, stripes: list[int], columns: list[int], bufs: list[np.ndarray]
+        self, plan: list[tuple[int, list[int]]], into: dict[int, np.ndarray]
     ) -> dict[int, list[int]]:
-        """Fetch ``columns`` of ``stripes`` into ``bufs`` (one buffer per
-        stripe), one ``get`` per column and holder; returns each
+        """Fetch each ``(column, stripes)`` of ``plan`` into the stripes'
+        buffers ``into``, one ``get`` per column and holder; returns each
         stripe's lost columns.  A strip behind a latent sector costs
         only its own stripe's column."""
         code = self.code
         words = code.rows * (code.element_size // 8)
-        into = dict(zip(stripes, bufs))
-        lost: dict[int, list[int]] = {stripe: [] for stripe in stripes}
-        done = await self._fan_out("get", [(col, stripes) for col in columns])
+        lost: dict[int, list[int]] = {stripe: [] for stripe in into}
+        done = await self._fan_out("get", plan)
         for col, batch, outcome in done:
             if isinstance(outcome, ClusterError):
                 for stripe in batch:
@@ -810,7 +866,9 @@ class ClusterArray:
         self, stripe: int, columns: list[int], buf: np.ndarray
     ) -> list[int]:
         """Fetch ``columns`` of one stripe into ``buf``; returns the losers."""
-        return (await self._gather([stripe], columns, [buf]))[stripe]
+        return (await self._gather([(col, [stripe]) for col in columns], {stripe: buf}))[
+            stripe
+        ]
 
     def _erasures(self, lost: dict[int, list[int]], columns) -> dict[int, set[int]]:
         """Each stripe's ``lost`` columns plus its known-stale ones among
@@ -847,7 +905,9 @@ class ClusterArray:
                 pass
         return await self._fetch_stripes(stripes)
 
-    async def _fetch_stripes(self, stripes: list[int]) -> list[np.ndarray]:
+    async def _fetch_stripes(
+        self, stripes: list[int], lost: dict[int, list[int]] | None = None
+    ) -> list[np.ndarray]:
         """Assemble stripe buffers, decoding around lost columns.
 
         The sunny-day path is one ``get`` per data column (and holder)
@@ -855,25 +915,34 @@ class ClusterArray:
         unreachable, unreadable or known stale -- widen the fetch to the
         parity columns, again batched, and run the erasure decode on
         their survivors.  So a stale P or Q matters only to a stripe
-        that decodes.
+        that decodes.  ``lost`` names each stripe's columns an earlier
+        fetch already lost: they count as erasures and are not asked
+        for again, so an unreachable node costs its retry budget once.
         """
         code = self.code
         for stripe in stripes:
             self._check_stripe(stripe)
+        known = lost or {}
         bufs = [code.alloc_stripe() for _ in stripes]
+
+        async def fetch(group: list[tuple[int, np.ndarray]], columns) -> dict[int, set[int]]:
+            plan = [
+                (col, [s for s, _ in group if col not in known.get(s, ())])
+                for col in columns
+            ]
+            got = await self._gather([(col, b) for col, b in plan if b], dict(group))
+            for stripe, cols in got.items():
+                cols += [col for col in known.get(stripe, ()) if col in columns]
+            return self._erasures(got, columns)
+
         data = range(code.k)
-        lost = self._erasures(await self._gather(stripes, list(data), bufs), data)
-        degraded = [(s, buf) for s, buf in zip(stripes, bufs) if lost[s]]
+        lost_data = await fetch(list(zip(stripes, bufs)), data)
+        degraded = [(s, buf) for s, buf in zip(stripes, bufs) if lost_data[s]]
         if degraded:
             parity = [code.p_col, code.q_col]
-            parity_lost = self._erasures(
-                await self._gather(
-                    [s for s, _ in degraded], parity, [buf for _, buf in degraded]
-                ),
-                parity,
-            )
+            parity_lost = await fetch(degraded, parity)
             for stripe, buf in degraded:
-                missing = sorted(lost[stripe] | parity_lost[stripe])
+                missing = sorted(lost_data[stripe] | parity_lost[stripe])
                 if len(missing) > 2:
                     raise ClusterDegradedError(
                         f"stripe {stripe}: columns {missing} lost; RAID-6 tolerates 2"
@@ -916,31 +985,29 @@ class ClusterArray:
         for stripe in stripes:
             self._check_stripe(stripe)
         cols = list(range(self.code.n_cols)) if columns is None else list(columns)
-        into = dict(zip(stripes, bufs))
+        done = await self._fan_out(
+            "put", [(col, stripes) for col in cols], _strips_of(dict(zip(stripes, bufs)))
+        )
+        skipped = _skipped(stripes, done)
+        self._settle(skipped, rewritten=stripes if columns is None else ())
+        return skipped
 
-        def strips(col: int, batch: list[int]):
-            # One strip ships as a view of its stripe buffer; several
-            # are gathered into one buffer.
-            if len(batch) == 1:
-                return np.ascontiguousarray(into[batch[0]][col]).data
-            return np.concatenate([into[s][col] for s in batch]).data
+    def _settle(self, skipped: dict[int, list[int]], rewritten) -> None:
+        """Record each stripe's ``skipped`` columns in :attr:`dirty_stripes`.
 
-        done = await self._fan_out("put", [(col, stripes) for col in cols], strips)
-        skipped: dict[int, list[int]] = {stripe: [] for stripe in stripes}
-        for col, batch, outcome in done:
-            if isinstance(outcome, ClusterError):
-                for stripe in batch:
-                    skipped[stripe].append(col)
+        A stripe of ``rewritten`` had every column written, so it
+        supersedes every older stale column: only the ones it skipped
+        are stale now.  A stripe written in part adds its skipped
+        columns to the stale ones.  Raises :class:`ClusterDegradedError`
+        for a stripe that lost more than two columns.
+        """
         beyond = []
-        for stripe in stripes:
-            lost = skipped[stripe]
+        for stripe, lost in skipped.items():
             if lost:
                 self.metrics.counter("degraded_writes").inc()
             if len(lost) > 2:
                 beyond.append(stripe)
-            elif columns is None:
-                # A full-stripe write supersedes every older stale column:
-                # only the ones it skipped are stale now.
+            elif stripe in rewritten:
                 if lost:
                     self.dirty_stripes[stripe] = set(lost)
                 else:
@@ -951,7 +1018,6 @@ class ClusterArray:
             raise ClusterDegradedError(
                 f"stripe {beyond[0]}: write lost columns {skipped[beyond[0]]}"
             )
-        return skipped
 
     async def write_stripe(
         self, stripe: int, buf: np.ndarray, *, columns: list[int] | None = None
@@ -972,23 +1038,55 @@ class ClusterArray:
 
     async def write(self, offset: int, data: bytes) -> None:
         """Write user bytes; stripe-aligned spans take the encode path,
-        everything else is a stripe-granular read-modify-write."""
+        everything else is a delta write (see :meth:`write_spans`)."""
         await self.write_spans([(offset, data)])
 
-    async def write_spans(self, spans: list[tuple[int, bytes]]) -> None:
+    def _write_token(self) -> str:
+        """A write token no other write shares: this array's nonce and a
+        counter.  The nonce is drawn on first use, from ``rng`` when the
+        array has one, so a simulated run replays; arrays sharing nodes
+        must then not share a seed."""
+        if self._nonce is None:
+            bits = self.rng.getrandbits(64) if self.rng is not None else secrets.randbits(64)
+            self._nonce = f"{bits:016x}"
+        self._writes += 1
+        return f"{self._nonce}-{self._writes}"
+
+    async def write_spans(
+        self, spans: list[tuple[int, bytes]], *, read_old: bool = False
+    ) -> list[bytes] | None:
         """Write ``(offset, data)`` byte spans as one batch.
 
-        A stripe that one span covers whole takes the encode path; every
-        other touched stripe is read first -- all of them in one batched
-        read -- and patched (read-modify-write).  Spans apply in order.
-        All touched stripes then go out in one ``put`` per column and
-        holder.  The stripes' locks are held from the read to the put,
-        so two writes into one stripe cannot both patch the same old
-        image.
+        A stripe that one span covers whole takes the encode path and
+        puts every column.  Every other touched stripe is a **delta
+        write**, at Liberation's update cost: its touched data strips
+        are fetched and put back patched, and the parity delta --
+        ``code.update`` of each touched element on a zeroed scratch
+        stripe -- is XORed into just the P and Q rows it touches, by
+        an ``xor`` whose write token lets a strip answer a retry
+        without applying the delta twice.  A stripe listed in
+        :attr:`dirty_stripes`, or one whose touched data column does
+        not answer the fetch, falls back to reading the whole stripe
+        (decoding around the lost columns, which it does not ask for
+        again), a re-encode and a put of every column.
+
+        Spans apply in order.  The touched stripes go out in one round:
+        one ``put`` per column and holder, and one ``xor`` per parity
+        column and holder.  A column a write skips is listed in
+        :attr:`dirty_stripes` (see :meth:`_settle`).  The stripes' locks
+        are held from the fetch to the last write, so two writes into
+        one stripe cannot both patch the same old image.
+
+        With ``read_old`` a stripe covered whole is patched like the
+        rest, and the bytes each span overwrote are returned in span
+        order; otherwise the result is None.
         """
-        sdb = self.stripe_data_bytes
+        code, sdb = self.code, self.stripe_data_bytes
         pieces: dict[int, list[tuple[int, bytes]]] = {}
+        #: per span, where its pieces landed: (stripe, index in pieces)
+        placed: list[list[tuple[int, int]]] = []
         for offset, data in spans:
+            placed.append([])
             if not data:
                 continue
             if offset < 0 or offset + len(data) > self.capacity:
@@ -997,28 +1095,94 @@ class ClusterArray:
             while pos < end:
                 stripe, within = divmod(pos, sdb)
                 take = min(end - pos, sdb - within)
-                pieces.setdefault(stripe, []).append(
-                    (within, data[pos - offset : pos - offset + take])
-                )
+                piece = pieces.setdefault(stripe, [])
+                placed[-1].append((stripe, len(piece)))
+                piece.append((within, data[pos - offset : pos - offset + take]))
                 pos += take
         stripes = sorted(pieces)
+        whole = set() if read_old else {
+            s for s in stripes if any(len(c) == sdb for _, c in pieces[s])
+        }
+        columns = {s: _touched(pieces[s], code.strip_bytes) for s in stripes if s not in whole}
         async with self.stripe_locks(stripes):
-            rmw = [s for s in stripes if all(len(c) < sdb for _, c in pieces[s])]
-            read = dict(zip(rmw, await self._fetch_stripes(rmw)))
-            bufs = []
+            bufs = {s: code.alloc_stripe() for s in stripes}
+            delta = [s for s in columns if s not in self.dirty_stripes]
+            lost: dict[int, list[int]] = {}
+            if delta:
+                lost = await self._gather(
+                    _by_column({s: columns[s] for s in delta}), {s: bufs[s] for s in delta}
+                )
+                delta = [s for s in delta if not lost[s]]
+            fallback = [s for s in columns if s not in delta]
+            if fallback:
+                bufs.update(zip(fallback, await self._fetch_stripes(fallback, lost)))
+
+            old: dict[int, list[bytes]] = {s: [] for s in stripes}
+            parity: dict[int, np.ndarray] = {}
             for stripe in stripes:
-                buf = read.get(stripe)
-                if buf is None:
-                    buf = self.code.alloc_stripe()
-                    self.metrics.counter("full_stripe_writes").inc()
-                else:
-                    self.metrics.counter("rmw_writes").inc()
+                buf = bufs[stripe]
+                before = buf[: code.k].copy() if stripe in delta else None
                 view = self._stripe_payload(buf)
                 for within, chunk in pieces[stripe]:
+                    if read_old:
+                        old[stripe].append(bytes(view[within : within + len(chunk)]))
                     view[within : within + len(chunk)] = chunk
-                self.code.encode(buf)
-                bufs.append(buf)
-            await self._put_stripes(stripes, bufs)
+                if stripe in whole:
+                    self.metrics.counter("full_stripe_writes").inc()
+                else:  # a read-modify-write, by delta or by fallback
+                    self.metrics.counter("rmw_writes").inc()
+                if before is None:
+                    code.encode(buf)
+                else:
+                    parity[stripe] = self._parity_delta(buf, before, pieces[stripe])
+                    self.metrics.counter("delta_writes").inc()
+
+            puts = {s: columns[s] if s in parity else range(code.n_cols) for s in stripes}
+            rows = {
+                (s, col): np.flatnonzero(parity[s][col].any(axis=1)).tolist()
+                for s in delta
+                for col in (code.p_col, code.q_col)
+            }
+            xors = _by_column({
+                s: [col for col in (code.p_col, code.q_col) if rows[s, col]] for s in delta
+            })
+            put = self._fan_out("put", _by_column(puts), _strips_of(bufs))
+            if xors:
+                token = self._write_token()
+                xor = self._fan_out(
+                    "xor", xors,
+                    lambda col, batch: np.concatenate(
+                        [parity[s][col][rows[s, col]] for s in batch]
+                    ).data,
+                    lambda col, batch: {
+                        "rows": [rows[s, col] for s in batch],
+                        "row_bytes": code.element_size,
+                        "token": token,
+                    },
+                )
+                done = [d for sent in await asyncio.gather(put, xor) for d in sent]
+            else:
+                # Awaited in this task, so a write without an xor runs
+                # on the same schedule as :meth:`_put_stripes`.
+                done = await put
+            self._settle(_skipped(stripes, done), whole | set(fallback))
+        if not read_old:
+            return None
+        return [b"".join(old[s][i] for s, i in where) for where in placed]
+
+    def _parity_delta(
+        self, buf: np.ndarray, before: np.ndarray, pieces: list[tuple[int, bytes]]
+    ) -> np.ndarray:
+        """The P and Q change a patch makes to a stripe, from the data
+        columns ``before`` it: ``code.update`` of each element the
+        ``pieces`` touch, by its change, on a zeroed scratch stripe
+        (every code here is linear)."""
+        code = self.code
+        scratch = code.alloc_stripe()
+        for element in _touched(pieces, code.element_size):
+            col, row = divmod(element, code.rows)
+            code.update(scratch, col, row, buf[col, row] ^ before[col, row])
+        return scratch
 
     async def read(self, offset: int, length: int) -> bytes:
         """Read user bytes, transparently decoding around failures."""

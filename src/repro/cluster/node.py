@@ -43,7 +43,7 @@ __all__ = ["NodeCrashPlan", "NodeCrashed", "NodeIntent", "StripNode"]
 #: (``intents``, ``txn-status``) always get through, so a sick node
 #: stays diagnosable and repairable.
 _DATA_VERBS = frozenset(
-    {"get", "put", "ping", "scrub-read", "prepare", "commit", "abort",
+    {"get", "put", "xor", "ping", "scrub-read", "prepare", "commit", "abort",
      "migrate-in", "release"}
 )
 
@@ -70,7 +70,8 @@ class NodeCrashPlan:
     journal's strip writes.
     """
 
-    #: every point the txn verbs pass through, in protocol order
+    #: every point the txn, migration and delta verbs pass through, in
+    #: protocol order
     POINTS = (
         "prepare-before-log",
         "prepare-before-reply",
@@ -82,6 +83,8 @@ class NodeCrashPlan:
         "migrate-before-reply",
         "release-before-drop",
         "release-before-reply",
+        "xor-before-apply",
+        "xor-before-reply",
     )
 
     def __init__(self) -> None:
@@ -149,6 +152,8 @@ class StripNode:
         self.txn_done: dict[str, str] = {}
         #: per-strip CRC-32 sidecars, refreshed on every applied write
         self.checksums: dict[int, int] = {}
+        #: per strip, the write token of its latest applied ``xor`` delta
+        self.xor_tokens: dict[int, str] = {}
         #: last membership snapshot installed via the ``membership``
         #: verb (nodes gossip/serve the table but never interpret it --
         #: routing stays the client's job)
@@ -162,7 +167,8 @@ class StripNode:
         self._port = port
         self._server = None
         self._stopped = asyncio.Event()
-        #: the accepted connections still open: writer -> serving task
+        #: the accepted connections still open: writer -> (serving task,
+        #: reader)
         self._connections: dict = {}
 
     # -- lifecycle ---------------------------------------------------------
@@ -200,7 +206,9 @@ class StripNode:
         if server is not None:
             server.close()
             current = asyncio.current_task()
-            serving = [t for t in self._connections.values() if t is not current]
+            serving = [
+                t for t, _ in self._connections.values() if t is not current
+            ]
             for writer in list(self._connections):
                 writer.close()
             for task in serving:
@@ -224,7 +232,7 @@ class StripNode:
     ) -> None:
         """Serve frames off one connection until the peer leaves, a
         frame is garbled, or the node stops."""
-        self._connections[writer] = asyncio.current_task()
+        self._connections[writer] = (asyncio.current_task(), reader)
         try:
             while self.running:
                 try:
@@ -269,6 +277,12 @@ class StripNode:
             delay = self.faults.latency
             if delay and self.faults.latency_applies():
                 await self.clock.sleep(delay)
+                if self._hung_up(writer):
+                    # The client timed out meanwhile and may have retried
+                    # and moved on: served now, this request would land
+                    # after whatever the client wrote next.
+                    self.metrics.counter("abandoned_requests").inc()
+                    return False
             if self.faults.consume("fail_requests"):
                 self.metrics.counter("injected_io_errors").inc()
                 await self._reply(writer, {"status": "err", "error": "io-error",
@@ -302,6 +316,11 @@ class StripNode:
             drop=planned and self.faults.consume("drop_mid_frame"),
         )
         return intact and verb != "shutdown"
+
+    def _hung_up(self, writer) -> bool:
+        """Whether the client of ``writer``'s connection has closed it."""
+        entry = self._connections.get(writer)
+        return entry is not None and entry[1].at_eof()
 
     async def _reply(
         self, writer, header: dict, payload=b"", *, label: str = "node._reply",
@@ -341,6 +360,8 @@ class StripNode:
             return self._serve_put(header, payload), b""
         if verb == "get":
             return self._serve_get(header)
+        if verb == "xor":
+            return self._serve_xor(header, payload), b""
         if verb == "scrub-read":
             return self._serve_scrub_read(header), b""
         if verb == "prepare":
@@ -476,6 +497,77 @@ class StripNode:
         # gathered into one buffer.
         data = strips[0] if len(strips) == 1 else np.concatenate(strips)
         return reply, np.ascontiguousarray(data).data
+
+    def _serve_xor(self, header: dict, payload: bytes) -> dict:
+        """XOR the payload's rows into the named strips: a delta write.
+
+        ``rows`` lists, per strip, the rows of ``row_bytes`` bytes the
+        payload carries for it, strip after strip.  An XOR is not
+        idempotent, so each strip keeps the write ``token`` of its last
+        delta and answers a retry of that delta without touching the
+        strip.  The last one is enough: the client holds the stripe's
+        lock across every retry and hedge of one write, and a request
+        whose client hung up is dropped (:meth:`_dispatch_inner`).
+
+        Every strip is read, and checked against its CRC sidecar,
+        before any is changed: a latent sector, a failed disk or a
+        strip that no longer matches its sidecar fails the request
+        whole.  XORing into silent rot and re-sealing the sidecar would
+        hide the rot from the scrub's sidecar probe; failed instead,
+        the client lists the column stale and the scrub rewrites it.
+        Each changed strip's sidecar is then refreshed.
+        """
+        stripes = self._stripes(header)
+        rows = [[int(r) for r in strip_rows] for strip_rows in header["rows"]]
+        row_bytes = int(header["row_bytes"])
+        token = str(header["token"])
+        size = self.disk.strip_words * 8
+        if len(set(stripes)) != len(stripes) or len(rows) != len(stripes):
+            raise ValueError(f"xor needs one row list per distinct strip, got {rows}")
+        if row_bytes <= 0 or size % row_bytes:
+            raise ValueError(f"row_bytes {row_bytes} does not divide a {size} B strip")
+        n_rows = size // row_bytes
+        for strip_rows in rows:
+            if len(set(strip_rows)) != len(strip_rows) or not all(
+                0 <= r < n_rows for r in strip_rows
+            ):
+                raise ValueError(f"rows {strip_rows} are not distinct rows of {n_rows}")
+        if len(payload) != sum(map(len, rows)) * row_bytes:
+            raise ValueError(
+                f"xor payload of {len(payload)} B != {sum(map(len, rows))} rows "
+                f"of {row_bytes} B"
+            )
+        delta = np.frombuffer(payload, dtype=np.uint8)
+        fresh, offset = [], 0
+        for stripe, strip_rows in zip(stripes, rows):
+            if self.xor_tokens.get(stripe) != token:
+                strip = self.disk.read_strip(stripe)
+                stored = self.checksums.get(stripe)
+                if stored is not None and stored != zlib.crc32(strip.data):
+                    self.metrics.counter("xor_crc_mismatches").inc()
+                    raise LatentSectorError(
+                        f"column {self.column} strip {stripe} does not match "
+                        "its CRC sidecar"
+                    )
+                fresh.append((stripe, strip, strip_rows, offset))
+            offset += len(strip_rows) * row_bytes
+        if self.crashes.fires("xor-before-apply"):
+            raise NodeCrashed(f"xor({token}): crashed before applying")
+        for stripe, strip, strip_rows, offset in fresh:
+            cells = strip.view(np.uint8)
+            for row in strip_rows:
+                cells[row * row_bytes : (row + 1) * row_bytes] ^= delta[
+                    offset : offset + row_bytes
+                ]
+                offset += row_bytes
+            self.disk.write_strip(stripe, strip)
+            self.checksums[stripe] = zlib.crc32(strip.data)
+            self.xor_tokens[stripe] = token
+        self.metrics.counter("xor_strips_applied").inc(len(fresh))
+        self.metrics.counter("xor_duplicates").inc(len(stripes) - len(fresh))
+        if self.crashes.fires("xor-before-reply"):
+            raise NodeCrashed(f"xor({token}): crashed before replying")
+        return {"status": "ok", "applied": len(fresh)}
 
     # -- scrub & two-phase-write verbs --------------------------------------
 
@@ -634,6 +726,7 @@ class StripNode:
             stripe, np.zeros(self.disk.strip_words, dtype=WORD_DTYPE)
         )
         del self.checksums[stripe]
+        self.xor_tokens.pop(stripe, None)
         self.metrics.counter("strips_released").inc()
         if self.crashes.fires("release-before-reply"):
             raise NodeCrashed(f"release({stripe}): crashed before replying")

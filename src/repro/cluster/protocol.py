@@ -28,6 +28,13 @@ Verbs understood by :class:`~repro.cluster.node.StripNode`:
                 ``unreadable`` lists the strips the disk could not read
                 (latent sectors), which the payload leaves out -- only
                 when no strip is readable is the reply an error
+``xor``         XOR the payload into rows of strips ``stripes``: per
+                strip, the ``rows`` of ``row_bytes`` bytes listed, strip
+                after strip.  Each strip keeps the write ``token`` of
+                its last delta (a retry is answered, not re-applied),
+                fails the request like a latent sector if it no longer
+                matches its CRC sidecar, and refreshes the sidecar: the
+                parity half of a delta write
 ``scrub-read``  compare strip ``stripe``'s CRC sidecar to its contents
 ``prepare``     2PC phase 1: durably log the payload as a write intent
 ``commit``      2PC phase 2: apply + retire the intent (idempotent)

@@ -131,7 +131,9 @@ class RebuildScheduler:
             batch = alloc_batch(code, stop - start)
             async with array.stripe_locks(stripes):
                 # One `get` per survivor carries the whole window.
-                lost = await array._gather(stripes, survivors, list(batch))
+                lost = await array._gather(
+                    [(col, stripes) for col in survivors], dict(zip(stripes, batch))
+                )
                 also_lost = sorted({col for cols in lost.values() for col in cols})
                 base = {column, *also_lost}
                 # Columns on the dirty list hold *stale* strips: they

@@ -13,11 +13,12 @@ updated at arbitrary offsets -- while the cluster speaks stripes.
   new extents *first*, writes them, and only then swaps the directory
   entry and frees the old extents -- a failed write leaves the old
   object intact and readable.
-* **Small updates are RMW.**  ``update`` rewrites only the byte range
-  it touches; sub-stripe spans ride the cluster's existing
-  read-modify-write partial-write path.  Per-stripe asyncio locks
-  serialise writers of a shared stripe, so two packed neighbours can
-  be updated concurrently without RMW lost-updates.
+* **Small updates are delta writes.**  ``update`` rewrites only the
+  byte range it touches; sub-stripe spans ride the cluster's delta
+  write (the touched data strips plus an XOR into the touched parity
+  rows).  Per-stripe asyncio locks serialise writers of a shared
+  stripe, so two packed neighbours can be updated concurrently without
+  lost updates.
 * **One batch per object.**  An object's cache-missing stripes are
   read in one array call and its extents written in another, so each
   costs one RPC per column and node, not one per stripe; the stripe
@@ -27,7 +28,8 @@ updated at arbitrary offsets -- while the cluster speaks stripes.
   (:class:`IntegrityError` on mismatch) -- above and independent of
   the wire-frame CRCs and the scrubber's per-strip sidecars, closing
   the gap both leave (a correctly-stored wrong byte, e.g. a layout
-  bug, is caught here).
+  bug, is caught here).  An update patches the CRC from the bytes it
+  overwrote (:func:`crc32_patch`) instead of re-reading the object.
 * **Backpressure.**  Every data op passes the
   :class:`~repro.gateway.admission.AdmissionController`; overload
   sheds with :class:`~repro.gateway.admission.Overloaded` rather than
@@ -61,6 +63,7 @@ __all__ = [
     "ObjectGateway",
     "NoSpaceError",
     "Overloaded",
+    "crc32_patch",
 ]
 
 
@@ -90,6 +93,28 @@ class ObjectStat:
 
 def _crc(data: bytes) -> int:
     return zlib.crc32(data) & 0xFFFFFFFF
+
+
+def crc32_patch(crc: int, size: int, offset: int, old: bytes, new: bytes) -> int:
+    """The CRC-32 of a ``size``-byte object whose CRC-32 is ``crc``, once
+    the bytes ``old`` at ``offset`` read ``new`` -- from the patch alone.
+
+    CRC-32 is affine: for A and D of equal length n, crc(A xor D) =
+    crc(A) xor crc(D) xor crc(0^n).  Here D is ``old xor new`` at
+    ``offset`` and zero elsewhere.  The zeros before the patch leave
+    the linear part of the CRC at zero, so only the patch and the
+    zeros after it are hashed.
+    """
+    if len(old) != len(new) or not 0 <= offset <= size - len(new):
+        raise ValueError(f"a {len(new)} B patch at {offset} of a {size} B object")
+    n, after = len(new), size - offset - len(new)
+    diff = (int.from_bytes(old, "little") ^ int.from_bytes(new, "little")).to_bytes(
+        n, "little"
+    )
+    zeros = bytes(after)
+    patched = zlib.crc32(zeros, zlib.crc32(diff))
+    unpatched = zlib.crc32(zeros, zlib.crc32(bytes(n)))
+    return (crc ^ patched ^ unpatched) & 0xFFFFFFFF
 
 
 class ObjectGateway:
@@ -196,18 +221,22 @@ class ObjectGateway:
             payloads[ext.stripe][ext.start : ext.start + ext.length] for ext in extents
         )
 
-    async def _write_extents(self, writes: list[tuple[Extent, bytes]]) -> None:
+    async def _write_extents(
+        self, writes: list[tuple[Extent, bytes]], *, read_old: bool = False
+    ) -> list[bytes] | None:
         """Write extents' bytes in one array batch, under the stripe
         locks (RMW on a shared stripe must not interleave), with
-        write-through cache invalidation of every stripe touched."""
+        write-through cache invalidation of every stripe touched.  With
+        ``read_old``, returns the bytes each extent's write overwrote."""
         stripes = {ext.stripe for ext, _ in writes}
         async with self._stripe_locks(stripes):
             try:
-                await self.array.write_spans(
+                return await self.array.write_spans(
                     [
                         (ext.stripe * self.stripe_bytes + ext.start, chunk)
                         for ext, chunk in writes
-                    ]
+                    ],
+                    read_old=read_old,
                 )
             finally:
                 # A failed batch may still have landed some stripes.
@@ -268,12 +297,12 @@ class ObjectGateway:
     async def update(self, name: str, offset: int, data: bytes) -> ObjectStat:
         """Overwrite ``data`` at ``offset`` inside an existing object.
 
-        Only the touched extents are rewritten (sub-stripe spans use
-        the cluster's RMW partial-write path); the object keeps its
-        size.  The CRC is recomputed over the patched contents -- the
-        untouched remainder is read back through the hot-stripe cache,
-        which the zipfian workload keeps warm for exactly the objects
-        that are updated often.
+        Only the touched extents are rewritten, in one batch (sub-stripe
+        spans take the cluster's delta write); the object keeps its
+        size.  The array hands back the bytes the update overwrote, and
+        the object's CRC is patched from them (:func:`crc32_patch`), so
+        an update reads no more of the object than the strips it
+        rewrites.
         """
         if offset < 0:
             raise ValueError("update offset must be >= 0")
@@ -286,9 +315,6 @@ class ObjectGateway:
                 )
             if not data:
                 return self._stat(meta)
-            current = await self._read_extents(meta.extents)
-            blob = bytearray(current)
-            blob[offset : offset + len(data)] = data
             # Rewrite only the extents the span touches, as one batch.
             writes, pos = [], 0
             for ext in meta.extents:
@@ -297,12 +323,12 @@ class ObjectGateway:
                 if lo < hi:
                     writes.append((
                         Extent(ext.stripe, ext.start + (lo - pos), hi - lo),
-                        bytes(blob[lo:hi]),
+                        bytes(data[lo - offset : hi - offset]),
                     ))
                 pos += ext.length
-            await self._write_extents(writes)
+            old = await self._write_extents(writes, read_old=True)
             self._version += 1
-            meta.crc = _crc(bytes(blob))
+            meta.crc = crc32_patch(meta.crc, meta.size, offset, b"".join(old), bytes(data))
             meta.version = self._version
             self.metrics.counter("gateway_bytes_in").inc(len(data))
             self.metrics.counter("gateway_rmw_updates").inc()

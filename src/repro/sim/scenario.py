@@ -87,6 +87,11 @@ SIM_POLICY = RetryPolicy(
     attempts=3, timeout=0.25, backoff=0.02, max_backoff=0.2, jitter=0.5
 )
 
+#: Virtual seconds a ``check_parity`` op waits first: longer than any
+#: slow spell (at most 2.5 attempt timeouts), so every delayed request
+#: has landed or been dropped by then.
+SETTLE_S = 1.0
+
 #: Geometry menu the generator draws from (small: shrink targets).
 GEOMETRY_PRIMES = (5, 7, 11, 13)
 GEOMETRY_ELEMENTS = (8, 16, 32)
@@ -96,7 +101,8 @@ GEOMETRY_ELEMENTS = (8, 16, 32)
 #: scrubber and health monitor attached); plain scenarios never
 #: construct them, so pre-chaos seeds keep their historical digests.
 CHAOS_OPS = frozenset(
-    {"corrupt", "scrub", "txn_write", "recover", "heal", "check_quiescent"}
+    {"corrupt", "scrub", "txn_write", "recover", "heal", "check_parity",
+     "check_quiescent"}
 )
 
 #: Op kinds of the object-traffic vocabulary.  Like :data:`CHAOS_OPS`,
@@ -312,7 +318,7 @@ def generate_scenario(
     used = 0
     next_id = 0
 
-    def gw_put() -> dict | None:
+    def gw_put(min_size: int = 0) -> dict | None:
         nonlocal used, next_id
         overwrite = bool(live) and rng.random() < 0.35
         if overwrite:
@@ -323,7 +329,9 @@ def generate_scenario(
         budget = capacity - used
         if budget <= 0:
             return None
-        size = rng.randint(0, min(budget, max(1, capacity // 2)))
+        size = rng.randint(
+            min(min_size, budget), min(budget, max(min_size, 1, capacity // 2))
+        )
         if overwrite:
             used -= live[name]
         used += size
@@ -353,6 +361,42 @@ def generate_scenario(
         offset = rng.randrange(capacity)
         length = min(capacity - offset, rng.randint(1, max(1, capacity // 2)))
         return offset, length
+
+    def gw_update() -> dict | None:
+        cands = sorted(n for n, s in live.items() if s >= 1)
+        if not cands:
+            return None
+        name = rng.choice(cands)
+        size = live[name]
+        offset = rng.randrange(size)
+        length = rng.randint(1, size - offset)
+        return {"op": "gateway_update", "name": name, "offset": offset,
+                "length": length, "seed": rng.getrandbits(31)}
+
+    if chaos:
+        # Slow spells on a parity node before a whole-stripe write and a
+        # delta write: the write's put or xor to that node outlives the
+        # attempt's timeout and wakes after the retry has landed -- a
+        # late duplicate the node must drop, not apply.  A raw campaign
+        # writes the array again while the late put sleeps, so a late
+        # put that lands breaks parity, and check_parity sees it.
+        if objects:  # an object of a stripe or more takes whole stripes
+            writes = [(True, gw_put(min_size=k * p * element_size)), (True, gw_update())]
+        else:
+            length = rng.randint(1, 64)
+            spans = [(True, 0, capacity), (False, 0, capacity),
+                     (True, rng.randrange(capacity - length + 1), length)]
+            writes = [(slow, {"op": "write", "offset": offset, "length": length,
+                              "seed": rng.getrandbits(31)})
+                      for slow, offset, length in spans]
+        for slow, rec in writes:
+            if slow and rec is not None:
+                plan = NetworkFaultPlan.slow_spell(rng, SIM_POLICY.timeout)
+                ops.append({"op": "fault", "column": rng.choice([k, k + 1]),
+                            "plan": plan.to_header()})
+            if rec is not None:
+                ops.append(rec)
+        ops.append({"op": "check_parity"})
 
     for _ in range(rng.randint(3, 10)):
         healthy = [c for c in range(n_cols) if c not in impaired]
@@ -387,15 +431,9 @@ def generate_scenario(
             else:
                 ops.append({"op": "gateway_get", "name": "ghost"})
         elif kind == "gateway_update":
-            cands = sorted(n for n, s in live.items() if s >= 1)
-            if cands:
-                name = rng.choice(cands)
-                size = live[name]
-                offset = rng.randrange(size)
-                length = rng.randint(1, size - offset)
-                ops.append({"op": "gateway_update", "name": name,
-                            "offset": offset, "length": length,
-                            "seed": rng.getrandbits(31)})
+            rec = gw_update()
+            if rec is not None:
+                ops.append(rec)
             elif live:
                 ops.append({"op": "gateway_get", "name": rng.choice(sorted(live))})
         elif kind == "gateway_delete":
@@ -416,7 +454,9 @@ def generate_scenario(
             ops.append({"op": "read_all"})
         elif kind == "transient_fault":
             col = rng.choice(healthy)
-            plan = NetworkFaultPlan.random(rng, persistent=False)
+            plan = NetworkFaultPlan.random(
+                rng, persistent=False, timeout=SIM_POLICY.timeout
+            )
             ops.append({"op": "fault", "column": col, "plan": plan.to_header()})
         elif kind == "stop_node":
             col = rng.choice(healthy)
@@ -427,7 +467,9 @@ def generate_scenario(
             col = rng.choice(healthy)
             impaired.add(col)
             impair_kind[col] = "net"
-            plan = NetworkFaultPlan.random(rng, persistent=True)
+            plan = NetworkFaultPlan.random(
+                rng, persistent=True, timeout=SIM_POLICY.timeout
+            )
             ops.append({"op": "fault", "column": col, "plan": plan.to_header()})
         elif kind == "disk_fail":
             col = rng.choice(healthy)
@@ -463,7 +505,10 @@ def generate_scenario(
 
     if chaos:
         # Convergence epilogue: the self-healing machinery must drive
-        # whatever the campaign broke back to all-clean.
+        # whatever the campaign broke back to all-clean.  Parity is
+        # checked first, before a deep scrub could quietly repair a
+        # strip that no write left stale.
+        ops.append({"op": "check_parity"})
         ops.append({"op": "heal"})
         for col in sorted(c for c in impaired if impair_kind[c] in ("disk", "latent")):
             ops.append({"op": "rebuild", "column": col})
@@ -811,6 +856,29 @@ def run_scenario(
                     for _ in range(monitor.miss_threshold):
                         await monitor.probe_once()
                     record["healed"] = await monitor.heal()
+                elif kind == "check_parity":
+                    # Once every delayed request has woken, a stripe off
+                    # the dirty list whose strips all answer is a
+                    # codeword.  A request that landed after a newer
+                    # write, or a delta applied twice, is not.
+                    await clock.sleep(SETTLE_S)
+                    checked = 0
+                    for stripe in range(arr.n_stripes):
+                        buf = cluster_code.alloc_stripe()
+                        cols = list(range(cluster_code.n_cols))
+                        if await arr._gather_columns(stripe, cols, buf):
+                            continue
+                        if stripe in arr.dirty_stripes:
+                            continue
+                        checked += 1
+                        if not cluster_code.verify(buf):
+                            raise DivergenceError(
+                                f"op[{i}] check_parity: stripe {stripe} is not "
+                                "a codeword, and no write left it stale",
+                                context={"op_index": i, "oracle": "parity",
+                                         "stripe": stripe, "op": op},
+                            )
+                    record["checked"] = checked
                 elif kind == "check_quiescent":
                     unretired = []
                     for node_id in arr.membership.probed():

@@ -151,4 +151,5 @@ class TestLiveTree:
         ).read_text()
         assert tuple(extract_crash_points(src)) == NodeCrashPlan.POINTS
         # 6 2PC-write points + 4 migration points (migrate-in/release)
-        assert len(NodeCrashPlan.POINTS) == 10
+        # + 2 delta-write points (xor)
+        assert len(NodeCrashPlan.POINTS) == 12

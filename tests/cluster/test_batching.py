@@ -36,6 +36,17 @@ def rpcs(arr) -> int:
     return arr.metrics.get("requests")
 
 
+def verbs(cluster, since=None) -> dict[str, int]:
+    """Data requests the nodes served, per verb (minus ``since``)."""
+    total: dict[str, int] = {}
+    for node in cluster.nodes:
+        for verb in ("get", "put", "xor"):
+            total[verb] = total.get(verb, 0) + node.metrics.get(f"requests_{verb}")
+    if since is not None:
+        total = {verb: n - since.get(verb, 0) for verb, n in total.items()}
+    return {verb: n for verb, n in total.items() if n}
+
+
 async def counted(arr, coro):
     """Await ``coro``; returns ``(its result, RPCs it issued)``."""
     before = rpcs(arr)
@@ -150,8 +161,11 @@ class TestRpcCounts:
         asyncio.run(run())
 
     def test_gateway_single_stripe_ops_keep_their_counts(self):
-        """A one-stripe get, a full-stripe put and a cache-cold 64 B
-        update cost k, k + 2 and 3k + 2 RPCs, as before batching."""
+        """A one-stripe get and a full-stripe put cost k and k + 2 RPCs,
+        as before batching; a cache-cold 64 B update inside one column
+        costs 4 -- a get and a put of its data strip and an xor into P
+        and into Q (3k + 2 while it read the stripe twice and rewrote it
+        whole)."""
 
         async def run():
             code, cluster = sim_cluster(n_stripes=8)
@@ -164,10 +178,64 @@ class TestRpcCounts:
                 got, n_get = await counted(arr, gw.get("one"))
                 assert got == body
                 gw.cache.clear()
+                before = verbs(cluster)
                 _, n_update = await counted(arr, gw.update("one", 100, b"u" * 64))
-                assert (n_get, n_put, n_update) == (code.k, code.k + 2, 3 * code.k + 2)
+                assert (n_get, n_put, n_update) == (code.k, code.k + 2, 4)
+                assert verbs(cluster, since=before) == {"get": 1, "put": 1, "xor": 2}
                 gw.cache.clear()
                 assert await gw.get("one") == body[:100] + b"u" * 64 + body[164:]
+
+        asyncio.run(run())
+
+    def test_update_across_a_column_boundary_costs_six(self):
+        """64 B from byte 300 of a 320 B strip touch columns 0 and 1: a
+        get and a put for each, and one xor each into P and Q."""
+
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                gw = ObjectGateway(arr)
+                body = payload_for(arr, seed=11)[: arr.stripe_data_bytes]
+                await gw.put("one", body)
+                gw.cache.clear()
+                assert 300 < code.strip_bytes < 364
+                before = verbs(cluster)
+                _, n = await counted(arr, gw.update("one", 300, b"x" * 64))
+                assert n == 6
+                assert verbs(cluster, since=before) == {"get": 2, "put": 2, "xor": 2}
+                gw.cache.clear()
+                assert await gw.get("one") == body[:300] + b"x" * 64 + body[364:]
+
+        asyncio.run(run())
+
+    def test_update_of_a_stripe_with_a_stale_column_falls_back(self):
+        """A stale data column sends the update down the fallback: one
+        read of the whole stripe, decoding around the stale strip, and a
+        put of every column -- 2(k + 2) RPCs, where reading the object
+        for its CRC and then again for the RMW cost 3(k + 2)."""
+
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                gw = ObjectGateway(arr)
+                body = payload_for(arr, seed=12)[: arr.stripe_data_bytes]
+                (stripe,) = (await gw.put("one", body)).stripes
+                await cluster.stop_node(0)
+                await gw.update("one", 0, body[::-1])  # skips column 0
+                arr.replace_node(0, await cluster.restart_node(0))
+                assert arr.dirty_stripes == {stripe: {0}}
+                gw.cache.clear()
+                before, decodes = verbs(cluster), arr.metrics.get("decodes")
+                _, n = await counted(arr, gw.update("one", 100, b"s" * 64))
+                assert n == 2 * (code.k + 2)
+                assert verbs(cluster, since=before) == {"get": code.n_cols, "put": code.n_cols}
+                assert arr.metrics.get("decodes") == decodes + 1
+                assert arr.dirty_stripes == {}
+                gw.cache.clear()
+                want = body[::-1][:100] + b"s" * 64 + body[::-1][164:]
+                assert await gw.get("one") == want  # the patched CRC verifies
 
         asyncio.run(run())
 

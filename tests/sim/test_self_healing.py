@@ -9,11 +9,14 @@ trace digests.  The ``check_quiescent`` op *is* the oracle: it raises
 spotless and the dirty-stripe list is empty.
 """
 
+import random
+
 import pytest
 
 from repro.array.faults import NetworkFaultPlan
+from repro.cluster.node import StripNode
 from repro.sim import SimScenario, generate_scenario, run_scenario
-from repro.sim.scenario import CHAOS_OPS
+from repro.sim.scenario import CHAOS_OPS, SETTLE_S, SIM_POLICY, DivergenceError
 
 CHAOS_SEEDS = list(range(8))
 
@@ -100,6 +103,42 @@ class TestChaosGenerator:
             kinds |= {op["op"] for op in generate_scenario(seed, chaos=True).ops}
         assert {"txn_write", "scrub", "corrupt", "heal", "recover",
                 "check_quiescent"} <= kinds
+
+
+class TestLateDuplicates:
+    """Every chaos campaign opens with slow spells on a parity node, so
+    a put and an xor wake after their retries landed."""
+
+    def test_slow_spells_precede_a_whole_stripe_write_and_a_delta_write(self):
+        for seed in CHAOS_SEEDS:
+            sc = generate_scenario(seed, chaos=True)
+            spells = [
+                i for i, op in enumerate(sc.ops)
+                if op["op"] == "fault" and op["plan"]["slow_requests"] == 1
+            ]
+            assert len(spells) >= 2
+            first, second = (sc.ops[i + 1] for i in spells[:2])
+            capacity = sc.k * sc.p * sc.element_size * sc.n_stripes
+            assert (first["offset"], first["length"]) == (0, capacity)
+            assert second["op"] == "write" and second["length"] <= 64
+            assert sc.ops[spells[0]]["column"] in (sc.k, sc.k + 1)
+            assert "check_parity" in [op["op"] for op in sc.ops]
+
+    def test_a_slow_spell_outlives_one_attempt_and_not_the_retries(self):
+        rng = random.Random(0)
+        for _ in range(50):
+            plan = NetworkFaultPlan.slow_spell(rng, SIM_POLICY.timeout)
+            assert SIM_POLICY.timeout < plan.latency < SETTLE_S
+            assert plan.slow_requests == 1 < SIM_POLICY.attempts
+
+    def test_the_parity_check_catches_a_late_put_that_lands(self, monkeypatch):
+        """Served after its client gave up, the first write's late put
+        lands over the second write's parity."""
+        sc = generate_scenario(3, chaos=True)
+        run_scenario(sc)
+        monkeypatch.setattr(StripNode, "_hung_up", lambda self, writer: False)
+        with pytest.raises(DivergenceError, match="check_parity"):
+            run_scenario(sc)
 
 
 class TestChaosConvergence:
