@@ -50,8 +50,9 @@ class NetworkFaultPlan:
     fail_requests: int = 0
     #: close the connection after sending half of the reply frame
     drop_mid_frame: int = 0
-    #: flip one payload byte of the reply frame (CRC goes stale, so the
-    #: client sees a checksum failure, not silent corruption)
+    #: flip the middle byte of the reply frame: the frame CRC fails, or,
+    #: in a ``get`` reply's strips, that strip's CRC -- the client sees
+    #: a checksum failure, never silent corruption
     corrupt_frames: int = 0
 
     def consume(self, kind: str) -> bool:

@@ -31,6 +31,7 @@ import asyncio
 import contextlib
 import random
 import secrets
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,13 @@ import numpy as np
 from repro.cluster import protocol
 from repro.cluster.membership import MembershipTable
 from repro.cluster.placement import ColumnOrder, PlacementMap
-from repro.cluster.protocol import FrameChecksumError, ProtocolError, read_frame, write_frame
+from repro.cluster.protocol import (
+    FrameChecksumError,
+    ProtocolError,
+    read_frame,
+    strip_crcs,
+    write_frame,
+)
 from repro.codes.base import RAID6Code
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
@@ -448,16 +455,20 @@ def _touched(pieces: list[tuple[int, bytes]], unit: int) -> list[int]:
 
 
 def _strips_of(bufs: dict[int, np.ndarray]):
-    """The ``payload_for`` of a ``put`` of strips of the stripe buffers
-    ``bufs``: one strip ships as a view of its stripe buffer; several
-    are gathered into one buffer."""
+    """The ``payload_for`` and ``header_for`` of a ``put`` of strips of
+    the stripe buffers ``bufs``: one strip ships as a view of its stripe
+    buffer, several are gathered into one buffer, and the header lists
+    each strip's CRC-32."""
 
     def strips(col: int, batch: list[int]):
         if len(batch) == 1:
             return np.ascontiguousarray(bufs[batch[0]][col]).data
         return np.concatenate([bufs[s][col] for s in batch]).data
 
-    return strips
+    def crcs(col: int, batch: list[int]) -> dict:
+        return {"crcs": strip_crcs(bufs[s][col] for s in batch)}
+
+    return strips, crcs
 
 
 def _skipped(stripes, done) -> dict[int, list[int]]:
@@ -834,33 +845,62 @@ class ClusterArray:
         """Fetch each ``(column, stripes)`` of ``plan`` into the stripes'
         buffers ``into``, one ``get`` per column and holder; returns each
         stripe's lost columns.  A strip behind a latent sector costs
-        only its own stripe's column."""
-        code = self.code
-        words = code.rows * (code.element_size // 8)
+        only its own stripe's column.
+
+        Every strip is checked against the CRC-32 sidecar its node lists
+        for it before it lands in a buffer.  A strip that fails is
+        fetched once more, since a flip on the wire looks the same; if
+        it fails again it rotted at rest, and is lost to its stripe like
+        a latent sector -- counted (``rot_erasures``) and listed in
+        :attr:`dirty_stripes`, so every reader decodes around it and the
+        scrub rewrites it.  A reply that does not answer for the strips
+        it was asked for (by its payload size or its count of CRCs)
+        loses its batch like a failed RPC (``bad_replies``).
+        """
         lost: dict[int, list[int]] = {stripe: [] for stripe in into}
-        done = await self._fan_out("get", plan)
-        for col, batch, outcome in done:
-            if isinstance(outcome, ClusterError):
-                for stripe in batch:
-                    lost[stripe].append(col)
-                continue
-            reply, payload = outcome
-            unreadable = set(reply.get("unreadable", ()))
-            readable = [s for s in batch if s not in unreadable]
-            strips = np.frombuffer(payload, dtype=WORD_DTYPE)
-            if strips.size != len(readable) * words:
-                raise ProtocolError(
-                    f"column {col} returned {strips.size} words, "
-                    f"expected {len(readable) * words}"
-                )
-            for i, stripe in enumerate(readable):
-                into[stripe][col] = strips[i * words : (i + 1) * words].reshape(
-                    code.rows, -1
-                )
-            for stripe in batch:
-                if stripe in unreadable:
-                    lost[stripe].append(col)
+        suspect = self._land(await self._fan_out("get", plan), into, lost)
+        if suspect:
+            self.metrics.counter("strip_refetches").inc(sum(map(len, suspect.values())))
+            rotted = self._land(await self._fan_out("get", _by_column(suspect)), into, lost)
+            for stripe, cols in rotted.items():
+                self.metrics.counter("rot_erasures").inc(len(cols))
+                lost[stripe] += cols
+                self.dirty_stripes.setdefault(stripe, set()).update(cols)
         return lost
+
+    def _land(self, done, into: dict[int, np.ndarray], lost: dict[int, list[int]]):
+        """Copy the strips of a ``get`` fan-out's ``done`` replies that
+        match their CRCs into their buffers ``into`` and add the strips
+        it lost to ``lost``; returns the strips that failed their CRC,
+        as stripe -> columns."""
+        code = self.code
+        size = code.strip_bytes
+        suspect: dict[int, list[int]] = {}
+        for col, batch, outcome in done:
+            gone = batch  # the batch's strips that did not come back
+            if not isinstance(outcome, ClusterError):
+                reply, payload = outcome
+                unreadable = set(reply.get("unreadable", ()))
+                readable = [s for s in batch if s not in unreadable]
+                crcs = reply.get("crcs")
+                if (isinstance(crcs, list) and len(crcs) == len(readable)
+                        and len(payload) == len(readable) * size):
+                    gone = [s for s in batch if s in unreadable]
+                    strips = np.frombuffer(payload, dtype=WORD_DTYPE).reshape(
+                        len(readable), code.rows, -1
+                    )
+                    view = memoryview(payload)
+                    for i, stripe in enumerate(readable):
+                        if zlib.crc32(view[i * size : (i + 1) * size]) == crcs[i]:
+                            into[stripe][col] = strips[i]
+                        else:
+                            self.metrics.counter("strip_crc_mismatches").inc()
+                            suspect.setdefault(stripe, []).append(col)
+                else:
+                    self.metrics.counter("bad_replies").inc()
+            for stripe in gone:
+                lost[stripe].append(col)
+        return suspect
 
     async def _gather_columns(
         self, stripe: int, columns: list[int], buf: np.ndarray
@@ -870,24 +910,60 @@ class ClusterArray:
             stripe
         ]
 
-    def _erasures(self, lost: dict[int, list[int]], columns) -> dict[int, set[int]]:
-        """Each stripe's ``lost`` columns plus its known-stale ones among
-        ``columns``: a strip a degraded write skipped answers with old
-        bytes, so a read counts it as lost."""
-        out = {}
-        for stripe, cols in lost.items():
-            stale = self.dirty_stripes.get(stripe)
-            out[stripe] = set(cols) | stale.intersection(columns) if stale else set(cols)
-        return out
+    async def _fetch_for(
+        self, bufs: dict[int, np.ndarray], erasures: dict[int, set[int]], restore
+    ) -> None:
+        """Fetch into each stripe's buffer of ``bufs`` what it takes to
+        hold its ``restore`` columns.
+
+        A stripe whose ``restore`` columns are intact fetches just
+        them.  One that must decode fetches only what its decode reads
+        (:meth:`~repro.codes.base.RAID6Code.sources` of its erasures):
+        for one lost data column of a Liberation stripe, the other data
+        columns and P, not Q.  Columns already in ``erasures`` -- lost
+        to an earlier fetch, or listed stale -- are never asked for.  A
+        column a fetch loses, for any reason, joins the stripe's
+        ``erasures`` (updated in place), and one more fetch widens to
+        the sources of the larger pattern.  Raises
+        :class:`ClusterDegradedError` for a stripe that would have to
+        decode more than two erasures.
+        """
+        fetched: dict[int, set[int]] = {stripe: set() for stripe in bufs}
+        pending = list(bufs)  # the stripes whose erasures changed
+        while pending:
+            want: dict[int, list[int]] = {}
+            for stripe in pending:
+                erased = erasures[stripe]
+                if erased.isdisjoint(restore):
+                    cols = restore
+                elif len(erased) > 2:
+                    raise ClusterDegradedError(
+                        f"stripe {stripe}: columns {sorted(erased)} lost; "
+                        "RAID-6 tolerates 2"
+                    )
+                else:
+                    cols = self.code.sources(erased)
+                cols = [c for c in cols if c not in erased and c not in fetched[stripe]]
+                if cols:
+                    want[stripe] = cols
+            if not want:
+                return
+            lost = await self._gather(_by_column(want), {s: bufs[s] for s in want})
+            pending = [s for s in want if lost[s]]
+            for stripe in pending:
+                erasures[stripe].update(lost[stripe])
+            for stripe, cols in want.items():
+                fetched[stripe].update(cols)
 
     async def _store_strip(self, column: int, stripe: int, strip: np.ndarray) -> None:
         # Ship a view, not a copy (ascontiguousarray is a no-op for the
         # usual stripe-column slice).
+        strip = np.ascontiguousarray(strip)
         await self._column_request(
             column,
             "put",
-            {"stripe": stripe},
-            np.ascontiguousarray(strip).data,
+            {"stripe": stripe, "crcs": strip_crcs([strip])},
+            strip.data,
             stripe=stripe,
         )
 
@@ -911,11 +987,12 @@ class ClusterArray:
         """Assemble stripe buffers, decoding around lost columns.
 
         The sunny-day path is one ``get`` per data column (and holder)
-        for all of ``stripes``; only the stripes that lost a column --
-        unreachable, unreadable or known stale -- widen the fetch to the
-        parity columns, again batched, and run the erasure decode on
-        their survivors.  So a stale P or Q matters only to a stripe
-        that decodes.  ``lost`` names each stripe's columns an earlier
+        for all of ``stripes``; only the stripes that lost a data column
+        -- unreachable, unreadable, rotted or known stale -- fetch what
+        their decode reads, again batched (:meth:`_fetch_for`), and
+        decode.  So a stale P or Q matters only to a stripe that
+        decodes, and a column the decode does not read stays zero in
+        its buffer.  ``lost`` names each stripe's columns an earlier
         fetch already lost: they count as erasures and are not asked
         for again, so an unreachable node costs its retry budget once.
         """
@@ -924,34 +1001,20 @@ class ClusterArray:
             self._check_stripe(stripe)
         known = lost or {}
         bufs = [code.alloc_stripe() for _ in stripes]
-
-        async def fetch(group: list[tuple[int, np.ndarray]], columns) -> dict[int, set[int]]:
-            plan = [
-                (col, [s for s, _ in group if col not in known.get(s, ())])
-                for col in columns
-            ]
-            got = await self._gather([(col, b) for col, b in plan if b], dict(group))
-            for stripe, cols in got.items():
-                cols += [col for col in known.get(stripe, ()) if col in columns]
-            return self._erasures(got, columns)
-
+        erasures = {
+            s: set(self.dirty_stripes.get(s, ())) | set(known.get(s, ())) for s in stripes
+        }
         data = range(code.k)
-        lost_data = await fetch(list(zip(stripes, bufs)), data)
-        degraded = [(s, buf) for s, buf in zip(stripes, bufs) if lost_data[s]]
-        if degraded:
-            parity = [code.p_col, code.q_col]
-            parity_lost = await fetch(degraded, parity)
-            for stripe, buf in degraded:
-                missing = sorted(lost_data[stripe] | parity_lost[stripe])
-                if len(missing) > 2:
-                    raise ClusterDegradedError(
-                        f"stripe {stripe}: columns {missing} lost; RAID-6 tolerates 2"
-                    )
-                for col in missing:
-                    buf[col] = 0
-                code.decode(buf, missing)
-                self.metrics.counter("decodes").inc()
-                self.metrics.counter("degraded_reads").inc()
+        await self._fetch_for(dict(zip(stripes, bufs)), erasures, data)
+        for stripe, buf in zip(stripes, bufs):
+            if erasures[stripe].isdisjoint(data):
+                continue
+            missing = sorted(erasures[stripe])
+            for col in missing:
+                buf[col] = 0
+            code.decode(buf, missing)
+            self.metrics.counter("decodes").inc()
+            self.metrics.counter("degraded_reads").inc()
         return bufs
 
     async def read_stripe(self, stripe: int) -> np.ndarray:
@@ -986,7 +1049,7 @@ class ClusterArray:
             self._check_stripe(stripe)
         cols = list(range(self.code.n_cols)) if columns is None else list(columns)
         done = await self._fan_out(
-            "put", [(col, stripes) for col in cols], _strips_of(dict(zip(stripes, bufs)))
+            "put", [(col, stripes) for col in cols], *_strips_of(dict(zip(stripes, bufs)))
         )
         skipped = _skipped(stripes, done)
         self._settle(skipped, rewritten=stripes if columns is None else ())
@@ -1146,7 +1209,7 @@ class ClusterArray:
             xors = _by_column({
                 s: [col for col in (code.p_col, code.q_col) if rows[s, col]] for s in delta
             })
-            put = self._fan_out("put", _by_column(puts), _strips_of(bufs))
+            put = self._fan_out("put", _by_column(puts), *_strips_of(bufs))
             if xors:
                 token = self._write_token()
                 xor = self._fan_out(

@@ -460,8 +460,14 @@ class StripNode:
         return stripes
 
     def _serve_put(self, header: dict, payload: bytes) -> dict:
-        """Store the payload's strips, one after another, and refresh
-        each strip's CRC sidecar."""
+        """Store the payload's strips, one after another.
+
+        Each strip is checked against the CRC-32 the request lists for
+        it (``crcs``), which then becomes its sidecar: one pass over the
+        bytes.  A strip that fails its CRC was damaged on the wire, so
+        the request fails whole, before any strip is written, as a
+        ``bad-crc`` error the client retries.
+        """
         stripes = self._stripes(header)
         size = self.disk.strip_words * 8
         if len(payload) != len(stripes) * size:
@@ -469,28 +475,46 @@ class StripNode:
                 f"put payload of {len(payload)} B != {len(stripes)} strips "
                 f"of {size} B"
             )
+        crcs = [int(crc) for crc in header.get("crcs", ())]
+        if len(crcs) != len(stripes):
+            raise ValueError(f"put lists {len(crcs)} CRCs for {len(stripes)} strips")
         view = memoryview(payload)
-        for i, stripe in enumerate(stripes):
-            strip = view[i * size : (i + 1) * size]
+        strips = [view[i * size : (i + 1) * size] for i in range(len(stripes))]
+        bad = [s for s, strip, crc in zip(stripes, strips, crcs) if zlib.crc32(strip) != crc]
+        if bad:
+            self.metrics.counter("put_crc_mismatches").inc(len(bad))
+            return {"status": "err", "error": "bad-crc",
+                    "detail": f"strips {bad} fail their CRC-32"}
+        for stripe, strip, crc in zip(stripes, strips, crcs):
             self.disk.write_strip(stripe, np.frombuffer(strip, dtype=WORD_DTYPE))
-            self.checksums[stripe] = zlib.crc32(strip)
+            self.checksums[stripe] = crc
         return {"status": "ok"}
 
     def _serve_get(self, header: dict) -> tuple[dict, bytes | memoryview]:
-        """The named strips in request order, leaving out (and listing
-        as ``unreadable``) those behind a latent sector.  A failed disk,
-        or no readable strip at all, fails the whole request."""
-        strips, unreadable = [], []
+        """The named strips in request order, each with its CRC sidecar
+        in ``crcs``, leaving out (and listing as ``unreadable``) those
+        behind a latent sector.  No strip is hashed: the client checks
+        each against its sidecar, so rot at rest shows there.  A strip
+        without a sidecar (never written through this node) adopts its
+        CRC, as :meth:`_serve_scrub_read` does.  A failed disk, or no
+        readable strip at all, fails the whole request."""
+        strips, crcs, unreadable = [], [], []
         error: LatentSectorError | None = None
         for stripe in self._stripes(header):
             try:
-                strips.append(self.disk.read_strip(stripe))
+                strip = self.disk.read_strip(stripe)
             except LatentSectorError as exc:
                 unreadable.append(stripe)
                 error = exc
+                continue
+            strips.append(strip)
+            crc = self.checksums.get(stripe)
+            if crc is None:
+                crc = self.checksums[stripe] = zlib.crc32(strip)
+            crcs.append(crc)
         if error is not None and not strips:
             raise error
-        reply: dict = {"status": "ok"}
+        reply: dict = {"status": "ok", "crcs": crcs}
         if unreadable:
             reply["unreadable"] = unreadable
         # One strip goes out as a view of the disk's copy; several are

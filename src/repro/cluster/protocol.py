@@ -10,24 +10,36 @@ Every message -- request or reply -- is one *frame*:
     +-------+------------+-------------+--------------+-----------+--------+
 
 The header is a small JSON object (``{"verb": "get", "stripes": [3, 4]}``);
-the payload carries raw strip bytes.  The trailing CRC-32 covers header
-and payload, so a flipped bit anywhere in a frame surfaces as
-:class:`FrameChecksumError` at the receiver rather than as silently
-corrupted strip data -- the network analogue of the scrubber's
-checksum discipline.
+the payload carries raw strip bytes.  Every payload byte is covered by
+a CRC-32 that its receiver checks, so a flipped bit surfaces as an
+error rather than as silently corrupted strip data -- the network
+analogue of the scrubber's checksum discipline:
+
+* A frame whose header lists ``crcs`` (a ``put`` request, a ``get``
+  reply) carries strips, one CRC-32 per strip in payload order; its
+  trailing CRC-32 covers the header alone.  The receiver checks each
+  strip where it lands -- the node against the CRC it keeps as the
+  strip's sidecar, the client against the sidecar the node sent -- so
+  a strip is hashed once on its way, and a mismatch costs that strip,
+  not the frame.
+* Any other frame's trailing CRC-32 covers header and payload, and
+  :func:`read_frame` raises :class:`FrameChecksumError` on a mismatch.
 
 Verbs understood by :class:`~repro.cluster.node.StripNode`:
 
 ==============  ======================================================
 ``ping``        liveness probe
 ``put``         store the payload as strips ``stripes``, one strip after
-                another, refreshing each strip's CRC sidecar (a lone
-                ``stripe`` is the one-strip case)
+                another (a lone ``stripe`` is the one-strip case).  Each
+                strip is checked against its CRC in ``crcs`` and keeps
+                it as its sidecar; a mismatch fails the request whole
+                (``bad-crc``, retried like any transient error)
 ``get``         return strips ``stripes`` (or a lone ``stripe``) as the
-                reply payload, in request order; the reply's
-                ``unreadable`` lists the strips the disk could not read
-                (latent sectors), which the payload leaves out -- only
-                when no strip is readable is the reply an error
+                reply payload, in request order, with each strip's
+                stored sidecar in ``crcs``; the reply's ``unreadable``
+                lists the strips the disk could not read (latent
+                sectors), which the payload and ``crcs`` leave out --
+                only when no strip is readable is the reply an error
 ``xor``         XOR the payload into rows of strips ``stripes``: per
                 strip, the ``rows`` of ``row_bytes`` bytes listed, strip
                 after strip.  Each strip keeps the write ``token`` of
@@ -78,6 +90,7 @@ __all__ = [
     "frame_parts",
     "encode_frame",
     "read_frame",
+    "strip_crcs",
     "write_frame",
 ]
 
@@ -109,7 +122,8 @@ def frame_parts(header: dict[str, Any], payload: Buffer = b"") -> tuple:
 
     The payload buffer is passed through untouched (a ``memoryview``
     over a stripe column is not staged through ``bytes``) and the CRC
-    is computed directly over it; joining the parts into the one
+    is computed directly over it -- or not at all when the header lists
+    the payload's strip CRCs (``crcs``); joining the parts into the one
     ``bytes`` a frame is sent as (:func:`encode_frame`) is its only
     copy.
     """
@@ -120,7 +134,8 @@ def frame_parts(header: dict[str, Any], payload: Buffer = b"") -> tuple:
     hdr = json.dumps(header, separators=(",", ":")).encode()
     if len(hdr) > MAX_FRAME_BYTES or len(payload) > MAX_FRAME_BYTES:
         raise ProtocolError("frame exceeds MAX_FRAME_BYTES")
-    crc = zlib.crc32(payload, zlib.crc32(hdr))
+    # A payload of strips is covered strip by strip by the header's crcs.
+    crc = zlib.crc32(b"" if "crcs" in header else payload, zlib.crc32(hdr))
     return (
         _PREAMBLE.pack(MAGIC, len(hdr), len(payload)),
         hdr,
@@ -140,7 +155,9 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[dict[str, Any], byte
     Raises :class:`FrameChecksumError` on CRC mismatch,
     :class:`ProtocolError` on structural garbage, and lets
     ``IncompleteReadError`` (connection dropped mid-frame) propagate so
-    callers can treat it as a transport failure.
+    callers can treat it as a transport failure.  A payload whose
+    header lists ``crcs`` is returned unchecked: its strips are the
+    caller's to check, one by one.
     """
     magic, hlen, plen = _PREAMBLE.unpack(await reader.readexactly(_PREAMBLE.size))
     if magic != MAGIC:
@@ -150,15 +167,26 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[dict[str, Any], byte
     hdr_bytes = await reader.readexactly(hlen)
     payload = await reader.readexactly(plen)
     (crc,) = _CRC.unpack(await reader.readexactly(_CRC.size))
-    if crc != zlib.crc32(payload, zlib.crc32(hdr_bytes)):
-        raise FrameChecksumError("frame CRC-32 mismatch")
+    # The header says what the CRC covers, so it is parsed first; the
+    # CRC covers the header bytes either way, so a damaged header
+    # still fails the check below before any parse error is reported.
     try:
         header = json.loads(hdr_bytes)
-    except json.JSONDecodeError as exc:
-        raise ProtocolError(f"unparseable frame header: {exc}") from None
+    except ValueError as exc:
+        header = exc
+    strips = isinstance(header, dict) and "crcs" in header
+    if crc != zlib.crc32(b"" if strips else payload, zlib.crc32(hdr_bytes)):
+        raise FrameChecksumError("frame CRC-32 mismatch")
+    if isinstance(header, ValueError):
+        raise ProtocolError(f"unparseable frame header: {header}") from None
     if not isinstance(header, dict):
         raise ProtocolError("frame header is not a JSON object")
     return header, payload
+
+
+def strip_crcs(strips) -> list[int]:
+    """The CRC-32 of each buffer of ``strips``: a frame's ``crcs``."""
+    return [zlib.crc32(strip) for strip in strips]
 
 
 async def write_frame(

@@ -9,11 +9,14 @@ asyncio task, the array keeps serving reads and writes while the
 rebuild drains in the background; progress is visible live through the
 ``rebuild_*`` counters.
 
-A window costs one ``get`` per surviving column and one ``put`` to the
-replacement, each carrying every stripe of the window.  A rebuild
-tolerates a *second* concurrent loss: whatever columns turn out to be
-unreachable while fetching a window are simply added to that window's
-erasure pattern, up to the code's two-column budget.  Each window
+A window costs one ``get`` per column its decode reads -- for a lost
+Liberation data column the other data columns and P, k in all, never
+Q -- and one ``put`` to the replacement, each carrying every stripe of
+the window.  A rebuild tolerates a *second* concurrent loss: a column
+a window's fetch loses, for any reason (unreachable, unreadable,
+rotted or stale), joins that stripe's erasure pattern, and one more
+fetch widens to what the two-erasure decode reads, up to the code's
+two-column budget.  Each window
 holds its stripes' locks from the fetch to the last push, so a write
 cannot land between them and be lost on the replacement.
 
@@ -28,12 +31,8 @@ import asyncio
 
 import numpy as np
 
-from repro.cluster.client import (
-    ClusterArray,
-    ClusterDegradedError,
-    NodeUnavailableError,
-    RemoteDiskError,
-)
+from repro.cluster.client import ClusterArray, NodeUnavailableError, RemoteDiskError
+from repro.cluster.protocol import strip_crcs
 from repro.parallel import BatchCoder, alloc_batch, iter_batches
 
 __all__ = ["RebuildScheduler"]
@@ -121,7 +120,6 @@ class RebuildScheduler:
             address = await target_provider(column)
         metrics = array.metrics
         metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
-        survivors = [c for c in range(code.n_cols) if c != column]
         # Share the array's transport/clock seam so rebuilds run (and
         # replay deterministically) under simulation too.
         replacement = array._make_client(address)
@@ -130,49 +128,37 @@ class RebuildScheduler:
             stripes = list(range(start, stop))
             batch = alloc_batch(code, stop - start)
             async with array.stripe_locks(stripes):
-                # One `get` per survivor carries the whole window.
-                lost = await array._gather(
-                    [(col, stripes) for col in survivors], dict(zip(stripes, batch))
-                )
-                also_lost = sorted({col for cols in lost.values() for col in cols})
-                base = {column, *also_lost}
-                # Columns on the dirty list hold *stale* strips: they
-                # answered the fetch, but with pre-degraded-write data.
-                # Folding them into the erasure pattern keeps the rebuild
-                # from baking old bytes into the replacement -- and the
-                # decode recovers their fresh strips as a by-product.
-                patterns: list[tuple[int, ...]] = []
-                for i in range(stop - start):
-                    stale = array.dirty_stripes.get(start + i, set())
-                    erasures = sorted(base | set(stale))
-                    if len(erasures) > 2:
-                        raise ClusterDegradedError(
-                            f"rebuild window [{start}, {stop}): columns "
-                            f"{erasures} lost or stale"
-                        )
-                    for col in erasures:
+                # Columns on the dirty list hold *stale* strips, which
+                # join the erasure pattern: the rebuild neither fetches
+                # them nor bakes their old bytes into the replacement,
+                # and the decode recovers their fresh strips as a
+                # by-product.  One `get` per column the decode reads
+                # carries the whole window.
+                erasures = {
+                    s: {column, *array.dirty_stripes.get(s, ())} for s in stripes
+                }
+                await array._fetch_for(dict(zip(stripes, batch)), erasures, {column})
+                patterns = [tuple(sorted(erasures[s])) for s in stripes]
+                for i, erased in enumerate(patterns):
+                    for col in erased:
                         batch[i, col] = 0
-                    patterns.append(tuple(erasures))
                 # Yield before the batch decode so queued traffic proceeds.
                 await asyncio.sleep(0)
                 if len(set(patterns)) == 1:
                     self.coder.decode(batch, list(patterns[0]))
-                else:  # mixed dirtiness: per-stripe patterns
-                    for i, erasures in enumerate(patterns):
-                        code.decode(batch[i], list(erasures))
+                else:  # mixed losses: per-stripe patterns
+                    for i, erased in enumerate(patterns):
+                        code.decode(batch[i], list(erased))
                 # ... and one `put` pushes it to the replacement.
-                rebuilt = batch[:, column]
-                await asyncio.gather(
-                    *(
-                        replacement.request(
-                            "put", {"stripes": frame},
-                            np.ascontiguousarray(
-                                rebuilt[frame[0] - start : frame[-1] - start + 1]
-                            ).data,
-                        )
-                        for frame in array._frames(stripes)
-                    )
-                )
+                pushes = []
+                for frame in array._frames(stripes):
+                    strips = batch[frame[0] - start : frame[-1] - start + 1, column]
+                    pushes.append(replacement.request(
+                        "put",
+                        {"stripes": frame, "crcs": strip_crcs(strips)},
+                        np.ascontiguousarray(strips).data,
+                    ))
+                await asyncio.gather(*pushes)
                 await self._freshen_dirty(start, patterns, batch, column)
             done += stop - start
             metrics.counter("rebuild_stripes_done").inc(stop - start)

@@ -98,6 +98,12 @@ class RAID6Code(abc.ABC):
     def decode(self, buf: np.ndarray, erasures) -> np.ndarray:
         """Rebuild up to two erased columns, in place."""
 
+    def sources(self, erasures) -> tuple[int, ...]:
+        """The columns a decode of ``erasures`` reads; the others may
+        hold anything.  Without a schedule to tell, every survivor."""
+        ers = check_erasures(erasures, self.n_cols)
+        return tuple(c for c in range(self.n_cols) if c not in ers)
+
     def update(self, buf: np.ndarray, col: int, row: int, new_element: np.ndarray) -> int:
         """Small-write: replace one data element and patch parity.
 
@@ -188,6 +194,8 @@ class XorScheduleCode(RAID6Code):
         #: (n_xors, n_ops) per cached decode plan, so a traced cache hit
         #: can report schedule cost without rebuilding the schedule.
         self._decode_stats: dict[tuple[int, ...], tuple[int, int]] = {}
+        #: the columns each erasure pattern's decode schedule reads
+        self._sources: dict[tuple[int, ...], tuple[int, ...]] = {}
 
     def plan(self, erasures: tuple[int, ...] | None = None, sched: Schedule | None = None):
         """The executable plan for encoding (``erasures=None``) or for
@@ -213,6 +221,20 @@ class XorScheduleCode(RAID6Code):
                 self._decode_plans[erasures] = plan
                 self._decode_stats[erasures] = (sched.n_xors, len(sched))
         return plan
+
+    def sources(self, erasures) -> tuple[int, ...]:
+        """The surviving columns the decode schedule of ``erasures``
+        reads, cached per pattern beside its plan (whatever
+        ``cache_decode_plans`` says: the columns never change).  For one
+        lost data column Liberation reads row parity alone, never Q."""
+        ers = check_erasures(erasures, self.n_cols)
+        cols = self._sources.get(ers)
+        if cols is None:
+            read = {op.src_col for op in self.build_decode_schedule(ers)}
+            cols = self._sources[ers] = tuple(
+                c for c in range(self.n_cols) if c in read and c not in ers
+            )
+        return cols
 
     def _compile(self, sched: Schedule):
         if self.execution == "streaming":

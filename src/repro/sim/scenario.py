@@ -204,9 +204,8 @@ def generate_scenario(
     """Derive a whole campaign from one integer seed.
 
     ``chaos`` widens the op vocabulary with the self-healing verbs --
-    silent corruption (always followed by a scrub so reads stay within
-    the single-column guarantee), scrub passes, two-phase writes with
-    client crash injection, and heal rounds -- and appends a
+    silent corruption, scrub passes, two-phase writes with client crash
+    injection, and heal rounds -- and appends a
     convergence epilogue (heal, rebuild, recover, deep scrub,
     ``check_quiescent``) so every chaos campaign must end all-clean.
     The default vocabulary is byte-identical to the pre-chaos
@@ -306,7 +305,8 @@ def generate_scenario(
     impaired: set[int] = set()
     #: why each impaired column is impaired: reachability losses
     #: ("stop", "net") are what a heal round fixes; media losses
-    #: ("disk", "latent") need an explicit rebuild.
+    #: ("disk", "latent") need an explicit rebuild; rot at rest ("rot")
+    #: lasts until a scrub (or a rebuild of its column) rewrites it.
     impair_kind: dict[int, str] = {}
     n_cols = k + 2
 
@@ -343,10 +343,10 @@ def generate_scenario(
 
     # Both vocabularies prime the full array first.  This is not just
     # initial data: the write freshens every strip's checksum sidecar,
-    # which the corrupt->scrub pairing relies on -- corruption of a
-    # never-written strip is *adopted* by the first probe (sidecar
-    # semantics), survives its paired scrub, and can then spread
-    # through a rebuild into a consistent-but-wrong stripe.
+    # which rot at rest relies on -- corruption of a never-written
+    # strip is *adopted* by the first probe or get (sidecar semantics),
+    # reads back as data, and can then spread through a rebuild into a
+    # consistent-but-wrong stripe.
     ops: list = [{"op": "write", "offset": 0, "length": capacity,
                   "seed": rng.getrandbits(31)}]
     if objects:
@@ -413,7 +413,7 @@ def generate_scenario(
             # txn_write targets raw stripes, which would clobber object
             # extents -- the object vocabulary drops it, keeps the rest.
             choices += ["scrub"] if objects else ["txn_write", "scrub"]
-            if not impaired:
+            if len(impaired) < 2:
                 choices.append("corrupt")
         kind = rng.choice(choices)
 
@@ -494,14 +494,20 @@ def generate_scenario(
             ops.append({"op": "txn_write", "stripe": rng.randrange(n_stripes),
                         "seed": rng.getrandbits(31), "crash_after": crash_after})
         elif kind == "corrupt":
-            # Silent corruption breaks the healthy-read oracle until
-            # repaired, so the scrub rides along immediately.
-            ops.append({"op": "corrupt", "column": rng.choice(healthy),
+            # Rot stays at rest: reads, writes and rebuilds meet it as
+            # an erasure, so its column counts against the two-column
+            # budget until a scrub rewrites it.
+            col = rng.choice(healthy)
+            impaired.add(col)
+            impair_kind[col] = "rot"
+            ops.append({"op": "corrupt", "column": col,
                         "stripe": rng.randrange(n_stripes),
                         "seed": rng.getrandbits(31)})
-            ops.append({"op": "scrub"})
         elif kind == "scrub":
             ops.append({"op": "scrub"})
+            for col in [c for c in impaired if impair_kind[c] == "rot"]:
+                impaired.discard(col)
+                del impair_kind[col]
 
     if chaos:
         # Convergence epilogue: the self-healing machinery must drive

@@ -51,6 +51,17 @@ def elastic_sim_cluster(k=3, p=5, element_size=64, n_stripes=6, n_nodes=None):
     return code, cluster
 
 
+async def consistent(arr) -> bool:
+    """Whether every stripe's strips, parity included, form a codeword."""
+    code = arr.code
+    for stripe in range(arr.n_stripes):
+        buf = code.alloc_stripe()
+        lost = await arr._gather_columns(stripe, list(range(code.n_cols)), buf)
+        if lost or not code.verify(buf):
+            return False
+    return True
+
+
 def payload_for(array, *, seed=0) -> bytes:
     """Deterministic user data filling the whole array."""
     rng = np.random.default_rng(seed)

@@ -99,7 +99,8 @@ class TestWire:
         assert asyncio.run(node._dispatch(request, b"", writer))
         (frame,) = writer.writes
         header, payload = parse(frame)
-        assert header == {"status": "ok", "unreadable": [1]}
+        crcs = [zlib.crc32(strips[s].tobytes()) for s in (0, 2)]  # adopted sidecars
+        assert header == {"status": "ok", "crcs": crcs, "unreadable": [1]}
         assert payload == strips[0].tobytes() + strips[2].tobytes()
 
     def test_get_with_no_readable_strip_is_a_latent_error(self):
@@ -127,6 +128,42 @@ class TestRpcCounts:
 
         asyncio.run(run())
 
+    def test_read_with_a_data_node_stopped_costs_k_gets_and_no_q(self):
+        """One lost data column decodes from the other data columns and
+        P: k gets, as on a healthy array; Q is never asked."""
+
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr, seed=14)
+                await arr.write(0, data)
+                await cluster.stop_node(1)
+                before = verbs(cluster)
+                assert await arr.read(0, arr.stripe_data_bytes) == data[: arr.stripe_data_bytes]
+                assert verbs(cluster, since=before) == {"get": code.k}
+                assert cluster.nodes[code.q_col].metrics.get("requests_get") == 0
+                assert arr.metrics.get("decodes") == 1
+
+        asyncio.run(run())
+
+    def test_read_that_also_loses_p_costs_one_more_get_to_q(self):
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr, seed=15)
+                await arr.write(0, data)
+                await cluster.stop_node(1)
+                cluster.nodes[code.p_col].disk.mark_latent_error(0)
+                before = verbs(cluster)
+                assert await arr.read(0, arr.stripe_data_bytes) == data[: arr.stripe_data_bytes]
+                assert verbs(cluster, since=before) == {"get": code.k + 1}
+                assert cluster.nodes[code.q_col].metrics.get("requests_get") == 1
+                assert arr.metrics.get("decodes") == 1
+
+        asyncio.run(run())
+
     def test_write_of_full_stripes_is_one_put_per_column(self):
         async def run():
             code, cluster = sim_cluster(n_stripes=8)
@@ -140,7 +177,11 @@ class TestRpcCounts:
 
         asyncio.run(run())
 
-    def test_rebuild_window_is_one_get_per_survivor_plus_one_push(self):
+    def test_rebuild_window_is_one_get_per_source_plus_one_push(self):
+        """A window fetches only what the decode of its lost data column
+        reads -- the other data columns and P, k gets, no Q -- and pushes
+        the rebuilt strips in one put."""
+
         async def run():
             code, cluster = sim_cluster(n_stripes=8)
             async with cluster:
@@ -150,10 +191,14 @@ class TestRpcCounts:
                 await cluster.stop_node(2)
                 spare = await cluster.start_replacement(2)
                 sched = RebuildScheduler(arr, batch_stripes=4)
+                before = verbs(cluster)
                 rebuilt, n = await counted(arr, sched.rebuild_column(2, spare))
                 assert rebuilt == arr.n_stripes
                 windows = arr.n_stripes // 4
-                assert n == windows * ((code.n_cols - 1) + 1)
+                assert n == windows * (code.k + 1)  # was k + 2: every survivor
+                assert verbs(cluster, since=before) == {"get": windows * code.k}
+                assert cluster.nodes[code.q_col].metrics.get("requests_get") == 0
+                assert cluster.replacements[2].metrics.get("requests_put") == windows
                 rebuilt_disk = cluster.replacements[2].disk
                 for strip in range(arr.n_stripes):
                     assert (rebuilt_disk.read_strip(strip) == lost.read_strip(strip)).all()
@@ -211,9 +256,10 @@ class TestRpcCounts:
 
     def test_update_of_a_stripe_with_a_stale_column_falls_back(self):
         """A stale data column sends the update down the fallback: one
-        read of the whole stripe, decoding around the stale strip, and a
-        put of every column -- 2(k + 2) RPCs, where reading the object
-        for its CRC and then again for the RMW cost 3(k + 2)."""
+        read of what the decode around the stale strip reads (the other
+        data columns and P: k gets) and a put of every column -- 2k + 2
+        RPCs, where reading every column cost 2(k + 2) and reading the
+        object for its CRC and then again for the RMW 3(k + 2)."""
 
         async def run():
             code, cluster = sim_cluster(n_stripes=8)
@@ -229,8 +275,8 @@ class TestRpcCounts:
                 gw.cache.clear()
                 before, decodes = verbs(cluster), arr.metrics.get("decodes")
                 _, n = await counted(arr, gw.update("one", 100, b"s" * 64))
-                assert n == 2 * (code.k + 2)
-                assert verbs(cluster, since=before) == {"get": code.n_cols, "put": code.n_cols}
+                assert n == 2 * code.k + 2
+                assert verbs(cluster, since=before) == {"get": code.k, "put": code.n_cols}
                 assert arr.metrics.get("decodes") == decodes + 1
                 assert arr.dirty_stripes == {}
                 gw.cache.clear()
@@ -310,14 +356,19 @@ class TestFaultsInsideABatch:
         asyncio.run(run())
 
     @pytest.mark.parametrize(
-        "plan,counter",
+        "plan,counters,refetched",
         [
-            (NetworkFaultPlan(corrupt_frames=1), "frame_errors"),
-            (NetworkFaultPlan(drop_mid_frame=1), "connection_errors"),
+            # The flipped byte lands in a strip, which fails its CRC at
+            # the client and is fetched once more, alone: a request.
+            (NetworkFaultPlan(corrupt_frames=1),
+             {"strip_crc_mismatches": 1, "strip_refetches": 1, "retries": 0}, 1),
+            # The cut-off frame is retried whole: an attempt.
+            (NetworkFaultPlan(drop_mid_frame=1),
+             {"connection_errors": 1, "retries": 1, "strip_refetches": 0}, 0),
         ],
         ids=["corrupt-frame", "drop-mid-frame"],
     )
-    def test_mangled_reply_costs_one_retry_of_its_batch(self, plan, counter):
+    def test_mangled_reply_costs_one_retry_of_its_batch(self, plan, counters, refetched):
         async def run():
             code, cluster = sim_cluster(n_stripes=8)
             async with cluster:
@@ -325,10 +376,11 @@ class TestFaultsInsideABatch:
                 cluster.nodes[0].faults = plan
                 got, n = await counted(arr, gw.get("obj"))
                 assert got == body
-                assert arr.metrics.get(counter) == 1
-                assert arr.metrics.get("retries") == 1
+                assert {name: arr.metrics.get(name) for name in counters} == counters
                 assert arr.metrics.get("decodes") == 0
-                assert n == code.k  # the retry is an attempt, not a request
+                assert arr.metrics.get("rot_erasures") == 0
+                assert arr.dirty_stripes == {}
+                assert n == code.k + refetched
 
         asyncio.run(run())
 

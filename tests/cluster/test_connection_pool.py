@@ -9,6 +9,7 @@ real-socket side (``StripNode.stop()`` with idle clients) lives in
 """
 
 import asyncio
+import zlib
 
 import numpy as np
 import pytest
@@ -42,6 +43,12 @@ def strip(seed: int) -> bytes:
     return rng.integers(0, 2**64, STRIP_WORDS, dtype=WORD_DTYPE).tobytes()
 
 
+def put(client, stripe: int):
+    """Store ``strip(stripe)`` as strip ``stripe``."""
+    data = strip(stripe)
+    return client.request("put", {"stripe": stripe, "crcs": [zlib.crc32(data)]}, data)
+
+
 def node_and_client(policy=ONE_SHOT, **client_kwargs):
     """One node on a fixed simulated address, and a client to it."""
     transport, clock = MemoryTransport(), VirtualClock()
@@ -65,7 +72,7 @@ class TestReuse:
         async def run():
             node, client = node_and_client()
             await node.start()
-            await client.request("put", {"stripe": 1}, strip(1))
+            await put(client, 1)
             for _ in range(20):
                 _, payload = await client.request("get", {"stripe": 1})
                 assert payload == strip(1)
@@ -112,22 +119,24 @@ class TestFailedAttemptsCloseTheirConnection:
     fresh one and is answered correctly."""
 
     @pytest.mark.parametrize(
-        "plan,counter",
+        "plan,counter,verb",
         [
-            (NetworkFaultPlan(corrupt_frames=1), "frame_errors"),
-            (NetworkFaultPlan(drop_mid_frame=1), "connection_errors"),
-            (NetworkFaultPlan(latency=5.0, slow_requests=1), "timeouts"),
+            # A get reply's strips are checked by the array, not by the
+            # frame CRC; a scrub-read reply is all header, which it covers.
+            (NetworkFaultPlan(corrupt_frames=1), "frame_errors", "scrub-read"),
+            (NetworkFaultPlan(drop_mid_frame=1), "connection_errors", "get"),
+            (NetworkFaultPlan(latency=5.0, slow_requests=1), "timeouts", "get"),
         ],
         ids=["corrupt-frame", "drop-mid-frame", "timeout"],
     )
-    def test_fault(self, plan, counter):
+    def test_fault(self, plan, counter, verb):
         async def run():
             node, client = node_and_client()
             await node.start()
-            await client.request("put", {"stripe": 2}, strip(2))
+            await put(client, 2)
             node.faults = plan
             with pytest.raises(NodeUnavailableError):
-                await client.request("get", {"stripe": 2})
+                await client.request(verb, {"stripe": 2})
             assert client.metrics.get(counter) == 1
             assert await open_connections(node) == 0
             # The fault's budget is spent: the node is healthy again.
@@ -144,7 +153,7 @@ class TestFailedAttemptsCloseTheirConnection:
                 RetryPolicy(attempts=1, timeout=10.0), hedge_after=0.2
             )
             await node.start()
-            await client.request("put", {"stripe": 3}, strip(3))
+            await put(client, 3)
             node.faults = NetworkFaultPlan(latency=5.0, slow_requests=1)
             _, payload = await client.request("get", {"stripe": 3})
             assert payload == strip(3)
@@ -188,7 +197,7 @@ class TestStoppedNodes:
         async def run():
             node, client = node_and_client(FAST_POLICY)
             await node.start()
-            await client.request("put", {"stripe": 4}, strip(4))
+            await put(client, 4)
             await node.stop()
             assert await node.start() == client.address
             _, payload = await client.request("get", {"stripe": 4})

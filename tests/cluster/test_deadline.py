@@ -81,11 +81,12 @@ class TestDeadlineVsPerRpcTimeout:
                     deadline=1.5,
                 ))
                 # Frame corruption fails each attempt fast (a retryable
-                # transport error, no latency involved).
+                # transport error, no latency involved).  A ping's reply
+                # is all header, which the frame CRC covers.
                 cluster.nodes[0].faults = NetworkFaultPlan(corrupt_frames=ALWAYS)
                 t0 = cluster.clock.time()
                 with pytest.raises(DeadlineExceededError):
-                    await arr.client_for_node(0).request("get", {"stripe": 0})
+                    await arr.client_for_node(0).request("ping")
                 # The 5s backoff exceeded the remaining budget: the
                 # client must give up *before* sleeping it.
                 assert cluster.clock.time() - t0 < 1.5

@@ -25,20 +25,8 @@ from repro.array.faults import NetworkFaultPlan
 from repro.cluster import ClusterScrubber, LocalCluster
 from repro.codes import available_codes, make_code
 from repro.gateway import ObjectGateway
-from repro.gateway.objstore import IntegrityError
 from repro.sim import MemoryTransport, VirtualClock
-from tests.cluster.conftest import FAST_POLICY, payload_for, sim_cluster
-
-
-async def consistent(arr) -> bool:
-    """Whether every stripe's strips, parity included, form a codeword."""
-    code = arr.code
-    for stripe in range(arr.n_stripes):
-        buf = code.alloc_stripe()
-        lost = await arr._gather_columns(stripe, list(range(code.n_cols)), buf)
-        if lost or not code.verify(buf):
-            return False
-    return True
+from tests.cluster.conftest import FAST_POLICY, consistent, payload_for, sim_cluster
 
 
 def node_counter(cluster, name) -> int:
@@ -334,9 +322,9 @@ class TestDeltaWrites:
         asyncio.run(run())
 
     def test_an_update_over_a_rotted_strip_never_reads_back_wrong_bytes(self):
-        """The update patches the object CRC from the rotted bytes it
-        fetched, so the rot surfaces on the next get instead of being
-        laundered into a CRC over the rotted object."""
+        """The update's fetch checks the strip against its sidecar, so
+        the rotted strip is an erasure: the stripe takes the fallback,
+        and the object CRC is patched from the decoded bytes."""
 
         async def run():
             code, cluster = sim_cluster()
@@ -348,12 +336,12 @@ class TestDeltaWrites:
                 cluster.nodes[0].disk.corrupt(stripe, seed=3)  # sidecar kept
                 gw.cache.clear()
                 await gw.update("obj", 10, b"z" * 20)
+                assert arr.metrics.get("rot_erasures") == 1
+                assert arr.metrics.get("delta_writes") == 0
+                assert arr.dirty_stripes == {}  # the fallback rewrote it
                 gw.cache.clear()
-                try:
-                    got = await gw.get("obj")
-                except IntegrityError:
-                    return
-                assert got == body[:10] + b"z" * 20 + body[30:]
+                assert await gw.get("obj") == body[:10] + b"z" * 20 + body[30:]
+                assert await consistent(arr)
 
         asyncio.run(run())
 
@@ -439,7 +427,8 @@ class TestXorVerb:
     def test_a_strip_that_fails_its_sidecar_fails_the_request_whole(self):
         code, cluster = sim_cluster()
         node = cluster.nodes[code.q_col]
-        node._serve("put", {"stripes": [0, 1]}, bytes(2 * code.strip_bytes))
+        zeros = zlib.crc32(bytes(code.strip_bytes))
+        node._serve("put", {"stripes": [0, 1], "crcs": [zeros] * 2}, bytes(2 * code.strip_bytes))
         node.disk.corrupt(1, seed=5)
         rotted = node.disk.read_strip(1)
         with pytest.raises(LatentSectorError):

@@ -63,10 +63,14 @@ class TestFaultPaths:
         assert counters["decodes"] > 0
 
     def test_corrupted_frame_checksum(self, k, p):
+        """Every get reply arrives with a flipped strip byte: the strip
+        fails its CRC, fails it again when fetched once more, and is
+        decoded around like rot."""
         data, back, counters = drill(k, p, NetworkFaultPlan(corrupt_frames=ALWAYS))
         assert back == data
-        assert counters["frame_errors"] > 0
-        assert counters["retries"] > 0
+        assert counters["strip_crc_mismatches"] > 0
+        assert counters["strip_refetches"] > 0
+        assert counters["rot_erasures"] > 0
         assert counters["decodes"] > 0
 
 
@@ -91,7 +95,7 @@ class TestFaultSemantics:
             3, 5, NetworkFaultPlan(corrupt_frames=ALWAYS), via_wire=True
         )
         assert back == data
-        assert counters["frame_errors"] > 0
+        assert counters["strip_crc_mismatches"] > 0
         assert counters["decodes"] > 0
 
     def test_budgeted_counts_decrement(self):

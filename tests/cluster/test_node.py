@@ -7,6 +7,7 @@ honest (run with ``-m ""`` or ``-m slow``).
 """
 
 import asyncio
+import zlib
 
 import numpy as np
 import pytest
@@ -64,7 +65,7 @@ class TestBasicVerbs:
         data = strip(1)
 
         async def go(node, client):
-            await client.request("put", {"stripe": 3}, data.tobytes())
+            await client.request("put", {"stripe": 3, "crcs": [zlib.crc32(data)]}, data.tobytes())
             _, payload = await client.request("get", {"stripe": 3})
             return payload
 
@@ -88,7 +89,8 @@ class TestBasicVerbs:
 
     def test_stats_reflects_traffic(self):
         async def go(node, client):
-            await client.request("put", {"stripe": 0}, strip().tobytes())
+            data = strip()
+            await client.request("put", {"stripe": 0, "crcs": [zlib.crc32(data)]}, data.tobytes())
             await client.request("get", {"stripe": 0})
             reply, _ = await client.request("stats")
             return reply

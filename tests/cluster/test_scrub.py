@@ -52,17 +52,29 @@ class TestLocatorRepair:
 
         asyncio.run(run())
 
-    def test_two_column_corruption_is_uncorrectable(self):
+    def test_two_rotted_columns_decode_as_two_erasures(self):
+        """Past the locator's one column, but the fetch checks each
+        strip against its sidecar: both rotted strips are known
+        erasures, which the decode restores and the scrub rewrites."""
+
         async def run():
             code, cluster = sim_cluster()
             async with cluster:
                 arr = cluster.array(policy=FAST_POLICY)
-                await arr.write(0, payload_for(arr))
+                data = payload_for(arr)
+                await arr.write(0, data)
+                pristine = [cluster.nodes[c].disk.read_strip(2).copy() for c in (0, 3)]
                 cluster.nodes[0].disk.corrupt(2, seed=7)
                 cluster.nodes[3].disk.corrupt(2, seed=8)
                 report = await ClusterScrubber(arr).scrub()
-                assert report.uncorrectable == [2]
-                assert not report.healthy
+                assert report.corrected == [(2, 0), (2, 3)]
+                assert report.uncorrectable == []
+                assert report.healthy
+                assert arr.metrics.get("rot_erasures") == 2
+                assert arr.dirty_stripes == {}
+                for col, strip in zip((0, 3), pristine):
+                    assert np.array_equal(cluster.nodes[col].disk.read_strip(2), strip)
+                assert await arr.read(0, arr.capacity) == data
 
         asyncio.run(run())
 

@@ -13,7 +13,7 @@ import random
 
 import pytest
 
-from repro.array.faults import NetworkFaultPlan
+from repro.array.faults import ALWAYS, NetworkFaultPlan
 from repro.cluster.node import StripNode
 from repro.sim import SimScenario, generate_scenario, run_scenario
 from repro.sim.scenario import CHAOS_OPS, SETTLE_S, SIM_POLICY, DivergenceError
@@ -88,14 +88,32 @@ class TestChaosGenerator:
             # The deep scrub sits between recovery and the final check.
             assert ops[-3] == "scrub"
 
-    def test_corrupt_is_always_followed_by_scrub(self):
-        """Silent corruption breaks the healthy-read oracle, so the
-        generator may never leave it unscrubbed."""
-        for seed in range(30):
+    def test_rot_stays_at_rest_within_the_two_column_budget(self):
+        """Rot is left for reads, writes and rebuilds to meet as an
+        erasure.  Its column counts as lost until a scrub, so no stripe
+        is ever short of more than two columns."""
+        at_rest = 0
+        for seed in range(60):
             ops = generate_scenario(seed, chaos=True).ops
+            lost: dict[int, str] = {}
             for i, op in enumerate(ops):
-                if op["op"] == "corrupt":
-                    assert ops[i + 1]["op"] == "scrub"
+                kind = op["op"]
+                if kind == "heal":  # the convergence epilogue
+                    break
+                persistent = kind == "fault" and (
+                    op["plan"]["latency"] >= 10.0 or ALWAYS in op["plan"].values()
+                )
+                if kind in ("stop_node", "disk_fail", "latent", "corrupt") or persistent:
+                    assert op["column"] not in lost
+                    lost[op["column"]] = kind
+                elif kind == "rebuild":
+                    del lost[op["column"]]
+                elif kind == "scrub":
+                    lost = {col: why for col, why in lost.items() if why != "corrupt"}
+                assert len(lost) <= 2
+                if kind == "corrupt" and ops[i + 1]["op"] != "scrub":
+                    at_rest += 1
+        assert at_rest > 0
 
     def test_chaos_vocabulary_is_reachable(self):
         kinds = set()

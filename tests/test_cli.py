@@ -4,6 +4,7 @@ import asyncio
 import json
 import pathlib
 import threading
+import zlib
 
 import pytest
 
@@ -262,7 +263,7 @@ class TestServeAndStats:
         async def traffic():
             client = NodeClient(("127.0.0.1", port),
                                 policy=RetryPolicy(attempts=2, timeout=1.0))
-            await client.request("put", {"stripe": 2}, strip)
+            await client.request("put", {"stripe": 2, "crcs": [zlib.crc32(strip)]}, strip)
             _, payload = await client.request("get", {"stripe": 2})
             client.close()
             return payload
