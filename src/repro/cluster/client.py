@@ -573,8 +573,9 @@ class ClusterArray:
         #: priority queue (stripe -> set of stale columns)
         self.dirty_stripes: dict[int, set[int]] = {}
         #: stripes with a migration in flight (set by the rebalancer);
-        #: readers of such a stripe wait for the flip instead of racing
-        #: the window where a target's disk slot is being overwritten
+        #: readers of such a stripe wait for it to finish, since a read
+        #: routed before a flip could reach a source that was released
+        #: or took another column of the stripe
         self.migrating: set[int] = set()
         self._clients: dict = {}
         #: stripe -> [lock, holders + waiters]; an entry lives only
@@ -971,8 +972,8 @@ class ClusterArray:
 
     async def _read_stripes(self, stripes: list[int]) -> list[np.ndarray]:
         """Assemble stripe buffers once no stripe of them is mid-migration."""
-        # A stripe whose migration is in its hazard window is read only
-        # after the routing flip, not in a half-moved state.
+        # A stripe mid-migration is read only once the migration is
+        # over, never routed through holders that are about to change.
         while True:
             moving = next((s for s in stripes if s in self.migrating), None)
             if moving is None:

@@ -44,7 +44,7 @@ __all__ = ["NodeCrashPlan", "NodeCrashed", "NodeIntent", "StripNode"]
 #: stays diagnosable and repairable.
 _DATA_VERBS = frozenset(
     {"get", "put", "xor", "ping", "scrub-read", "prepare", "commit", "abort",
-     "migrate-in", "release"}
+     "release"}
 )
 
 
@@ -70,7 +70,7 @@ class NodeCrashPlan:
     journal's strip writes.
     """
 
-    #: every point the txn, migration and delta verbs pass through, in
+    #: every point the txn, release and delta verbs pass through, in
     #: protocol order
     POINTS = (
         "prepare-before-log",
@@ -79,8 +79,6 @@ class NodeCrashPlan:
         "commit-before-reply",
         "abort-before-drop",
         "abort-before-reply",
-        "migrate-before-log",
-        "migrate-before-reply",
         "release-before-drop",
         "release-before-reply",
         "xor-before-apply",
@@ -370,8 +368,6 @@ class StripNode:
             return self._serve_commit(header), b""
         if verb == "abort":
             return self._serve_abort(header), b""
-        if verb == "migrate-in":
-            return self._serve_migrate_in(header, payload), b""
         if verb == "release":
             return self._serve_release(header), b""
         if verb == "membership":
@@ -688,46 +684,11 @@ class StripNode:
 
     # -- migration & membership verbs ----------------------------------------
 
-    def _serve_migrate_in(self, header: dict, payload: bytes) -> dict:
-        """Phase 1 of a stripe migration: stage the incoming strip image.
-
-        Structurally a ``prepare`` (the intent rides the same durable
-        log and the same idempotent ``commit`` verb applies it), but a
-        separate verb because the reply must carry the CRC-32 of the
-        staged bytes: the coordinator compares it against the source's
-        sidecar before committing, so a frame mangled in flight is
-        caught *before* the copy becomes authoritative, not after.
-        """
-        txn = str(header["txn"])
-        if self.crashes.fires("migrate-before-log"):
-            raise NodeCrashed(f"migrate-in({txn}): crashed before logging intent")
-        stripe = int(header["stripe"])
-        if not 0 <= stripe < self.disk.n_strips:
-            raise IndexError(f"stripe {stripe} out of range [0, {self.disk.n_strips})")
-        done = self.txn_done.get(txn)
-        if done is not None:  # re-run after a lost reply: answer from state
-            return {
-                "status": "ok", "txn": txn, "state": done,
-                "crc": self.checksums.get(stripe, 0),
-            }
-        words = np.frombuffer(payload, dtype=WORD_DTYPE).copy()
-        if words.size != self.disk.strip_words:
-            raise ValueError(
-                f"migrate-in payload {words.size} words != strip "
-                f"{self.disk.strip_words}"
-            )
-        crc = zlib.crc32(payload)
-        self.intents[txn] = NodeIntent(txn, stripe, words, [])
-        self.metrics.counter("migrations_staged").inc()
-        if self.crashes.fires("migrate-before-reply"):
-            raise NodeCrashed(f"migrate-in({txn}): crashed before replying")
-        return {"status": "ok", "txn": txn, "state": "pending", "crc": crc}
-
     def _serve_release(self, header: dict) -> dict:
         """Drop a migrated-away strip: zero it and retire its sidecar.
 
         The last step of a migration, issued only after the new copy is
-        committed and verified elsewhere.  ``crc`` (when present) is
+        routed and read back elsewhere.  ``crc`` (when present) is
         the coordinator's fencing token -- the sidecar it verified; if
         the strip changed since (a foreground write raced the
         migration), the release is refused and the coordinator must

@@ -53,11 +53,9 @@ Verbs understood by :class:`~repro.cluster.node.StripNode`:
 ``abort``       drop a pending intent
 ``txn-status``  report a transaction's state (recovery plane)
 ``intents``     list pending write intents (recovery plane)
-``migrate-in``  stage an incoming migrated strip as an intent; the
-                reply carries the staged bytes' CRC-32 for end-to-end
-                verification before the coordinator commits
 ``release``     zero a migrated-away strip and drop its sidecar,
-                fenced by the coordinator-verified ``crc``
+                fenced by the ``crc`` its probe last reported (a
+                migrated strip itself lands by ``put``)
 ``membership``  get/set/mutate the hosted membership snapshot
                 (join / drain / remove / mark_live / mark_dead)
 ``stats``       return the node's metrics snapshot in the reply header

@@ -2,36 +2,33 @@
 
 The rebalancer converges :attr:`ClusterArray.locations` (where stripes
 *are*) toward the array's placement (where the current membership
-epoch says they *should* be).  One stripe's
-migration is a small two-phase transaction per moving column, reusing
-the node's intent log and idempotent ``commit`` verb:
+epoch says they *should* be).  One stripe migrates under its lock in
+four steps:
 
 1. **Assemble** -- read the stripe through the decode path (dead,
-   faulty or stale sources are reconstructed like any degraded read)
-   and re-encode parity, so the migrated image is internally
-   consistent even when a source copy was stale.
-2. **Stage** -- ``migrate-in`` logs the strip image as an intent on the
-   target; the reply's CRC-32 must match the locally computed one, so
-   a frame mangled in flight dies here, before anything is durable.
-3. **Commit** -- the target applies + retires the intent (the existing
-   2PC crash points cover this step), then a ``scrub-read`` proves the
-   landed copy's sidecar matches the bytes we sent.
-4. **Flip** -- ``locations[stripe]`` switches to the new holders and
-   the epoch bumps: the atomic commit point.  A crash anywhere before
-   this leaves the sources authoritative (all-old); after it, the
-   verified targets serve (all-new).  Never split, never lost.
-5. **Verify + release** -- the stripe is re-read through the *new*
-   route and compared byte-for-byte (the decode-path check), then each
-   source strip is released, fenced by the CRC the source currently
-   advertises.
+   faulty, stale or rotted sources are decoded around like any
+   degraded read) and re-encode parity, so the migrated image is
+   internally consistent even when a source copy was stale.
+2. **Put and flip, in rounds** -- each round ``put``s every moving
+   column whose target holds no routed strip of the stripe, its CRC-32
+   listed (the node checks the strip on arrival and keeps that CRC as
+   its sidecar), then flips just those columns in ``locations`` and
+   bumps the epoch.  A node keeps one strip per stripe, so a target
+   that still serves another column of the stripe waits for a later
+   round, after that column flipped away.  A crash anywhere leaves
+   each column routed to its old holder or its new one, and the bytes
+   there are that column's; a re-run starts over from the routing it
+   finds, since a ``put`` is idempotent and an unflipped one is never
+   read.
+3. **Read back** -- the stripe is read through the new route and
+   compared byte-for-byte with the assembled image.  On a mismatch a
+   moved column routes back to its source only if that source took no
+   other column; the rest are listed stale for the scrub, and the
+   migration fails.
+4. **Release** -- each vacated source's strip is released, fenced by
+   the CRC the source currently advertises.
 
-Transaction ids are deterministic -- ``mig-<stripe>-<crc>`` --
-so a coordinator that crashes and re-runs finds its own half-done work
-(already-staged intents restage idempotently, already-committed strips
-answer ``committed``) instead of forking a second copy; the payload
-CRC inside the id means changed bytes get a fresh transaction.
-
-Migration traffic is a guest, not a tenant: every staged payload passes
+Migration traffic is a guest, not a tenant: every moved payload passes
 through a :class:`TokenBucket` (injectable clock, so throttling works
 in virtual time), and an optional ``foreground_gate`` callable pauses
 the migrator entirely while foreground pressure is high (e.g. the
@@ -42,12 +39,12 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import zlib
 
 import numpy as np
 
 from repro.cluster.client import ClusterArray, ClusterError
 from repro.cluster.membership import MembershipError, NodeState
+from repro.cluster.protocol import strip_crcs
 from repro.cluster.txn import TxnCrashPoint
 from repro.sim.clock import Clock
 
@@ -93,6 +90,35 @@ class TokenBucket:
         return delay
 
 
+def _rounds(
+    stripe: int, current: tuple, target: tuple, moving: list[int]
+) -> list[list[int]]:
+    """Order the ``moving`` columns of ``stripe`` into put-and-flip rounds.
+
+    A node keeps one strip per stripe, so a column may land on its
+    target only once no routed column of the stripe is there: each
+    round takes every moving column whose target then holds none, and
+    its flips vacate the sources the next round lands on.  Raises
+    :class:`RebalanceError`, before anything is written, when the
+    remaining columns would each land on another's holder (a cycle).
+    """
+    routed = list(current)
+    left = list(moving)
+    rounds = []
+    while left:
+        ready = [col for col in left if target[col] not in routed]
+        if not ready:
+            raise RebalanceError(
+                f"stripe {stripe}: columns {left} would each land on "
+                "another's holder"
+            )
+        for col in ready:
+            routed[col] = target[col]
+        rounds.append(ready)
+        left = [col for col in left if col not in ready]
+    return rounds
+
+
 class Rebalancer:
     """Throttled stripe migrator for one :class:`ClusterArray`.
 
@@ -111,7 +137,6 @@ class Rebalancer:
         burst_bytes: float | None = None,
         foreground_gate=None,
         gate_backoff: float = 0.05,
-        verify_reads: bool = True,
         crash: TxnCrashPoint | None = None,
     ) -> None:
         self.array = array
@@ -129,7 +154,6 @@ class Rebalancer:
         #: checked between stripes, never mid-migration
         self.foreground_gate = foreground_gate
         self.gate_backoff = float(gate_backoff)
-        self.verify_reads = bool(verify_reads)
         self.crash = crash if crash is not None else TxnCrashPoint()
         self._task: asyncio.Task | None = None
 
@@ -142,10 +166,6 @@ class Rebalancer:
         reply, _ = await self.array.client_for_node(node_id).request(
             verb, header, payload
         )
-        if reply.get("status") != "ok":
-            raise RebalanceError(
-                f"{verb} on {node_id}: {reply.get('error')}: {reply.get('detail')}"
-            )
         return reply
 
     # -- planning ------------------------------------------------------------
@@ -171,43 +191,12 @@ class Rebalancer:
 
     # -- one stripe ----------------------------------------------------------
 
-    async def _stage(
-        self, node_id, stripe: int, payload, crc: int
-    ) -> tuple[str, bool]:
-        """Stage one strip image on its target; returns ``(txn, landed)``.
-
-        Walks a deterministic salt sequence past transactions a prior
-        recovery pass aborted; ``landed`` means an earlier run already
-        committed these exact bytes, so commit can be skipped.
-        """
-        base = f"mig-{stripe}-{crc:08x}"
-        for salt in range(8):
-            txn = base if salt == 0 else f"{base}-r{salt}"
-            reply = await self._rpc(
-                node_id, "migrate-in", {"txn": txn, "stripe": stripe}, payload
-            )
-            state = reply.get("state")
-            if state == "pending":
-                if int(reply.get("crc", -1)) == crc:
-                    return txn, False
-                # Bytes mangled between us and the intent log: drop the
-                # poisoned intent and restage under the next salt.
-                self.array.metrics.counter("migration_stage_corrupt").inc()
-                await self._rpc(node_id, "abort", {"txn": txn, "stripe": stripe})
-                continue
-            if state == "committed" and int(reply.get("crc", -1)) == crc:
-                return txn, True
-            # aborted tombstone or a committed different image: next salt
-        raise RebalanceError(
-            f"stripe {stripe}: could not stage on {node_id} (salt budget spent)"
-        )
-
     async def migrate_stripe(self, stripe: int) -> bool:
         """Migrate one stripe to its placement targets; True if it moved.
 
         Holds the stripe lock end to end, so foreground writes order
-        entirely before or after the migration and the staged image can
-        never go stale mid-protocol.
+        entirely before or after the migration and the assembled image
+        can never go stale mid-protocol.
         """
         array = self.array
         async with array.stripe_lock(stripe):
@@ -224,10 +213,8 @@ class Rebalancer:
                 )
             )
             # Readers of this stripe wait on the lock from here on: a
-            # target that is *also* a current holder (at another
-            # column) gets its disk slot overwritten at commit, before
-            # the flip -- a reader racing that window would fetch the
-            # wrong column's bytes.
+            # read routed before a flip could reach a source that was
+            # released, or that took another column of the stripe.
             array.migrating.add(stripe)
             try:
                 with cm:
@@ -245,6 +232,7 @@ class Rebalancer:
     ) -> None:
         array = self.array
         code = array.code
+        rounds = _rounds(stripe, current, target, moving)
 
         # 1. assemble through the decode path, re-encode for parity
         # consistency (a read leaves unfetched parity columns zero).
@@ -253,74 +241,59 @@ class Rebalancer:
         # degraded write left stale, so no old bytes move.
         (buf,) = await array._fetch_stripes([stripe])
         code.encode(buf)
-
-        payloads: dict[int, bytes] = {}
-        crcs: dict[int, int] = {}
-        for col in moving:
-            payload = bytes(np.ascontiguousarray(buf[col]).data)
-            payloads[col] = payload
-            crcs[col] = zlib.crc32(payload)
+        payloads = {col: bytes(np.ascontiguousarray(buf[col]).data) for col in moving}
+        moved_bytes = sum(len(p) for p in payloads.values())
 
         # throttle on the bytes about to move (before they move, so a
         # drained bucket delays the copy, not the release)
         if self.throttle is not None:
-            await self.throttle.take(sum(len(p) for p in payloads.values()))
+            await self.throttle.take(moved_bytes)
 
-        # 2. stage on every target, end-to-end CRC checked
-        txns: dict[int, str] = {}
-        landed: dict[int, bool] = {}
-        for col in moving:
-            txns[col], landed[col] = await self._stage(
-                target[col], stripe, payloads[col], crcs[col]
-            )
-
-        # 3. commit + sidecar verification on every target
-        for col in moving:
-            if not landed[col]:
-                reply = await self._rpc(
-                    target[col], "commit", {"txn": txns[col], "stripe": stripe}
+        # 2. put each round's columns on their targets, then flip them
+        stale = set(array.dirty_stripes.get(stripe, ()))
+        for cols in rounds:
+            for col in cols:
+                await self._rpc(
+                    target[col],
+                    "put",
+                    {"stripe": stripe, "crcs": strip_crcs([payloads[col]])},
+                    payloads[col],
                 )
-                if reply.get("state") != "committed":
-                    raise RebalanceError(
-                        f"stripe {stripe}: commit on {target[col]} answered "
-                        f"{reply.get('state')!r}"
-                    )
-            probe = await self._rpc(target[col], "scrub-read", {"stripe": stripe})
-            if not probe.get("match") or int(probe.get("crc_stored", -1)) != crcs[col]:
-                raise RebalanceError(
-                    f"stripe {stripe}: landed copy on {target[col]} failed "
-                    f"CRC verification"
-                )
-
-        # 4. flip: the atomic commit point of the whole migration
-        array.locations[stripe] = tuple(target)
-        # The moved columns just landed freshly encoded strips; a stale
-        # column that stayed put is still stale.
-        stale = array.dirty_stripes.pop(stripe, set())
-        if stale - set(moving):
-            array.dirty_stripes[stripe] = stale - set(moving)
-        array.membership.bump()
+            self._reroute(stripe, {col: target[col] for col in cols})
+            # The moved columns just landed freshly encoded strips; a
+            # stale column that stayed put is still stale.
+            still_stale = array.dirty_stripes.pop(stripe, set()) - set(cols)
+            if still_stale:
+                array.dirty_stripes[stripe] = still_stale
         array.metrics.counter("stripes_migrated").inc()
-        array.metrics.counter("migration_bytes").inc(
-            sum(len(p) for p in payloads.values())
-        )
+        array.metrics.counter("migration_bytes").inc(moved_bytes)
 
-        # 5. decode-path verification through the new route, then release
-        if self.verify_reads:
-            (check,) = await array._fetch_stripes([stripe])
-            if bytes(array._stripe_payload(check)) != bytes(
-                array._stripe_payload(buf)
-            ):
-                # The new copies verified strip-by-strip but the stripe
-                # does not read back: revert routing and fail loudly.
-                array.locations[stripe] = tuple(current)
-                if stale:
-                    array.dirty_stripes[stripe] = stale
-                array.membership.bump()
-                raise RebalanceError(
-                    f"stripe {stripe}: post-flip read-back diverged"
-                )
+        # 3. decode-path read-back through the new route
+        (check,) = await array._fetch_stripes([stripe])
+        if bytes(array._stripe_payload(check)) != bytes(array._stripe_payload(buf)):
+            # Every put verified on arrival, yet the stripe does not
+            # read back.  A moved column may route back only to a
+            # source that took no other column -- any other source's
+            # slot now holds that column's bytes -- so the columns left
+            # at their targets are listed stale for the scrub.
+            taken = {target[col] for col in moving}
+            back = [col for col in moving if current[col] not in taken]
+            self._reroute(stripe, {col: current[col] for col in back})
+            suspect = (set(moving) - set(back)) | (stale & set(back))
+            if suspect:
+                array.dirty_stripes.setdefault(stripe, set()).update(suspect)
+            raise RebalanceError(f"stripe {stripe}: post-flip read-back diverged")
+
+        # 4. release the vacated sources
         await self._release_sources(stripe, current, target, moving)
+
+    def _reroute(self, stripe: int, holders: dict) -> None:
+        """Route each column of ``holders`` to its node; bump the epoch."""
+        locs = list(self.array.locations[stripe])
+        for col, node_id in holders.items():
+            locs[col] = node_id
+        self.array.locations[stripe] = tuple(locs)
+        self.array.membership.bump()
 
     async def _release_sources(
         self,
@@ -435,36 +408,6 @@ class Rebalancer:
         if remove:
             table.remove(node_id)
         return moved
-
-    async def recover(self) -> int:
-        """Abort orphaned migration intents left by crashed coordinators.
-
-        Safe because a re-run migration walks a salt sequence past
-        aborted transaction ids; returns the intents aborted.  Strips
-        whose migration had already committed are untouched -- the
-        deterministic txn id lets the re-run recognise them as landed.
-        """
-        array = self.array
-        aborted = 0
-        for node_id in array.membership.serving():
-            try:
-                reply, _ = await array.client_for_node(node_id).request("intents")
-            except ClusterError:
-                continue
-            for rec in reply.get("txns", ()):
-                txn = str(rec["txn"])
-                if not txn.startswith("mig-"):
-                    continue
-                try:
-                    await self._rpc(
-                        node_id, "abort", {"txn": txn, "stripe": rec.get("stripe")}
-                    )
-                    aborted += 1
-                except ClusterError:
-                    continue
-        if aborted:
-            array.metrics.counter("migration_intents_aborted").inc(aborted)
-        return aborted
 
     # -- background driving --------------------------------------------------
 

@@ -49,7 +49,7 @@ from repro.cluster.client import ClusterError, RetryPolicy
 from repro.cluster.local import LocalCluster
 from repro.cluster.rebuild import RebuildScheduler
 from repro.cluster.scrub import ClusterScrubber
-from repro.cluster.txn import ClientCrash, TwoPhaseWriter
+from repro.cluster.txn import ClientCrash, TwoPhaseWriter, TxnCrashPoint
 from repro.codes import make_code
 from repro.gateway.objstore import IntegrityError, ObjectGateway, ObjectNotFoundError
 from repro.obs.tracing import Tracer, use_tracer
@@ -230,10 +230,13 @@ def generate_scenario(
     an ungraceful leave is immediately followed by a rebalance (so at
     most one node's strips are ever un-redundant), drains and leaves
     are only drawn while the surviving LIVE pool can still host every
-    column, and the pool is capped at ``k + 2 + 4`` nodes.  The
-    epilogue (rebalance, ``check_placement``, ``read_all``) makes every
-    elastic campaign prove convergence: zero misplaced stripes, every
-    holder LIVE, every strip CRC-clean on its node -- full redundancy.
+    column, and the pool is capped at ``k + 2 + 4`` nodes.  Standalone
+    and join-paired rebalances arm a coordinator crash ``crash_after``
+    RPCs in, so a migration may die between any two of its RPCs; the
+    runner then reads everything back.  The epilogue
+    (rebalance, ``check_placement``, ``read_all``) makes every elastic
+    campaign prove convergence: zero misplaced stripes, every holder
+    LIVE, every strip CRC-clean on its node -- full redundancy.
     """
     rng = random.Random(seed)
     p = rng.choice(GEOMETRY_PRIMES)
@@ -258,6 +261,9 @@ def generate_scenario(
             length = min(capacity - offset, rng.randint(1, max(1, capacity // 2)))
             return offset, length
 
+        def rebalance() -> dict:
+            return {"op": "rebalance", "crash_after": rng.randint(0, 12)}
+
         ops = [{"op": "write", "offset": 0, "length": capacity,
                 "seed": rng.getrandbits(31)}]
         for _ in range(rng.randint(4, 10)):
@@ -279,18 +285,19 @@ def generate_scenario(
             elif kind == "epoch_bump":
                 ops.append({"op": "epoch_bump"})
             elif kind == "rebalance":
-                ops.append({"op": "rebalance"})
+                ops.append(rebalance())
             elif kind == "join":
                 live.add(next_id)
                 next_id += 1
                 ops.append({"op": "join"})
                 if rng.random() < 0.5:
-                    ops.append({"op": "rebalance"})
+                    ops.append(rebalance())
             elif kind == "leave":
                 node = rng.choice(sorted(live))
                 live.discard(node)
                 # Redundancy is restored before the next fault lands:
-                # the paired rebalance re-places the dead node's strips.
+                # the paired rebalance, never crashed, re-places the
+                # dead node's strips.
                 ops.append({"op": "leave", "node": node})
                 ops.append({"op": "rebalance"})
             elif kind == "drain":
@@ -662,6 +669,17 @@ def run_scenario(
                 writer = TwoPhaseWriter(arr, client_id=f"sim-{scenario.seed}")
                 scrubber = ClusterScrubber(arr, window=2)
 
+            async def read_all(i: int, op: dict) -> str:
+                got = await arr.read(0, arr.capacity)
+                check_read(i, op, 0, got)
+                # ... and stripe by stripe: a batch that routed a
+                # stripe to another stripe's holder would pass a
+                # batched read-back of its own writes.
+                for stripe in range(arr.n_stripes):
+                    buf = await arr.read_stripe(stripe)
+                    check_read(i, op, stripe * sdb, bytes(arr._stripe_payload(buf)))
+                return _sha(got)
+
             async def txn_committed(txn: str) -> bool:
                 """Whether any participant recorded a commit decision."""
                 for node_id in arr.membership.probed():
@@ -691,15 +709,7 @@ def run_scenario(
                     check_read(i, op, offset, got)
                     record["sha"] = _sha(got)
                 elif kind == "read_all":
-                    got = await arr.read(0, arr.capacity)
-                    check_read(i, op, 0, got)
-                    record["sha"] = _sha(got)
-                    # ... and stripe by stripe: a batch that routed a
-                    # stripe to another stripe's holder would pass a
-                    # batched read-back of its own writes.
-                    for stripe in range(arr.n_stripes):
-                        buf = await arr.read_stripe(stripe)
-                        check_read(i, op, stripe * sdb, bytes(arr._stripe_payload(buf)))
+                    record["sha"] = await read_all(i, op)
                 elif kind == "stop_node":
                     await cluster.stop_node(int(op["column"]))
                 elif kind == "fault":
@@ -813,7 +823,17 @@ def run_scenario(
                 elif kind == "epoch_bump":
                     record["epoch"] = arr.membership.bump()
                 elif kind == "rebalance":
-                    record["moved"] = await rebalancer.run_until_converged()
+                    if op.get("crash_after") is not None:
+                        rebalancer.crash.arm(after=int(op["crash_after"]))
+                    try:
+                        record["moved"] = await rebalancer.run_until_converged()
+                    except ClientCrash:
+                        # The coordinator died mid-migration: each
+                        # column routes to its old holder or its new
+                        # one, and every byte must still read back.
+                        record["crashed"] = True
+                        record["sha"] = await read_all(i, op)
+                    rebalancer.crash = TxnCrashPoint()  # disarmed
                 elif kind == "check_placement":
                     # Quiescence for churn: routing has converged onto
                     # placement, every holder is LIVE, and every strip

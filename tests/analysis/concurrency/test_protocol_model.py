@@ -150,6 +150,6 @@ class TestLiveTree:
             __import__("repro.cluster.node", fromlist=["__file__"]).__file__
         ).read_text()
         assert tuple(extract_crash_points(src)) == NodeCrashPlan.POINTS
-        # 6 2PC-write points + 4 migration points (migrate-in/release)
-        # + 2 delta-write points (xor)
-        assert len(NodeCrashPlan.POINTS) == 12
+        # 6 2PC-write points + 2 migration points (release: a migrated
+        # strip lands by put) + 2 delta-write points (xor)
+        assert len(NodeCrashPlan.POINTS) == 10

@@ -3,24 +3,36 @@
 Everything runs on the simulation seam (in-memory transport + virtual
 clock), so the throttle's pacing is measured in exact virtual seconds
 and every churn schedule replays identically.  The crash sweeps are
-the heart of the file: every node-side crash point of the migration
-protocol (``migrate-before-log``, ``migrate-before-reply``,
-``commit-before-apply``, ``commit-before-reply``, ``release-before-drop``,
-``release-before-reply``) and every coordinator-side RPC position must
-leave a stripe either fully at its old holders or fully at its new
-ones -- never a mix -- and a recovery pass must finish the job.
+the heart of the file: a target that stops, dies after storing its
+strip or loses its reply, a source that crashes at a ``release``
+crash point (``release-before-drop``, ``release-before-reply``), and
+every coordinator-side RPC position must leave each column routed to
+its old holder or its new one, reading back the written bytes, and a
+fresh coordinator must finish the job.  Each runs on a stripe that
+moves a column onto the new node and on one where a node changes
+columns -- a node keeps one strip per stripe, so that node may take
+its new column only after its old one flipped away.
 """
 
 import asyncio
 
 import pytest
 
-from repro.cluster import ClusterError, HealthMonitor, MembershipError, TokenBucket
+from repro.cluster import (
+    ClusterError,
+    ClusterScrubber,
+    HealthMonitor,
+    MembershipError,
+    RebalanceError,
+    TokenBucket,
+)
 from repro.cluster.membership import NodeState
+from repro.cluster.node import NodeCrashed
 from repro.cluster.txn import ClientCrash
 from repro.sim import VirtualClock
 from tests.cluster.conftest import (
     FAST_POLICY,
+    consistent,
     elastic_sim_cluster,
     payload_for,
     sim_cluster,
@@ -248,12 +260,14 @@ class TestDrain:
         asyncio.run(run())
 
 
-def migration_fixture(seed):
+def migration_fixture(seed, *, overlap=False):
     """A cluster mid-churn with one stripe picked for migration.
 
-    Returns (cluster, arr, data, stripe, before, target, new_id) inside
-    the caller's coroutine; the chosen stripe is the first misplaced
-    one whose targets include the freshly joined node.
+    Returns (cluster, arr, data, reb, stripe, node) inside the caller's
+    coroutine.  The stripe is the first misplaced one with a moving
+    column whose target ``node`` is the freshly joined node, or with
+    ``overlap`` the first where ``node`` already holds another column
+    of the stripe: a node that changes columns.
     """
 
     async def build():
@@ -261,10 +275,39 @@ def migration_fixture(seed):
         await cluster.start()
         arr, data, new_id = await churned(cluster, seed=seed)
         reb = cluster.rebalancer(arr)
-        stripe = next(s for s in reb.misplaced() if new_id in reb.targets(s))
-        return cluster, arr, data, reb, stripe, new_id
+        for stripe in reb.misplaced():
+            before, target = arr.holders(stripe), reb.targets(stripe)
+            for col, node in enumerate(target):
+                if node != before[col] and (node in before if overlap else node == new_id):
+                    return cluster, arr, data, reb, stripe, node
+        raise AssertionError("no stripe of the wanted shape")
 
     return build()
+
+
+#: the two stripe choices of :func:`migration_fixture`
+STRIPES = {"new-node": False, "node-changes-column": True}
+
+
+def after_put(node, action):
+    """Make ``node`` run ``action`` right after its next ``put`` stored
+    its strips, before it replies: ``action`` may crash the node or
+    fault the reply."""
+    serve = node._serve_put
+
+    def wrapped(header, payload):
+        reply = serve(header, payload)
+        del node._serve_put  # once
+        action()
+        return reply
+
+    node._serve_put = wrapped
+
+
+def routed_old_or_new(arr, stripe, before, target) -> bool:
+    return all(
+        node in (before[col], target[col]) for col, node in enumerate(arr.holders(stripe))
+    )
 
 
 class TestColumnOrderDrain:
@@ -293,34 +336,68 @@ class TestColumnOrderDrain:
 
 
 class TestCrashSweep:
-    """Every crash position leaves all-old-at-source or all-new-at-target."""
+    """Every failure routes each column to its old or its new holder."""
 
-    TARGET_POINTS = [
-        "migrate-before-log",
-        "migrate-before-reply",
-        "commit-before-apply",
-        "commit-before-reply",
+    # Each target failure is named for the step of its moving column it
+    # hits: ``migrate`` is the put that lands the strip on the target,
+    # ``commit`` the flip that routes the column there once that put
+    # is acknowledged.
+    TARGET_FAILURES = [
+        "migrate-target-stopped-before-put",
+        "migrate-put-reply-dropped",
+        "commit-target-dies-after-put",
     ]
 
-    @pytest.mark.parametrize("point", TARGET_POINTS)
-    def test_target_node_crash_leaves_all_old_at_source(self, point):
+    @pytest.mark.parametrize("shape", STRIPES)
+    @pytest.mark.parametrize("failure", TARGET_FAILURES)
+    def test_target_node_crash_leaves_all_old_at_source(self, failure, shape):
+        """A target that fails before its column commits leaves that
+        column at its source; a dropped put reply is retried and the
+        column commits once."""
+
         async def run():
-            cluster, arr, data, reb, stripe, new_id = await migration_fixture(8)
+            cluster, arr, data, reb, stripe, node = await migration_fixture(
+                8, overlap=STRIPES[shape]
+            )
             try:
-                before = arr.holders(stripe)
-                cluster.nodes[new_id].crashes.arm(point)
+                before, target = arr.holders(stripe), reb.targets(stripe)
+                if failure == "migrate-put-reply-dropped":
+                    # The put lands, its reply is cut mid-frame: the
+                    # client retries it and the column flips once.
+                    after_put(cluster.nodes[node], lambda: setattr(
+                        cluster.nodes[node].faults, "drop_mid_frame", 1))
+                    assert await reb.migrate_stripe(stripe)
+                    assert arr.holders(stripe) == target
+                    counters = arr.metrics.snapshot()["counters"]
+                    assert counters["retries"] == 1
+                    assert counters["stripes_migrated"] == 1
+                    assert await arr.read(0, arr.capacity) == data
+                    return
+                if failure == "migrate-target-stopped-before-put":
+                    await cluster.stop_node(node)
+                else:
+                    def die():
+                        raise NodeCrashed("died after storing its strip")
+
+                    after_put(cluster.nodes[node], die)
                 with pytest.raises(ClusterError):
                     await reb.migrate_stripe(stripe)
-                # All-old: routing untouched, every byte still served.
-                assert arr.holders(stripe) == before
+                # Nothing routes to the failed target; every other
+                # column is at its old holder or its new one.
+                assert routed_old_or_new(arr, stripe, before, target)
+                assert all(
+                    arr.holders(stripe)[col] == before[col]
+                    for col in range(len(target))
+                    if target[col] == node
+                )
                 assert await arr.read(0, arr.capacity) == data
-                # Reboot the corpse, sweep orphan intents, finish the job.
-                await cluster.restart_node(new_id)
-                await reb.recover()
+                # Reboot it: whatever it stored is unrouted, or its own.
+                await cluster.restart_node(node)
+                assert await arr.read(0, arr.capacity) == data
                 await reb.run_until_converged()
                 assert reb.misplaced() == []
-                assert arr.holders(stripe) == reb.targets(stripe)
                 assert await arr.read(0, arr.capacity) == data
+                assert await consistent(arr)
             finally:
                 await cluster.stop()
 
@@ -331,7 +408,7 @@ class TestCrashSweep:
     @pytest.mark.parametrize("point", SOURCE_POINTS)
     def test_source_crash_during_release_leaves_all_new_at_target(self, point):
         async def run():
-            cluster, arr, data, reb, stripe, new_id = await migration_fixture(9)
+            cluster, arr, data, reb, stripe, _ = await migration_fixture(9)
             try:
                 before = arr.holders(stripe)
                 target = reb.targets(stripe)
@@ -359,11 +436,14 @@ class TestCrashSweep:
 
     def test_coordinator_crash_sweep_is_atomic_at_every_rpc(self):
         """Kill the rebalancer before its Nth protocol RPC for every N
-        until a full migration fits, proving all-old-or-all-new plus
-        recoverability at each position."""
+        until a full migration fits, on both stripe choices: each column
+        routes to its old or its new holder, reads return the written
+        bytes, and a fresh coordinator converges to them."""
 
-        async def run_position(after: int) -> bool:
-            cluster, arr, data, reb, stripe, _ = await migration_fixture(10)
+        async def run_position(after: int, overlap: bool) -> tuple[bool, int]:
+            cluster, arr, data, reb, stripe, _ = await migration_fixture(
+                10, overlap=overlap
+            )
             try:
                 before = arr.holders(stripe)
                 target = reb.targets(stripe)
@@ -373,45 +453,104 @@ class TestCrashSweep:
                     await reb.migrate_stripe(stripe)
                 except ClientCrash:
                     crashed = True
-                assert arr.holders(stripe) in (before, target)
+                assert routed_old_or_new(arr, stripe, before, target)
                 assert await arr.read(0, arr.capacity) == data
                 # A fresh coordinator (new crash plan) finishes the job.
                 fresh = cluster.rebalancer(arr)
-                orphans = fresh.misplaced() and await fresh.recover()
                 await fresh.run_until_converged()
                 assert fresh.misplaced() == []
-                assert arr.holders(stripe) == fresh.targets(stripe)
                 assert await arr.read(0, arr.capacity) == data
-                del orphans
-                return crashed
+                assert await consistent(arr)
+                moving = sum(b != t for b, t in zip(before, target))
+                return crashed, moving
             finally:
                 await cluster.stop()
 
         async def run():
-            after = 0
-            while await run_position(after):
-                after += 1
-                assert after < 64, "migration protocol grew without bound"
-            assert after >= 3  # stage + commit + verify at minimum
+            for overlap in STRIPES.values():
+                after = 0
+                while (outcome := await run_position(after, overlap))[0]:
+                    after += 1
+                    assert after < 64, "migration protocol grew without bound"
+                # a put per moving column, then a vacated source's
+                # probe and release at minimum
+                assert after >= outcome[1] + 2
 
         asyncio.run(run())
 
-    def test_recover_aborts_orphaned_intents(self):
+
+class TestStaleColumns:
+    def test_a_migration_clears_only_the_stale_columns_it_moved(self):
         async def run():
-            cluster, arr, data, reb, stripe, new_id = await migration_fixture(12)
+            cluster, arr, data, reb, stripe, _ = await migration_fixture(
+                12, overlap=True
+            )
             try:
-                # Die right after the first stage RPC: a pending
-                # mig- intent is stranded on the target.
-                reb.crash.arm(after=1)
-                with pytest.raises(ClientCrash):
-                    await reb.migrate_stripe(stripe)
-                fresh = cluster.rebalancer(arr)
-                assert await fresh.recover() >= 1
-                counters = arr.metrics.snapshot()["counters"]
-                assert counters["migration_intents_aborted"] >= 1
-                await fresh.run_until_converged()
-                assert fresh.misplaced() == []
+                before, target = arr.holders(stripe), reb.targets(stripe)
+                moved = next(c for c, node in enumerate(target) if node != before[c])
+                stays = next(c for c, node in enumerate(target) if node == before[c])
+                arr.dirty_stripes[stripe] = {moved, stays}
+                assert await reb.migrate_stripe(stripe)
+                # The moved column landed a freshly encoded strip; the
+                # one that stayed put is still stale.
+                assert arr.dirty_stripes[stripe] == {stays}
                 assert await arr.read(0, arr.capacity) == data
+            finally:
+                await cluster.stop()
+
+        asyncio.run(run())
+
+
+class TestReadBackMismatch:
+    def test_divergent_read_back_routes_no_column_onto_another_columns_bytes(self):
+        """A read-back that disagrees with the assembled image fails the
+        migration; the column whose source took another column stays at
+        its target, listed stale, and the other routes back."""
+
+        async def run():
+            cluster, arr, data, reb, stripe, _ = await migration_fixture(
+                11, overlap=True
+            )
+            try:
+                before, target = arr.holders(stripe), reb.targets(stripe)
+                moving = {c for c, node in enumerate(target) if node != before[c]}
+                fetch = arr._fetch_stripes
+                fetched = []
+
+                async def diverging(stripes, lost=None):
+                    bufs = await fetch(stripes, lost)
+                    fetched.append(stripes)
+                    if len(fetched) == 2:  # the read-back
+                        bufs[0][0, 0, 0] ^= 1
+                    return bufs
+
+                arr._fetch_stripes = diverging
+                with pytest.raises(RebalanceError):
+                    await reb.migrate_stripe(stripe)
+                del arr._fetch_stripes
+                assert len(fetched) == 2
+                # Every routed slot holds its own column's bytes, and
+                # the column kept at its target is listed stale.
+                want = arr.code.alloc_stripe()
+                arr._fill_data_columns(
+                    want, data[stripe * arr.stripe_data_bytes :][: arr.stripe_data_bytes]
+                )
+                arr.code.encode(want)
+                holders = arr.holders(stripe)
+                for col, node in enumerate(holders):
+                    strip = cluster.nodes[node].disk.read_strip(stripe)
+                    assert strip.tobytes() == want[col].tobytes(), col
+                # No whole-stripe revert, and the rest routed back.
+                kept = {c for c, node in enumerate(holders) if node != before[c]}
+                assert kept and kept < moving
+                assert arr.dirty_stripes[stripe] == kept
+                assert await arr.read(0, arr.capacity) == data
+                await ClusterScrubber(arr).scrub()
+                assert stripe not in arr.dirty_stripes
+                await reb.run_until_converged()
+                assert reb.misplaced() == []
+                assert await arr.read(0, arr.capacity) == data
+                assert await consistent(arr)
             finally:
                 await cluster.stop()
 

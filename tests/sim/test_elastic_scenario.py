@@ -43,6 +43,25 @@ def test_churn_across_seeds_hits_every_verb():
     assert {"join", "leave", "drain", "epoch_bump", "rebalance"} <= seen
 
 
+def test_rebalances_crash_their_coordinator_unless_restoring_redundancy():
+    # The rebalance paired with a leave and the epilogue's never crash.
+    for seed in range(12):
+        ops = generate_scenario(seed, elastic=True).ops
+        for i, op in enumerate(ops):
+            if op["op"] == "rebalance":
+                restores = ops[i - 1]["op"] == "leave" or i == len(ops) - 3
+                assert ("crash_after" in op) != restores
+                assert restores or 0 <= op["crash_after"] <= 12
+
+
+def test_a_coordinator_crash_mid_migration_reads_back_and_replays():
+    sc = generate_scenario(10, elastic=True)  # three crashes fire
+    first = run_scenario(sc)
+    assert run_scenario(sc).digest == first.digest
+    crashed = [r for r in first.trace if r.get("crashed")]
+    assert len(crashed) == 3 and all("sha" in r for r in crashed)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_churn_converges_and_replays_bit_identically(seed):
     sc = generate_scenario(seed, elastic=True)
