@@ -14,7 +14,7 @@ closed:
   tuples/sets of verbs.
 * **callers** -- first-argument string literals of ``.request(...)``
   and ``_fan_out(...)``, and second-argument literals of
-  ``send_verb(...)``, ``_column_request(...)`` and ``_rpc(...)``,
+  ``send_verb(...)`` and ``_rpc(...)``,
   collected across the whole source tree (and the test tree, for
   handler-liveness: some verbs -- ``fault`` -- exist *for* the
   harness).
@@ -55,7 +55,6 @@ __all__ = [
 _VERB_ARG_INDEX = {
     "request": 0,         # client.request("get", ...)
     "send_verb": 1,       # send_verb(address, "stats", ...)
-    "_column_request": 1, # array._column_request(col, "get", ...)
     "_fan_out": 0,        # array._fan_out("get", [(col, stripes)])
     "_rpc": 1,            # writer._rpc(col, "prepare", ...)
 }

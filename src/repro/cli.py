@@ -957,7 +957,9 @@ def build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--code", default="liberation-optimal", choices=available_codes())
     sc.add_argument("--element-size", type=int, default=4096)
     sc.add_argument("--window", type=int, default=8,
-                    help="stripes verified concurrently (default 8)")
+                    help="stripes per window: one probe RPC per node, then one "
+                         "fetch and one repair put per node for the window's "
+                         "suspects (default 8)")
     sc.add_argument("--deep", action="store_true",
                     help="skip the CRC fast path; fetch and verify every stripe")
     sc.add_argument("--detect-only", action="store_true",

@@ -471,14 +471,16 @@ def _strips_of(bufs: dict[int, np.ndarray]):
     return strips, crcs
 
 
-def _skipped(stripes, done) -> dict[int, list[int]]:
-    """Each stripe's columns that a fan-out's ``done`` batches lost."""
-    skipped: dict[int, list[int]] = {stripe: [] for stripe in stripes}
+def _landed(done) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
+    """Each stripe's columns that a fan-out's ``done`` batches landed,
+    and each stripe's columns they lost."""
+    landed: dict[int, list[int]] = {}
+    lost: dict[int, list[int]] = {}
     for col, batch, outcome in done:
-        if isinstance(outcome, ClusterError):
-            for stripe in batch:
-                skipped[stripe].append(col)
-    return skipped
+        into = lost if isinstance(outcome, ClusterError) else landed
+        for stripe in batch:
+            into.setdefault(stripe, []).append(col)
+    return landed, lost
 
 
 class ClusterArray:
@@ -569,8 +571,10 @@ class ClusterArray:
         #: per-node circuit breakers, installed and fed by
         #: :class:`~repro.cluster.health.HealthMonitor`; none = no gating
         self.breakers: dict = {}
-        #: stripes whose last write skipped columns -- the scrubber's
-        #: priority queue (stripe -> set of stale columns)
+        #: stripe -> the columns that hold stale bytes (a write skipped
+        #: them, or a fetch found them rotted): erasures to every reader
+        #: and the scrubber's priority queue; only :meth:`_mark_columns`
+        #: changes it
         self.dirty_stripes: dict[int, set[int]] = {}
         #: stripes with a migration in flight (set by the rebalancer);
         #: readers of such a stripe wait for it to finish, since a read
@@ -695,40 +699,6 @@ class ClusterArray:
         return acquire_all(self.stripe_lock(s) for s in sorted(set(stripes)))
 
     # -- strip RPCs --------------------------------------------------------
-
-    def _node_for(self, column: int, stripe: int | None):
-        if stripe is not None:
-            return self.holders(stripe)[column]
-        node_id = self.column_node(column)
-        if node_id is None:
-            raise ValueError(
-                f"column {column} is spread over several nodes; pass stripe="
-            )
-        return node_id
-
-    async def _column_request(
-        self,
-        column: int,
-        verb: str,
-        header: dict | None = None,
-        payload: bytes = b"",
-        *,
-        stripe: int | None = None,
-    ) -> tuple[dict, bytes]:
-        """One RPC to the node serving ``column`` of ``stripe`` (of every
-        stripe when ``stripe`` is None), with one epoch-bump retry."""
-        def send():
-            route = self._route(self._node_for(column, stripe))
-            return self._node_request(route, column, verb, header, payload)
-
-        epoch = self.membership.epoch
-        try:
-            return await send()
-        except NodeUnavailableError:
-            if self.membership.epoch == epoch:
-                raise
-            self.metrics.counter("epoch_retries").inc()
-            return await send()
 
     async def _node_request(
         self, route: tuple, column: int, verb: str, header: dict | None,
@@ -866,7 +836,7 @@ class ClusterArray:
             for stripe, cols in rotted.items():
                 self.metrics.counter("rot_erasures").inc(len(cols))
                 lost[stripe] += cols
-                self.dirty_stripes.setdefault(stripe, set()).update(cols)
+            self._mark_columns(stale=rotted)
         return lost
 
     def _land(self, done, into: dict[int, np.ndarray], lost: dict[int, list[int]]):
@@ -902,14 +872,6 @@ class ClusterArray:
             for stripe in gone:
                 lost[stripe].append(col)
         return suspect
-
-    async def _gather_columns(
-        self, stripe: int, columns: list[int], buf: np.ndarray
-    ) -> list[int]:
-        """Fetch ``columns`` of one stripe into ``buf``; returns the losers."""
-        return (await self._gather([(col, [stripe]) for col in columns], {stripe: buf}))[
-            stripe
-        ]
 
     async def _fetch_for(
         self, bufs: dict[int, np.ndarray], erasures: dict[int, set[int]], restore
@@ -955,18 +917,6 @@ class ClusterArray:
                 erasures[stripe].update(lost[stripe])
             for stripe, cols in want.items():
                 fetched[stripe].update(cols)
-
-    async def _store_strip(self, column: int, stripe: int, strip: np.ndarray) -> None:
-        # Ship a view, not a copy (ascontiguousarray is a no-op for the
-        # usual stripe-column slice).
-        strip = np.ascontiguousarray(strip)
-        await self._column_request(
-            column,
-            "put",
-            {"stripe": stripe, "crcs": strip_crcs([strip])},
-            strip.data,
-            stripe=stripe,
-        )
 
     # -- stripe I/O --------------------------------------------------------
 
@@ -1041,10 +991,9 @@ class ClusterArray:
         write semantics -- unless that would leave a stripe beyond
         RAID-6 tolerance, which raises :class:`ClusterDegradedError`.
         Returns each stripe's *skipped* columns (empty means fully
-        durable), and records them in :attr:`dirty_stripes` so reads
-        decode around the stale strips and the scrubber repairs them
-        first once their nodes return.  The caller holds the stripes'
-        locks.
+        durable), which :meth:`_wrote` lists stale so reads decode
+        around them and the scrubber repairs them first once their
+        nodes return.  The caller holds the stripes' locks.
         """
         for stripe in stripes:
             self._check_stripe(stripe)
@@ -1052,36 +1001,66 @@ class ClusterArray:
         done = await self._fan_out(
             "put", [(col, stripes) for col in cols], *_strips_of(dict(zip(stripes, bufs)))
         )
-        skipped = _skipped(stripes, done)
-        self._settle(skipped, rewritten=stripes if columns is None else ())
-        return skipped
+        return self._wrote(stripes, done)
 
-    def _settle(self, skipped: dict[int, list[int]], rewritten) -> None:
-        """Record each stripe's ``skipped`` columns in :attr:`dirty_stripes`.
-
-        A stripe of ``rewritten`` had every column written, so it
-        supersedes every older stale column: only the ones it skipped
-        are stale now.  A stripe written in part adds its skipped
-        columns to the stale ones.  Raises :class:`ClusterDegradedError`
-        for a stripe that lost more than two columns.
-        """
-        beyond = []
-        for stripe, lost in skipped.items():
-            if lost:
-                self.metrics.counter("degraded_writes").inc()
-            if len(lost) > 2:
-                beyond.append(stripe)
-            elif stripe in rewritten:
-                if lost:
-                    self.dirty_stripes[stripe] = set(lost)
-                else:
-                    self.dirty_stripes.pop(stripe, None)
-            elif lost:
-                self.dirty_stripes.setdefault(stripe, set()).update(lost)
+    def _wrote(self, stripes: list[int], done) -> dict[int, list[int]]:
+        """Settle a write's fan-out ``done``: the columns it landed are
+        fresh and the ones it skipped stale (:meth:`_mark_columns`), so
+        a write of every column leaves only its own skips listed.
+        Returns each stripe's skipped columns; raises
+        :class:`ClusterDegradedError` for a stripe that lost more than
+        two."""
+        landed, skipped = _landed(done)
+        self._mark_columns(fresh=landed, stale=skipped)
+        if skipped:
+            self.metrics.counter("degraded_writes").inc(len(skipped))
+        beyond = [s for s in sorted(skipped) if len(skipped[s]) > 2]
         if beyond:
             raise ClusterDegradedError(
-                f"stripe {beyond[0]}: write lost columns {skipped[beyond[0]]}"
+                f"stripe {beyond[0]}: write lost columns {sorted(skipped[beyond[0]])}"
             )
+        return {stripe: sorted(skipped.get(stripe, ())) for stripe in stripes}
+
+    def _mark_columns(
+        self, *, fresh: dict[int, list[int]] | None = None,
+        stale: dict[int, list[int]] | None = None,
+    ) -> None:
+        """The one place :attr:`dirty_stripes` changes, by one rule.
+
+        A column that a write's ``put``, ``xor`` or ``commit``, a
+        repair's ``put`` or a migration's flip landed holds fresh bytes:
+        ``fresh`` (stripe -> columns) takes it off its stripe's stale
+        set.  A column a write skipped, or a fetch found rotted, holds
+        stale bytes: ``stale`` adds it.  A repair that misses a column
+        names it in neither, so its state stays as it was.  A stripe
+        left with no stale column is not listed.
+        """
+        for stripe, cols in (fresh or {}).items():
+            listed = self.dirty_stripes.get(stripe)
+            if listed is not None:
+                listed.difference_update(cols)
+                if not listed:
+                    del self.dirty_stripes[stripe]
+        for stripe, cols in (stale or {}).items():
+            if cols:
+                self.dirty_stripes.setdefault(stripe, set()).update(cols)
+
+    async def _write_back(
+        self, repairs: dict[int, list[int]], bufs: dict[int, np.ndarray]
+    ) -> dict[int, list[int]]:
+        """Put each stripe's ``repairs`` columns of its buffer in
+        ``bufs`` back on their nodes, one ``put`` per column and holder:
+        how the scrub and the rebuild return what they decoded or
+        located.  A column it lands is fresh; one it misses keeps the
+        state it had (:meth:`_mark_columns`).  Returns each stripe's
+        missed columns, and sends nothing when nothing is to be
+        repaired.  The caller holds the stripes' locks."""
+        plan = _by_column(repairs)
+        if not plan:
+            return {}
+        landed, missed = _landed(await self._fan_out("put", plan, *_strips_of(bufs)))
+        self._mark_columns(fresh=landed)
+        return missed
 
     async def write_stripe(
         self, stripe: int, buf: np.ndarray, *, columns: list[int] | None = None
@@ -1137,7 +1116,7 @@ class ClusterArray:
         Spans apply in order.  The touched stripes go out in one round:
         one ``put`` per column and holder, and one ``xor`` per parity
         column and holder.  A column a write skips is listed in
-        :attr:`dirty_stripes` (see :meth:`_settle`).  The stripes' locks
+        :attr:`dirty_stripes` (see :meth:`_wrote`).  The stripes' locks
         are held from the fetch to the last write, so two writes into
         one stripe cannot both patch the same old image.
 
@@ -1229,7 +1208,7 @@ class ClusterArray:
                 # Awaited in this task, so a write without an xor runs
                 # on the same schedule as :meth:`_put_stripes`.
                 done = await put
-            self._settle(_skipped(stripes, done), whole | set(fallback))
+            self._wrote(stripes, done)
         if not read_old:
             return None
         return [b"".join(old[s][i] for s, i in where) for where in placed]

@@ -301,7 +301,7 @@ class HealthMonitor:
         the node ids healed.
 
         Sequential by design: RAID-6 tolerates two losses, and a
-        rebuild already reads every surviving column.  A rebuild that
+        rebuild window already reads k columns.  A rebuild that
         fails (say a third column is down) is counted on
         ``heals_failed`` and retried on a later round, onto the same
         spare.

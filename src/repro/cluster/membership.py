@@ -5,7 +5,7 @@ and in what role*.  Every mutation bumps a monotonically increasing
 **epoch**; routing decisions (placement, client retries, gateway extent
 resolution) are always made "as of epoch E", and a client that loses a
 race with a membership change re-resolves at the new epoch and retries
-instead of failing (see ``ClusterArray._column_request``).
+instead of failing (see ``ClusterArray._fan_out``).
 
 Node life cycle::
 

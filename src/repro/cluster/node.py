@@ -486,36 +486,43 @@ class StripNode:
             self.checksums[stripe] = crc
         return {"status": "ok"}
 
+    def _read_strips(self, header: dict) -> tuple[list, list[int]]:
+        """The strips a ``get`` or ``scrub-read`` names, as ``(stripe,
+        strip)`` in request order, leaving out (and returning as
+        unreadable) those behind a latent sector.  A failed disk, or no
+        readable strip at all, fails the whole request."""
+        strips, unreadable = [], []
+        error: LatentSectorError | None = None
+        for stripe in self._stripes(header):
+            try:
+                strips.append((stripe, self.disk.read_strip(stripe)))
+            except LatentSectorError as exc:
+                unreadable.append(stripe)
+                error = exc
+        if error is not None and not strips:
+            raise error
+        return strips, unreadable
+
     def _serve_get(self, header: dict) -> tuple[dict, bytes | memoryview]:
         """The named strips in request order, each with its CRC sidecar
         in ``crcs``, leaving out (and listing as ``unreadable``) those
         behind a latent sector.  No strip is hashed: the client checks
         each against its sidecar, so rot at rest shows there.  A strip
         without a sidecar (never written through this node) adopts its
-        CRC, as :meth:`_serve_scrub_read` does.  A failed disk, or no
-        readable strip at all, fails the whole request."""
-        strips, crcs, unreadable = [], [], []
-        error: LatentSectorError | None = None
-        for stripe in self._stripes(header):
-            try:
-                strip = self.disk.read_strip(stripe)
-            except LatentSectorError as exc:
-                unreadable.append(stripe)
-                error = exc
-                continue
-            strips.append(strip)
+        CRC, as :meth:`_serve_scrub_read` does."""
+        strips, unreadable = self._read_strips(header)
+        crcs = []
+        for stripe, strip in strips:
             crc = self.checksums.get(stripe)
             if crc is None:
                 crc = self.checksums[stripe] = zlib.crc32(strip)
             crcs.append(crc)
-        if error is not None and not strips:
-            raise error
         reply: dict = {"status": "ok", "crcs": crcs}
         if unreadable:
             reply["unreadable"] = unreadable
         # One strip goes out as a view of the disk's copy; several are
         # gathered into one buffer.
-        data = strips[0] if len(strips) == 1 else np.concatenate(strips)
+        data = strips[0][1] if len(strips) == 1 else np.concatenate([s for _, s in strips])
         return reply, np.ascontiguousarray(data).data
 
     def _serve_xor(self, header: dict, payload: bytes) -> dict:
@@ -592,28 +599,31 @@ class StripNode:
     # -- scrub & two-phase-write verbs --------------------------------------
 
     def _serve_scrub_read(self, header: dict) -> dict:
-        """Checksum probe: compare the strip's sidecar to its contents.
+        """Checksum probe: compare each named strip to its CRC sidecar.
 
         Lets the scrubber detect node-local bit rot without shipping
-        the strip.  Strips written before sidecars existed (or via
-        direct disk access in tests) get a lazily initialised sidecar on
-        first probe -- pre-existing damage is indistinguishable from
-        original content at that point, exactly like real sidecar
-        adoption.
+        the strips.  Per readable strip, in request order, the reply
+        lists its sidecar (``crc_stored``) and whether its contents
+        still match it (``match``); strips behind a latent sector are
+        listed as ``unreadable``, as a ``get`` lists them.  Strips
+        written before sidecars existed (or via direct disk access in
+        tests) get a lazily initialised sidecar on first probe --
+        pre-existing damage is indistinguishable from original content
+        at that point, exactly like real sidecar adoption.
         """
-        stripe = int(header["stripe"])
-        strip = self.disk.read_strip(stripe)  # raises latent/disk-failed
-        actual = zlib.crc32(np.ascontiguousarray(strip).data)
-        stored = self.checksums.setdefault(stripe, actual)
-        if stored != actual:
-            self.metrics.counter("scrub_crc_mismatches").inc()
-        return {
-            "status": "ok",
-            "stripe": stripe,
-            "crc_stored": stored,
-            "crc_actual": actual,
-            "match": stored == actual,
-        }
+        strips, unreadable = self._read_strips(header)
+        stored, match = [], []
+        for stripe, strip in strips:
+            actual = zlib.crc32(np.ascontiguousarray(strip).data)
+            crc = self.checksums.setdefault(stripe, actual)
+            if crc != actual:
+                self.metrics.counter("scrub_crc_mismatches").inc()
+            stored.append(crc)
+            match.append(crc == actual)
+        reply: dict = {"status": "ok", "crc_stored": stored, "match": match}
+        if unreadable:
+            reply["unreadable"] = unreadable
+        return reply
 
     def _serve_prepare(self, header: dict, payload: bytes) -> dict:
         """Phase 1: log the intent (durably) without touching the disk."""

@@ -47,7 +47,11 @@ Verbs understood by :class:`~repro.cluster.node.StripNode`:
                 fails the request like a latent sector if it no longer
                 matches its CRC sidecar, and refreshes the sidecar: the
                 parity half of a delta write
-``scrub-read``  compare strip ``stripe``'s CRC sidecar to its contents
+``scrub-read``  compare strips ``stripes`` (or a lone ``stripe``) to
+                their CRC sidecars without shipping them: per readable
+                strip, in request order, its sidecar in ``crc_stored``
+                and whether its contents match it in ``match``;
+                ``unreadable`` lists latent strips, as ``get`` does
 ``prepare``     2PC phase 1: durably log the payload as a write intent
 ``commit``      2PC phase 2: apply + retire the intent (idempotent)
 ``abort``       drop a pending intent

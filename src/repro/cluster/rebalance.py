@@ -262,9 +262,7 @@ class Rebalancer:
             self._reroute(stripe, {col: target[col] for col in cols})
             # The moved columns just landed freshly encoded strips; a
             # stale column that stayed put is still stale.
-            still_stale = array.dirty_stripes.pop(stripe, set()) - set(cols)
-            if still_stale:
-                array.dirty_stripes[stripe] = still_stale
+            array._mark_columns(fresh={stripe: cols})
         array.metrics.counter("stripes_migrated").inc()
         array.metrics.counter("migration_bytes").inc(moved_bytes)
 
@@ -280,8 +278,7 @@ class Rebalancer:
             back = [col for col in moving if current[col] not in taken]
             self._reroute(stripe, {col: current[col] for col in back})
             suspect = (set(moving) - set(back)) | (stale & set(back))
-            if suspect:
-                array.dirty_stripes.setdefault(stripe, set()).update(suspect)
+            array._mark_columns(stale={stripe: sorted(suspect)})
             raise RebalanceError(f"stripe {stripe}: post-flip read-back diverged")
 
         # 4. release the vacated sources
@@ -326,7 +323,7 @@ class Rebalancer:
                 await self._rpc(
                     node_id,
                     "release",
-                    {"stripe": stripe, "crc": int(probe["crc_stored"])},
+                    {"stripe": stripe, "crc": int(probe["crc_stored"][0])},
                 )
             except ClusterError:
                 continue

@@ -16,9 +16,13 @@ the window.  A rebuild tolerates a *second* concurrent loss: a column
 a window's fetch loses, for any reason (unreachable, unreadable,
 rotted or stale), joins that stripe's erasure pattern, and one more
 fetch widens to what the two-erasure decode reads, up to the code's
-two-column budget.  Each window
-holds its stripes' locks from the fetch to the last push, so a write
-cannot land between them and be lost on the replacement.
+two-column budget.  The decode restores the window's stale columns as
+a by-product, and they go back to their nodes through the array's
+write-back (:meth:`~repro.cluster.client.ClusterArray._write_back`),
+one ``put`` per column and holder -- the one the scrub uses, which
+sends nothing for a window with no stale column.  Each window holds
+its stripes' locks from the fetch to the last put, so a write cannot
+land between them and be lost on the replacement.
 
 A column rebuild needs one node to hold the column for every stripe
 (a column-ordered array); under rendezvous placement a lost node's
@@ -31,7 +35,7 @@ import asyncio
 
 import numpy as np
 
-from repro.cluster.client import ClusterArray, NodeUnavailableError, RemoteDiskError
+from repro.cluster.client import ClusterArray
 from repro.cluster.protocol import strip_crcs
 from repro.parallel import BatchCoder, alloc_batch, iter_batches
 
@@ -49,14 +53,8 @@ class RebuildScheduler:
         self.batch_stripes = int(batch_stripes)
         self.coder = BatchCoder(array.code)
         self._task: asyncio.Task | None = None
-
-    # -- progress ----------------------------------------------------------
-
-    @property
-    def progress(self) -> tuple[int, int]:
-        """``(stripes_done, stripes_total)`` of the current/last rebuild."""
-        m = self.array.metrics
-        return m.get("rebuild_stripes_done"), m.get("rebuild_stripes_total")
+        #: ``(stripes_done, stripes_total)`` of the current/last rebuild
+        self.progress = (0, 0)
 
     # -- background driving ------------------------------------------------
 
@@ -120,6 +118,7 @@ class RebuildScheduler:
             address = await target_provider(column)
         metrics = array.metrics
         metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
+        self.progress = (0, array.n_stripes)
         # Share the array's transport/clock seam so rebuilds run (and
         # replay deterministically) under simulation too.
         replacement = array._make_client(address)
@@ -159,33 +158,15 @@ class RebuildScheduler:
                         np.ascontiguousarray(strips).data,
                     ))
                 await asyncio.gather(*pushes)
-                await self._freshen_dirty(start, patterns, batch, column)
+                # The replacement holds the column's fresh bytes; the
+                # window's other stale columns go back to their nodes.
+                array._mark_columns(fresh={s: [column] for s in stripes})
+                await array._write_back(
+                    {s: sorted(array.dirty_stripes.get(s, set()) & erasures[s]) for s in stripes},
+                    dict(zip(stripes, batch)),
+                )
             done += stop - start
             metrics.counter("rebuild_stripes_done").inc(stop - start)
+            self.progress = (done, array.n_stripes)
         array.replace_node(node_id, replacement)
         return done
-
-    async def _freshen_dirty(
-        self, start: int, patterns: list, batch, column: int
-    ) -> None:
-        """Push decoded strips back to stale-but-reachable columns.
-
-        The rebuilt column itself comes off each stripe's dirty set (the
-        replacement got fresh bytes above); other stale columns take a
-        direct rewrite, or stay listed for the scrubber if unreachable.
-        """
-        array = self.array
-        for i, erasures in enumerate(patterns):
-            stripe = start + i
-            dirty = array.dirty_stripes.get(stripe)
-            if not dirty:
-                continue
-            dirty.discard(column)
-            for col in sorted(set(dirty) & set(erasures)):
-                try:
-                    await array._store_strip(col, stripe, batch[i, col])
-                except (NodeUnavailableError, RemoteDiskError):
-                    continue
-                dirty.discard(col)
-            if not dirty:
-                array.dirty_stripes.pop(stripe, None)

@@ -7,24 +7,30 @@ stripes through the cluster in bounded windows, verify parity, locate
 the corrupted column on a mismatch, and push the corrected strip back
 to its node.
 
-Two economies keep a routine pass cheap:
+A pass walks the array in windows of ``window`` stripes on the
+array's batched data path, one RPC per column and holder a round:
 
-* **Dirty-first** -- stripes whose last write skipped columns
-  (:attr:`ClusterArray.dirty_stripes`) are scrubbed before anything
-  else, because they are *known* stale and the locator repairs them
-  the moment their node is back.
-* **Checksum fast path** -- for the remaining stripes the scrubber
-  first issues ``scrub-read`` probes: each node compares its strip
-  against its CRC-32 sidecar locally and answers with a verdict, no
-  strip payload on the wire.  Only stripes with a mismatch (or an
-  unreachable probe) pay for a full fetch + parity verify.  ``deep``
-  mode skips the fast path entirely -- sidecars cannot see a *stale
-  but internally consistent* strip, so a periodic deep pass is the
+* **Dirty-first** -- stripes listed stale
+  (:attr:`ClusterArray.dirty_stripes`) fill the first windows: their
+  stale columns are known erasures, decoded and put back the moment
+  their node is back.
+* **Checksum fast path** -- a window's other stripes are probed by one
+  ``scrub-read`` per column and holder: each node checks every strip
+  against its CRC-32 sidecar locally, no strip on the wire.  A stripe
+  every column vouches for settles there.
+* **Suspects** -- the stripes a probe flagged (a mismatch, an
+  unreadable strip, no answer), and every stripe listed stale when its
+  window comes up, are fetched by one ``get`` per column and holder
+  that skips their stale columns, and decoded or located under their
+  stripe locks, held to the last repair ``put``.  ``deep`` mode makes
+  every stripe a suspect -- sidecars cannot see a *stale but
+  internally consistent* strip, so a periodic deep pass is the
   backstop.
 
-Erasure-type damage met along the way (latent sectors, a column that
-is briefly down) is repaired too: survivors decode the lost strips and
-the scrubber pushes them back where a node will take them.
+Every decoded or located strip goes back through the array's
+write-back (:meth:`ClusterArray._write_back`, shared with the
+rebuild); a column whose node will not take it keeps its state (a
+stale one stays listed) and its stripe is deferred.
 
 All I/O rides the array's Clock/Transport/Tracer seams, so scrub
 passes replay deterministically under :mod:`repro.sim`; progress is
@@ -38,12 +44,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.cluster.client import (
-    ClusterArray,
-    ClusterError,
-    NodeUnavailableError,
-    RemoteDiskError,
-)
+from repro.cluster.client import ClusterArray, ClusterError, _by_column
 from repro.codes.liberation import LiberationCode
 from repro.core.error_correction import ScanStatus, locate_and_correct
 from repro.parallel import iter_batches
@@ -95,10 +96,11 @@ class ClusterScrubReport:
 class ClusterScrubber:
     """Scrubs a :class:`ClusterArray` in place, window by window.
 
-    ``window`` bounds concurrency (stripes verified at once);
-    ``interval`` is the sleep between background passes when driven by
-    :meth:`start`.  Non-Liberation codes fall back to detect-only, the
-    same surfaced fallback as the local scrubber.
+    ``window`` is the number of stripes one probe round, one fetch and
+    one repair round carry; ``interval`` is the sleep between
+    background passes when driven by :meth:`start`.  Non-Liberation
+    codes fall back to detect-only, the same surfaced fallback as the
+    local scrubber.
     """
 
     def __init__(
@@ -110,123 +112,134 @@ class ClusterScrubber:
         self._can_locate = isinstance(array.code, LiberationCode)
         self._task: asyncio.Task | None = None
 
-    # -- one stripe ----------------------------------------------------------
+    # -- one window ----------------------------------------------------------
 
-    async def _crc_clean(self, stripe: int) -> tuple[bool, list[int]]:
-        """Checksum probe of every column; ``(all clean, mismatched cols)``.
-
-        An unreachable or erroring probe counts as a mismatch so the
-        full path takes over.
-        """
-        cols = range(self.array.code.n_cols)
-
-        async def probe(col: int) -> bool:
-            reply, _ = await self.array._column_request(
-                col, "scrub-read", {"stripe": stripe}, stripe=stripe
-            )
-            return bool(reply.get("match"))
-
-        results = await asyncio.gather(
-            *(probe(c) for c in cols), return_exceptions=True
+    async def _probe(self, stripes: list[int]) -> dict[int, list[int]]:
+        """Checksum probe of ``stripes``, one ``scrub-read`` per column
+        and holder; returns each stripe's columns whose strip failed its
+        sidecar, was unreadable or did not answer."""
+        if not stripes:
+            return {}
+        array = self.array
+        done = await array._fan_out(
+            "scrub-read", [(col, stripes) for col in range(array.code.n_cols)]
         )
-        bad = [c for c, r in zip(cols, results) if r is not True]
-        for res in results:
-            if isinstance(res, BaseException) and not isinstance(res, ClusterError):
-                raise res
-        return not bad, bad
+        bad: dict[int, list[int]] = {}
+        for col, batch, outcome in done:
+            failed = batch
+            if not isinstance(outcome, ClusterError):
+                reply, _ = outcome
+                unreadable = set(reply.get("unreadable", ()))
+                readable = [s for s in batch if s not in unreadable]
+                match = reply.get("match")
+                if isinstance(match, list) and len(match) == len(readable):
+                    failed = [s for s in batch if s in unreadable] + [
+                        s for s, ok in zip(readable, match) if not ok
+                    ]
+            for stripe in failed:
+                bad.setdefault(stripe, []).append(col)
+        return bad
+
+    async def _scrub_window(
+        self, window: list[int], repair: bool, deep: bool
+    ) -> ClusterScrubReport:
+        """Probe ``window`` and verify its suspects.
+
+        A suspect is a stripe whose probe found a strip that failed its
+        sidecar, was unreadable or did not answer, or a stripe listed in
+        :attr:`~ClusterArray.dirty_stripes` when its window comes up
+        (not probed: a stale strip matches its own sidecar).  A ``deep``
+        window skips the probe and verifies every stripe.
+        """
+        array = self.array
+        report = ClusterScrubReport()
+        suspects = window
+        if not deep:
+            probed = [s for s in window if s not in array.dirty_stripes]
+            bad = await self._probe(probed)
+            for stripe in probed:
+                for col in bad.get(stripe, ()):
+                    report.crc_mismatches.append((stripe, col))
+                    array.metrics.counter("scrub_crc_mismatches_seen").inc()
+            settled = [
+                s for s in probed if s not in bad and s not in array.dirty_stripes
+            ]
+            report.stripes_scanned += len(settled)
+            report.stripes_clean += len(settled)
+            report.fast_path_hits += len(settled)
+            if settled:
+                array.metrics.counter("scrub_fast_path_hits").inc(len(settled))
+            suspects = [s for s in window if s not in settled]
+        if suspects:
+            report.merge(await self._verify(suspects, repair))
+        return report
 
     async def scrub_stripe(
         self, stripe: int, *, repair: bool = True
     ) -> ClusterScrubReport:
-        """Full verify (and repair) of one stripe; returns a 1-stripe report.
+        """Full verify (and repair) of one stripe; returns a 1-stripe report."""
+        return await self._verify([stripe], repair)
 
-        Holds the stripe's lock from the fetch to the last repair, so a
-        write landing meanwhile cannot be overwritten by a repair
+    async def _verify(self, stripes: list[int], repair: bool) -> ClusterScrubReport:
+        """Fetch, verify and repair ``stripes`` as one batch.
+
+        Holds the stripes' locks from the fetch to the last repair put,
+        so a write landing meanwhile cannot be overwritten by a repair
         decoded from the stripe's older image.
         """
-        async with self.array.stripe_lock(stripe):
-            return await self._scrub_stripe(stripe, repair)
-
-    async def _scrub_stripe(self, stripe: int, repair: bool) -> ClusterScrubReport:
         array, code = self.array, self.array.code
-        report = ClusterScrubReport(stripes_scanned=1)
-        buf = code.alloc_stripe()
-        missing = await array._gather_columns(
-            stripe, list(range(code.n_cols)), buf
-        )
-        # Known-stale columns (degraded writes) join the erasure set:
-        # the dirty list converts an unknown-error problem into a
-        # known-erasure one, so even *two* stale columns decode exactly
-        # where the locator could repair at most one.
-        stale = sorted(set(missing) | set(array.dirty_stripes.get(stripe, ())))
-
-        if len(stale) > 2:
-            report.stripes_deferred += 1
-            report.deferred.append(stripe)
-            return report
-
-        if stale:
-            # Erasure-type damage: decode the lost strips and push them
-            # back to any column that will take a write (latent sectors
-            # heal on rewrite; a down node stays deferred).
-            for col in stale:
-                buf[col] = 0
-            code.decode(buf, stale)
-            array.metrics.counter("decodes").inc()
-            healed = True
-            dirty = array.dirty_stripes.get(stripe)
-            for col in stale:
-                if not repair:
-                    healed = False
-                    continue
-                try:
-                    await array._store_strip(col, stripe, buf[col])
-                except (NodeUnavailableError, RemoteDiskError):
-                    healed = False
+        report = ClusterScrubReport(stripes_scanned=len(stripes))
+        bufs = {s: code.alloc_stripe() for s in stripes}
+        repairs: dict[int, list[int]] = {}
+        async with array.stripe_locks(stripes):
+            # Known-stale columns are erasures, never fetched: the dirty
+            # list turns an unknown-error problem into a known-erasure
+            # one, so even *two* stale columns decode exactly where the
+            # locator could repair at most one.
+            stale = {s: set(array.dirty_stripes.get(s, ())) for s in stripes}
+            lost = await array._gather(
+                _by_column({
+                    s: [c for c in range(code.n_cols) if c not in stale[s]]
+                    for s in stripes
+                }),
+                bufs,
+            )
+            for stripe in stripes:
+                buf = bufs[stripe]
+                erased = sorted(stale[stripe] | set(lost[stripe]))
+                if len(erased) > 2 or (erased and not repair):
+                    report.deferred.append(stripe)
+                elif erased:
+                    # Erasure-type damage: decode the lost strips and put
+                    # them back (latent sectors heal on rewrite; a down
+                    # node stays deferred).
+                    for col in erased:
+                        buf[col] = 0
+                    code.decode(buf, erased)
+                    array.metrics.counter("decodes").inc()
+                    repairs[stripe] = erased
+                elif code.verify(buf):
+                    report.stripes_clean += 1
+                elif not (self._can_locate and repair):
+                    report.stripes_detected_only += 1
+                    report.detected_only.append(stripe)
+                    array.metrics.counter("scrub_detected_only").inc()
                 else:
-                    report.stripes_corrected += 1
-                    report.corrected.append((stripe, col))
-                    array.metrics.counter("scrub_stripes_corrected").inc()
-                    if dirty is not None:
-                        dirty.discard(col)
-            if not healed:
-                report.stripes_deferred += 1
-                report.deferred.append(stripe)
-            if dirty is not None and not dirty:
-                array.dirty_stripes.pop(stripe, None)
-            return report
-
-        if code.verify(buf):
-            report.stripes_clean += 1
-            array.dirty_stripes.pop(stripe, None)
-            return report
-
-        if not (self._can_locate and repair):
-            report.stripes_detected_only += 1
-            report.detected_only.append(stripe)
-            array.metrics.counter("scrub_detected_only").inc()
-            return report
-
-        result = locate_and_correct(code.geometry, buf)
-        if result.status is ScanStatus.CORRECTED:
-            try:
-                await array._store_strip(result.column, stripe, buf[result.column])
-            except (NodeUnavailableError, RemoteDiskError):
-                report.stripes_deferred += 1
-                report.deferred.append(stripe)
-                return report
-            report.stripes_corrected += 1
-            report.corrected.append((stripe, result.column))
-            array.metrics.counter("scrub_stripes_corrected").inc()
-            dirty = array.dirty_stripes.get(stripe)
-            if dirty is not None:
-                dirty.discard(result.column)
-                if not dirty:
-                    array.dirty_stripes.pop(stripe, None)
-        else:
-            report.stripes_uncorrectable += 1
-            report.uncorrectable.append(stripe)
-            array.metrics.counter("scrub_uncorrectable").inc()
+                    result = locate_and_correct(code.geometry, buf)
+                    if result.status is ScanStatus.CORRECTED:
+                        repairs[stripe] = [result.column]
+                    else:
+                        report.stripes_uncorrectable += 1
+                        report.uncorrectable.append(stripe)
+                        array.metrics.counter("scrub_uncorrectable").inc()
+            missed = await array._write_back(repairs, bufs)
+        for stripe, cols in repairs.items():
+            report.corrected += [(stripe, c) for c in cols if c not in missed.get(stripe, ())]
+        report.deferred += [s for s in repairs if s in missed]
+        report.stripes_corrected = len(report.corrected)
+        report.stripes_deferred = len(report.deferred)
+        if report.corrected:
+            array.metrics.counter("scrub_stripes_corrected").inc(len(report.corrected))
         return report
 
     # -- one pass ------------------------------------------------------------
@@ -234,9 +247,9 @@ class ClusterScrubber:
     async def scrub(self, *, repair: bool = True, deep: bool = False) -> ClusterScrubReport:
         """One pass over the whole array: dirty stripes first, then the rest.
 
-        Clean, non-dirty stripes settle on the checksum fast path
-        unless ``deep`` forces a full fetch + parity verify of every
-        stripe.
+        Each window of ``window`` stripes costs one ``scrub-read`` per
+        column and holder; only its suspects are fetched and verified.
+        ``deep`` skips the probe and fetches and verifies every stripe.
         """
         array = self.array
         report = ClusterScrubReport()
@@ -244,28 +257,10 @@ class ClusterScrubber:
 
         async def run_pass() -> None:
             dirty = sorted(array.dirty_stripes)
-            for stripe in dirty:
-                report.merge(await self.scrub_stripe(stripe, repair=repair))
-            rest = [s for s in range(array.n_stripes) if s not in set(dirty)]
-            for start, stop in iter_batches(len(rest), self.window):
-                window = rest[start:stop]
-                if deep:
-                    verdicts = [(False, []) for _ in window]
-                else:
-                    verdicts = await asyncio.gather(
-                        *(self._crc_clean(s) for s in window)
-                    )
-                for stripe, (clean, bad) in zip(window, verdicts):
-                    if clean:
-                        report.stripes_scanned += 1
-                        report.stripes_clean += 1
-                        report.fast_path_hits += 1
-                        array.metrics.counter("scrub_fast_path_hits").inc()
-                        continue
-                    report.crc_mismatches.extend((stripe, c) for c in bad)
-                    for col in bad:
-                        array.metrics.counter("scrub_crc_mismatches_seen").inc()
-                    report.merge(await self.scrub_stripe(stripe, repair=repair))
+            listed = set(dirty)
+            order = dirty + [s for s in range(array.n_stripes) if s not in listed]
+            for start, stop in iter_batches(len(order), self.window):
+                report.merge(await self._scrub_window(order[start:stop], repair, deep))
             array.metrics.counter("scrub_passes").inc()
             array.metrics.counter("scrub_stripes_scanned").inc(
                 report.stripes_scanned

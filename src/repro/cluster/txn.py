@@ -107,12 +107,17 @@ class TwoPhaseWriter:
         self, column: int, verb: str, header: dict, payload: bytes = b""
     ) -> dict:
         self.crash.step()
-        # The stripe rides along for routing: the (column, stripe) pair
-        # resolves to a node through the array's holders.
-        reply, _ = await self.array._column_request(
-            column, verb, header, payload, stripe=header.get("stripe")
+        # One column of one stripe through the array's fan-out: routed
+        # by the stripe's holders, gated by the node's breaker, and
+        # sent once more if the epoch moved while it failed.
+        ((_, _, outcome),) = await self.array._fan_out(
+            verb, [(column, [header["stripe"]])],
+            lambda col, batch: payload,
+            lambda col, batch: header,
         )
-        return reply
+        if isinstance(outcome, ClusterError):
+            raise outcome
+        return outcome[0]
 
     # -- the write protocol --------------------------------------------------
 
@@ -157,7 +162,7 @@ class TwoPhaseWriter:
                 f"stripe {stripe}: txn {txn} lost columns {skipped}"
             )
 
-        committed_somewhere = False
+        committed: list[int] = []
         dirty: list[int] = []
         for col in prepared:
             try:
@@ -168,8 +173,8 @@ class TwoPhaseWriter:
                 # stale strip) is recovered later -- mark it dirty.
                 dirty.append(col)
             else:
-                committed_somewhere = True
-        if not committed_somewhere and prepared:
+                committed.append(col)
+        if not committed and prepared:
             # Every commit RPC failed: the decision still stands, and
             # recovery will roll the survivors forward.
             array.metrics.counter("txn_commit_stalls").inc()
@@ -178,14 +183,10 @@ class TwoPhaseWriter:
         # skipped or could not commit are stale now.
         if skipped or dirty:
             array.metrics.counter("degraded_writes").inc()
-            array.dirty_stripes[stripe] = set(skipped + dirty)
-        else:
-            array.dirty_stripes.pop(stripe, None)
+        array._mark_columns(fresh={stripe: committed}, stale={stripe: skipped + dirty})
         return skipped
 
-    async def _abort(
-        self, txn: str, columns: list[int], *, stripe: int | None = None
-    ) -> None:
+    async def _abort(self, txn: str, columns: list[int], *, stripe: int) -> None:
         for col in columns:
             try:
                 await self._rpc(col, "abort", {"txn": txn, "stripe": stripe})
@@ -251,9 +252,7 @@ class TwoPhaseWriter:
                 except ClusterError:
                     continue  # next recovery pass finishes the job
                 if commit and node_id in route:
-                    array.dirty_stripes.get(entry["stripe"], set()).discard(
-                        route.index(node_id)
-                    )
+                    array._mark_columns(fresh={entry["stripe"]: [route.index(node_id)]})
             (rolled_forward if commit else rolled_back).append(txn)
             array.metrics.counter(
                 "txn_rolled_forward" if commit else "txn_rolled_back"

@@ -863,7 +863,7 @@ def run_scenario(
                             reply, _ = await arr.client_for_node(
                                 node_id
                             ).request("scrub-read", {"stripe": s})
-                            if not reply.get("match"):
+                            if reply.get("match") != [True]:
                                 raise DivergenceError(
                                     f"op[{i}] check_placement: stripe {s} "
                                     f"strip on {node_id} fails its sidecar",
@@ -892,7 +892,10 @@ def run_scenario(
                     for stripe in range(arr.n_stripes):
                         buf = cluster_code.alloc_stripe()
                         cols = list(range(cluster_code.n_cols))
-                        if await arr._gather_columns(stripe, cols, buf):
+                        lost = await arr._gather(
+                            [(col, [stripe]) for col in cols], {stripe: buf}
+                        )
+                        if lost[stripe]:
                             continue
                         if stripe in arr.dirty_stripes:
                             continue

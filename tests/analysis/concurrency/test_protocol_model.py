@@ -47,7 +47,7 @@ class TestExtraction:
             "async def f(c, arr, w):\n"
             "    await c.request('get', {})\n"
             "    await send_verb(('h', 1), 'stats')\n"
-            "    await arr._column_request(0, 'put', {})\n"
+            "    await arr._fan_out('put', [(0, [1])])\n"
             "    await w._rpc(0, 'prepare', {})\n"
         )
         sent = extract_caller_verbs([("m.py", src)])
@@ -57,9 +57,9 @@ class TestExtraction:
         # the grep-proof case: verb literal on a continuation line
         src = (
             "async def f(arr):\n"
-            "    await arr._column_request(\n"
-            "        0, 'scrub-read',\n"
-            "        {'stripe': 1},\n"
+            "    await arr._fan_out(\n"
+            "        'scrub-read',\n"
+            "        [(0, [1])],\n"
             "    )\n"
         )
         assert set(extract_caller_verbs([("m.py", src)])) == {"scrub-read"}

@@ -56,8 +56,10 @@ async def consistent(arr) -> bool:
     code = arr.code
     for stripe in range(arr.n_stripes):
         buf = code.alloc_stripe()
-        lost = await arr._gather_columns(stripe, list(range(code.n_cols)), buf)
-        if lost or not code.verify(buf):
+        lost = await arr._gather(
+            [(col, [stripe]) for col in range(code.n_cols)], {stripe: buf}
+        )
+        if lost[stripe] or not code.verify(buf):
             return False
     return True
 

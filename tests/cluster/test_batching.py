@@ -1,9 +1,9 @@
 """One RPC per node per operation, on the simulation seam.
 
 ``ClusterArray`` batches every strip an operation touches: a read, a
-write, a gateway object and a rebuild window send one ``get``/``put``
-per column and serving node, split only where a frame would exceed
-``MAX_FRAME_BYTES``.  These drills pin the RPC counts (the client's
+write, a gateway object, a rebuild window and a scrub window send one
+``get``/``put``/``scrub-read`` per column and serving node, split only
+where a frame would exceed ``MAX_FRAME_BYTES``.  These drills pin the RPC counts (the client's
 ``requests`` counter counts batches), show that a fault inside a batch
 costs only what it must -- a latent sector its own strip, a failed disk
 its column, a mangled reply one retry -- and that on an elastic array a
@@ -18,11 +18,18 @@ import numpy as np
 import pytest
 
 from repro.array.faults import NetworkFaultPlan
-from repro.cluster import RebuildScheduler, StripNode, node as node_mod, protocol
+from repro.cluster import (
+    ClusterScrubber,
+    RebuildScheduler,
+    StripNode,
+    node as node_mod,
+    protocol,
+)
 from repro.gateway import ObjectGateway
 from repro.utils.words import WORD_DTYPE
 from tests.cluster.conftest import (
     FAST_POLICY,
+    consistent,
     elastic_sim_cluster,
     payload_for,
     sim_cluster,
@@ -40,7 +47,7 @@ def verbs(cluster, since=None) -> dict[str, int]:
     """Data requests the nodes served, per verb (minus ``since``)."""
     total: dict[str, int] = {}
     for node in cluster.nodes:
-        for verb in ("get", "put", "xor"):
+        for verb in ("get", "put", "xor", "scrub-read"):
             total[verb] = total.get(verb, 0) + node.metrics.get(f"requests_{verb}")
     if since is not None:
         total = {verb: n - since.get(verb, 0) for verb, n in total.items()}
@@ -319,6 +326,89 @@ class TestRpcCounts:
         assert max(payloads) == limit  # full frames carry two strips, no more
 
 
+class TestRepairRpcCounts:
+    """The scrub and the rebuild's write-back ride the batched path: at
+    the system benchmark's geometry (k=6, p=7) over 64 stripes, each
+    scrub window of 8 stripes costs one RPC per column and holder a
+    round, where the scrub used to send one per strip."""
+
+    async def stale_in_column(self, cluster, arr, col: int, n: int) -> None:
+        """Rewrite the first ``n`` stripes while ``col``'s node is down,
+        then bring it back: ``n`` stripes stale in one column."""
+        await arr.write(0, payload_for(arr, seed=1))
+        await cluster.stop_node(col)
+        await arr.write(0, payload_for(arr, seed=2)[: n * arr.stripe_data_bytes])
+        await cluster.restart_node(col)
+        arr.replace_node(col, cluster.nodes[col].address)
+        assert arr.dirty_stripes == {s: {col} for s in range(n)}
+
+    def test_clean_and_deep_passes_cost_one_rpc_per_column_a_window(self):
+        async def run():
+            code, cluster = sim_cluster(k=6, p=7, n_stripes=64)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                await arr.write(0, payload_for(arr))
+                scrubber = ClusterScrubber(arr, window=8)
+                before = verbs(cluster)
+                report = await scrubber.scrub()
+                assert report.fast_path_hits == 64
+                assert verbs(cluster, since=before) == {"scrub-read": 64}  # was 512
+                before = verbs(cluster)
+                report = await scrubber.scrub(deep=True)
+                assert report.stripes_clean == 64 and report.fast_path_hits == 0
+                assert verbs(cluster, since=before) == {"get": 64}  # was 512
+
+        asyncio.run(run())
+
+    def test_dirty_first_pass_fetches_and_puts_back_a_window_at_a_time(self):
+        """16 stripes stale in column 3 fill the first two windows: no
+        probe, 7 gets (never the stale column) and 1 put each; the other
+        six windows are 8 probes each."""
+
+        async def run():
+            code, cluster = sim_cluster(k=6, p=7, n_stripes=64)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                await self.stale_in_column(cluster, arr, 3, 16)
+                before = verbs(cluster)
+                report = await ClusterScrubber(arr, window=8).scrub()
+                assert report.corrected == [(s, 3) for s in range(16)]
+                assert report.fast_path_hits == 48
+                assert report.healthy and arr.dirty_stripes == {}
+                # was 128 gets, 16 puts and 384 probes
+                assert verbs(cluster, since=before) == {"get": 14, "put": 2, "scrub-read": 48}
+
+        asyncio.run(run())
+
+    def test_rebuild_puts_a_windows_stale_strips_back_in_one_put(self):
+        """Rebuilding column 1 over 16 stripes stale in column 3: four
+        windows push to the replacement, and the first puts its decoded
+        column-3 strips back in one more put (was one per strip)."""
+
+        async def run():
+            code, cluster = sim_cluster(k=6, p=7, n_stripes=64)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                await self.stale_in_column(cluster, arr, 3, 16)
+                await cluster.stop_node(1)
+                spare = await cluster.start_replacement(1)
+                stale_puts = cluster.nodes[3].metrics.get("requests_put")
+                before = verbs(cluster)
+                await RebuildScheduler(arr, batch_stripes=16).rebuild_column(1, spare)
+                assert cluster.replacements[1].metrics.get("requests_put") == 4
+                assert verbs(cluster, since=before)["put"] == 1  # 5 in all, was 20
+                assert cluster.nodes[3].metrics.get("requests_put") == stale_puts + 1
+                assert arr.dirty_stripes == {}
+                cluster.promote_replacement(1)
+                assert await consistent(arr)
+                assert await arr.read(0, arr.capacity) == (
+                    payload_for(arr, seed=2)[: 16 * arr.stripe_data_bytes]
+                    + payload_for(arr, seed=1)[16 * arr.stripe_data_bytes :]
+                )
+
+        asyncio.run(run())
+
+
 class TestFaultsInsideABatch:
     """One fault costs its strip, its column, or one retry -- never
     the whole batch."""
@@ -395,14 +485,15 @@ class TestFaultsInsideABatch:
                     await arr.write(stripe * sdb, first[stripe * sdb : (stripe + 1) * sdb])
                 _, n = await counted(arr, arr.write(0, payload_for(arr, seed=9)))
                 assert n == code.n_cols  # one batched put per column
-                for stripe in range(arr.n_stripes):
-                    for col, node in enumerate(cluster.nodes):
-                        reply, _ = await arr._column_request(
-                            col, "scrub-read", {"stripe": stripe}, stripe=stripe
-                        )
-                        assert reply["match"], (stripe, col)
-                        strip = node.disk.read_strip(stripe)
-                        assert reply["crc_stored"] == zlib.crc32(strip.data)
+                stripes = list(range(arr.n_stripes))
+                for col, node in enumerate(cluster.nodes):
+                    reply, _ = await arr.client_for_node(col).request(
+                        "scrub-read", {"stripes": stripes}
+                    )
+                    assert reply["match"] == [True] * len(stripes), col
+                    assert reply["crc_stored"] == [
+                        zlib.crc32(node.disk.read_strip(stripe).data) for stripe in stripes
+                    ]
 
         asyncio.run(run())
 

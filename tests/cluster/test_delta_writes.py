@@ -439,7 +439,7 @@ class TestXorVerb:
             )
         assert not node.disk.read_strip(0).any() and not node.xor_tokens
         assert (node.disk.read_strip(1) == rotted).all()
-        assert node._serve("scrub-read", {"stripe": 1}, b"")[0]["match"] is False
+        assert node._serve("scrub-read", {"stripe": 1}, b"")[0]["match"] == [False]
 
     def test_a_latent_strip_fails_the_request_whole(self):
         code, cluster = sim_cluster()

@@ -176,10 +176,8 @@ class TestHealthMonitor:
                 await monitor.probe_once()
                 assert arr.breakers[1].state is BreakerState.OPEN
                 # Data-plane requests now short-circuit without a dial.
-                missing = await arr._gather_columns(
-                    0, [1], code.alloc_stripe()
-                )
-                assert missing == [1]
+                lost = await arr._gather([(1, [0])], {0: code.alloc_stripe()})
+                assert lost == {0: [1]}
                 assert arr.metrics.get("breaker_short_circuits") > 0
 
         asyncio.run(run())

@@ -157,6 +157,41 @@ class TestDirtyStripes:
 
         asyncio.run(run())
 
+    def test_a_stripe_listed_stale_mid_pass_is_repaired_not_probed(self):
+        """A stale strip matches its own sidecar, so a stripe that a
+        write lists stale after the pass began must not settle on its
+        probe: it is a suspect when its window comes up."""
+
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                sdb = arr.stripe_data_bytes
+                await arr.write(0, payload_for(arr))
+                fresh = payload_for(arr, seed=1)[:sdb]
+                scrubber = ClusterScrubber(arr, window=2)
+                probe, windows = scrubber._probe, []
+
+                async def rewrite_stripe_6_after_the_first_window(stripes):
+                    windows.append(stripes)
+                    if len(windows) == 2:
+                        await cluster.stop_node(1)
+                        await arr.write(6 * sdb, fresh)
+                        await cluster.restart_node(1)
+                        arr.replace_node(1, cluster.nodes[1].address)
+                        assert arr.dirty_stripes == {6: {1}}
+                    return await probe(stripes)
+
+                scrubber._probe = rewrite_stripe_6_after_the_first_window
+                report = await scrubber.scrub()
+                assert report.corrected == [(6, 1)]
+                assert report.fast_path_hits == 7
+                assert report.healthy
+                assert arr.dirty_stripes == {}
+                assert await arr.read(6 * sdb, sdb) == fresh
+
+        asyncio.run(run())
+
     def test_unreachable_column_defers_the_stripe(self):
         async def run():
             code, cluster = sim_cluster()

@@ -203,7 +203,7 @@ class TestStripeLocks:
                 fresh = payload_for(arr, seed=4)[:sdb]
                 cluster.nodes[1].disk.mark_latent_error(0)
                 scrubber = ClusterScrubber(arr)
-                gate = gate_after(arr, "_gather_columns")
+                gate = gate_after(arr, "_gather")
                 scrub = asyncio.ensure_future(scrubber.scrub_stripe(0))
                 await cluster.clock.sleep(1.0)  # fetched, about to repair
                 write = asyncio.ensure_future(arr.write(0, fresh))

@@ -95,12 +95,12 @@ class TestCleanProtocol:
                 new = make_stripe(code, seed=3)
                 writer = TwoPhaseWriter(arr, client_id="t")
                 await writer.write_stripe(0, new)
-                reply, _ = await arr._column_request(0, "commit", {"txn": "t-1"})
+                reply, _ = await arr.client_for_node(0).request("commit", {"txn": "t-1"})
                 assert reply["state"] == "committed"
                 assert reply["applied"] is False
                 # A late duplicate prepare cannot resurrect the intent.
-                reply, _ = await arr._column_request(
-                    0, "prepare",
+                reply, _ = await arr.client_for_node(0).request(
+                    "prepare",
                     {"txn": "t-1", "stripe": 0, "part": []},
                     np.ascontiguousarray(new[0]).tobytes(),
                 )
@@ -208,6 +208,32 @@ class TestNodeCrashSweep:
 
         asyncio.run(run())
 
+    def test_rolled_forward_commit_leaves_no_stale_entry(self):
+        """Recovery that rolls a commit forward onto the column that
+        missed it takes the column off the stale list -- the stripe is
+        not left listed with no stale column, which would send its
+        next small write down the fallback path."""
+
+        async def run():
+            code, cluster = sim_cluster()
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                await arr.write_stripe(0, make_stripe(code, seed=1))
+                cluster.nodes[2].crashes.arm("commit-before-apply")
+                writer = TwoPhaseWriter(arr, client_id="t")
+                assert await writer.write_stripe(0, make_stripe(code, seed=2)) == []
+                assert arr.dirty_stripes == {0: {2}}
+                await cluster.restart_node(2)
+                arr.replace_node(2, cluster.nodes[2].address)
+                assert (await writer.recover())["rolled_forward"] == ["t-1"]
+                assert arr.dirty_stripes == {}
+                requests = arr.metrics.get("requests")
+                await arr.write(0, b"\x5a" * 8)
+                assert arr.metrics.get("requests") - requests == 4  # get, put, 2 xors
+                assert arr.metrics.get("delta_writes") == 1
+
+        asyncio.run(run())
+
     def test_abort_crash_rolls_back_on_recovery(self):
         """A node dying inside ``abort`` leaves its intent pending; the
         next recovery pass presumes abort and drops it."""
@@ -219,14 +245,14 @@ class TestNodeCrashSweep:
                 old = make_stripe(code, seed=1)
                 new = make_stripe(code, seed=2)
                 await arr.write_stripe(0, old)
-                await arr._column_request(
-                    0, "prepare",
+                await arr.client_for_node(0).request(
+                    "prepare",
                     {"txn": "x-1", "stripe": 0, "part": [0]},
                     np.ascontiguousarray(new[0]).tobytes(),
                 )
                 cluster.nodes[0].crashes.arm("abort-before-drop")
                 writer = TwoPhaseWriter(arr, client_id="x")
-                await writer._abort("x-1", [0])  # crash swallowed: presumed abort
+                await writer._abort("x-1", [0], stripe=0)  # crash swallowed: presumed abort
                 assert not cluster.nodes[0].running
                 await cluster.restart_node(0)
                 arr.replace_node(0, cluster.nodes[0].address)
@@ -249,14 +275,14 @@ class TestNodeCrashSweep:
                 old = make_stripe(code, seed=1)
                 new = make_stripe(code, seed=2)
                 await arr.write_stripe(0, old)
-                await arr._column_request(
-                    0, "prepare",
+                await arr.client_for_node(0).request(
+                    "prepare",
                     {"txn": "x-1", "stripe": 0, "part": [0]},
                     np.ascontiguousarray(new[0]).tobytes(),
                 )
                 cluster.nodes[0].crashes.arm("abort-before-reply")
                 writer = TwoPhaseWriter(arr, client_id="x")
-                await writer._abort("x-1", [0])  # crash swallowed: presumed abort
+                await writer._abort("x-1", [0], stripe=0)  # crash swallowed: presumed abort
                 assert not cluster.nodes[0].running
                 await cluster.restart_node(0)
                 arr.replace_node(0, cluster.nodes[0].address)
@@ -265,7 +291,7 @@ class TestNodeCrashSweep:
                 assert outcome == {"rolled_forward": [], "rolled_back": []}
                 assert no_pending_intents(cluster)
                 # Re-sending the abort must be a harmless no-op.
-                reply, _ = await arr._column_request(0, "abort", {"txn": "x-1"})
+                reply, _ = await arr.client_for_node(0).request("abort", {"txn": "x-1"})
                 assert reply["state"] == "aborted"
                 assert column_states(cluster, 0, old, new)[0] == "old"
 

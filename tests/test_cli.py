@@ -333,28 +333,31 @@ class TestClusterMembershipCli:
         assert not thread.is_alive()
 
 
+@pytest.fixture
+def served():
+    """A 4-stripe k=3 cluster on real sockets, its nodes on an event
+    loop in a background thread (the CLI runs its own in the test's);
+    yields the cluster and a runner for coroutines on that loop."""
+    loop = asyncio.new_event_loop()
+    thread = threading.Thread(target=loop.run_forever, daemon=True)
+    thread.start()
+    code = make_code("liberation-optimal", 3, p=5, element_size=64)
+    cluster = LocalCluster(code, 4)
+
+    def run(coro):
+        return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=60)
+
+    run(cluster.start())
+    yield cluster, run
+    run(cluster.stop())
+    loop.call_soon_threadsafe(loop.stop)
+    thread.join(timeout=5)
+    loop.close()
+
+
 @pytest.mark.slow
 class TestClusterHealCli:
-    """``cluster heal`` against real sockets: the nodes run on an event
-    loop in a background thread, the CLI runs its own in the test's."""
-
-    @pytest.fixture
-    def served(self):
-        loop = asyncio.new_event_loop()
-        thread = threading.Thread(target=loop.run_forever, daemon=True)
-        thread.start()
-        code = make_code("liberation-optimal", 3, p=5, element_size=64)
-        cluster = LocalCluster(code, 4)
-
-        def run(coro):
-            return asyncio.run_coroutine_threadsafe(coro, loop).result(timeout=60)
-
-        run(cluster.start())
-        yield cluster, run
-        run(cluster.stop())
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5)
-        loop.close()
+    """``cluster heal`` against real sockets."""
 
     def test_stopped_node_fails_then_rebuild_heals_it(self, served, capsys):
         cluster, run = served
@@ -386,6 +389,59 @@ class TestClusterHealCli:
         assert "rebuilt 4 stripes" in capsys.readouterr().out
         cluster.promote_replacement(1)
         assert run(read()) == (data, 0)
+
+
+@pytest.mark.slow
+class TestClusterScrubCli:
+    """``cluster scrub`` against real sockets: exit 0 iff the pass
+    leaves the array healthy."""
+
+    @staticmethod
+    def written(cluster, run) -> list[str]:
+        """Fill the array; returns the ``cluster scrub`` argv for it."""
+
+        async def write():
+            arr = cluster.array()
+            await arr.write(0, bytes(range(256)) * (arr.capacity // 256))
+
+        run(write())
+        return ["cluster", "scrub",
+                *(f"{host}:{port}" for host, port in cluster.addresses),
+                "--stripes", "4", "--p", "5", "--element-size", "64",
+                "--timeout", "0.5"]
+
+    def test_clean_pass_settles_every_stripe_by_probe(self, served, capsys):
+        cluster, run = served
+        argv = self.written(cluster, run)
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "4 stripes scanned, 4 clean (4 settled by CRC probe)" in out
+        assert "array healthy" in out
+
+    def test_rotted_strip_is_corrected_then_probes_clean(self, served, capsys):
+        cluster, run = served
+        argv = self.written(cluster, run)
+
+        async def rot():
+            cluster.nodes[1].disk.corrupt(2, seed=5)
+
+        run(rot())
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "corrected: stripe 2 column 1" in out
+        assert "(3 settled by CRC probe)" in out
+        assert main(argv) == 0
+        assert "(4 settled by CRC probe)" in capsys.readouterr().out
+
+    def test_stopped_node_defers_its_stripes(self, served, capsys):
+        cluster, run = served
+        argv = self.written(cluster, run)
+        run(cluster.stop_node(1))
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        for stripe in range(4):
+            assert f"deferred (column unreachable): stripe {stripe}" in out
+        assert "array NOT healthy" in out
 
 
 class TestRoundTripProperty:
