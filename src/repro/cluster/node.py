@@ -352,6 +352,11 @@ class StripNode:
     def _serve(
         self, verb: str, header: dict, payload: bytes
     ) -> tuple[dict, bytes | memoryview]:
+        if "crcs" in header and verb != "put":
+            # The frame's CRC left out the payload, whose strips only a
+            # put checks against the listed CRCs.
+            return {"status": "err", "error": "bad-request",
+                    "detail": f"only a put lists crcs, not {verb!r}"}, b""
         if verb == "ping":
             return {"status": "ok", "column": self.column}, b""
         if verb == "put":

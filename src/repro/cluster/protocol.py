@@ -21,7 +21,17 @@ analogue of the scrubber's checksum discipline:
   strip where it lands -- the node against the CRC it keeps as the
   strip's sidecar, the client against the sidecar the node sent -- so
   a strip is hashed once on its way, and a mismatch costs that strip,
-  not the frame.
+  not the frame.  A node answers any other request that lists
+  ``crcs`` with ``bad-request``, since nothing would check its payload.
+* The CRCs a ``put`` lists come from the user's bytes where it can:
+  the client hashes a write in strip-aligned pieces, and a strip one
+  piece fills lists that piece's CRC, so the node's check also catches
+  a piece the client's layout misplaced.  An encoded P, where the code
+  makes it the row parity, lists the XOR of its data strips' CRCs
+  (:func:`~repro.utils.crc.crc32_xor`), which the node's check holds
+  the encoder to.  The client keeps the CRC each ``get`` strip was
+  checked with and folds the CRC of the bytes it returns from them
+  (:func:`~repro.utils.crc.crc32_combine`).
 * Any other frame's trailing CRC-32 covers header and payload, and
   :func:`read_frame` raises :class:`FrameChecksumError` on a mismatch.
 

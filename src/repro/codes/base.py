@@ -39,6 +39,11 @@ class RAID6Code(abc.ABC):
     #: decoder stages its S adjuster in one; disks never store them).
     n_scratch: int = 0
 
+    #: whether :meth:`encode` makes P the XOR of the k data columns (the
+    #: row parity), so P's CRC-32 follows from the data strips' CRCs
+    #: (:func:`~repro.utils.crc.crc32_xor`); each family that does says so
+    p_is_row_parity: bool = False
+
     def __init__(self, k: int, *, element_size: int = 8) -> None:
         self.k = int(k)
         self.element_size = check_element_size(element_size)

@@ -42,6 +42,7 @@ class BlaumRothCode(XorScheduleCode):
     """Blaum-Roth RAID-6 code over R_p, via bit-matrices."""
 
     name = "blaum-roth"
+    p_is_row_parity = True
 
     def __init__(
         self,

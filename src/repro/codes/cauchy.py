@@ -50,6 +50,9 @@ class CauchyRSCode(XorScheduleCode):
         self.gf = GF2w(self.w)
         build = cauchy_good_matrix if good else cauchy_original_matrix
         self.field_matrix = build(self.gf, self.k, 2)
+        # P is the row parity when the P row's field elements are all 1
+        # (the good matrix normalises them so; the original does not).
+        self.p_is_row_parity = all(int(e) == 1 for e in self.field_matrix[0])
         self.generator = cauchy_bitmatrix(self.gf, self.field_matrix)
 
     @property

@@ -40,6 +40,7 @@ class EvenOddCode(XorScheduleCode):
 
     name = "evenodd"
     n_scratch = 1  # decode stages the adjuster S here
+    p_is_row_parity = True
 
     def __init__(
         self, k: int, *, p: int | None = None, element_size: int = 8, execution: str = "kernel"

@@ -40,6 +40,8 @@ __all__ = ["LiberationCode", "LiberationOptimal", "LiberationOriginal"]
 class LiberationCode(XorScheduleCode):
     """Shared parameterisation for both Liberation variants."""
 
+    p_is_row_parity = True
+
     def __init__(
         self, k: int, *, p: int | None = None, element_size: int = 8, execution: str = "kernel"
     ) -> None:

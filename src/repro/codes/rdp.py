@@ -37,6 +37,7 @@ class RDPCode(XorScheduleCode):
     """RDP RAID-6 code with schedule-based encode/decode."""
 
     name = "rdp"
+    p_is_row_parity = True
 
     def __init__(
         self, k: int, *, p: int | None = None, element_size: int = 8, execution: str = "kernel"

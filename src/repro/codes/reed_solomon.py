@@ -31,6 +31,7 @@ class ReedSolomonCode(RAID6Code):
     """GF(2^8) P+Q code with vectorised table arithmetic."""
 
     name = "reed-solomon"
+    p_is_row_parity = True
 
     def __init__(self, k: int, *, element_size: int = 8, rows: int = 1) -> None:
         if not 2 <= k <= 255:

@@ -3,7 +3,9 @@
 The gateway's read path assembles objects from stripe payloads; under
 a zipfian key distribution a handful of stripes serve most requests,
 so caching whole payloads (the ``k * strip_bytes`` user span, parity
-excluded) converts the hot tail of reads into memory copies.
+excluded) converts the hot tail of reads into memory copies.  Each
+entry keeps its payload's CRC-32 with it, so a hit adds to an object's
+integrity check without hashing the payload again.
 
 Consistency is by *write-through invalidation*: every gateway write
 goes straight to the cluster and then drops the touched stripe from
@@ -26,8 +28,12 @@ from repro.obs.metrics import MetricsRegistry
 __all__ = ["StripeCache"]
 
 
+#: One cache entry: a stripe's payload and its CRC-32.
+Entry = tuple[bytes, int]
+
+
 class StripeCache:
-    """Bounded LRU of ``stripe -> payload bytes``.
+    """Bounded LRU of ``stripe -> (payload bytes, CRC-32)``.
 
     ``capacity`` counts stripes, not bytes: every entry is exactly one
     stripe payload, so byte budgeting is ``capacity * stripe_bytes``.
@@ -41,7 +47,7 @@ class StripeCache:
             raise ValueError("cache capacity must be >= 0")
         self.capacity = int(capacity)
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self._entries: OrderedDict[int, bytes] = OrderedDict()
+        self._entries: OrderedDict[int, Entry] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -49,26 +55,26 @@ class StripeCache:
     def __contains__(self, stripe: int) -> bool:
         return stripe in self._entries
 
-    def get(self, stripe: int) -> bytes | None:
-        """The cached payload (refreshing recency), or None on a miss."""
-        payload = self._entries.get(stripe)
-        if payload is None:
+    def get(self, stripe: int) -> Entry | None:
+        """The cached entry (refreshing recency), or None on a miss."""
+        entry = self._entries.get(stripe)
+        if entry is None:
             self.metrics.counter("cache_misses").inc()
             return None
         self._entries.move_to_end(stripe)
         self.metrics.counter("cache_hits").inc()
-        return payload
+        return entry
 
-    def peek(self, stripe: int) -> bytes | None:
+    def peek(self, stripe: int) -> Entry | None:
         """Like :meth:`get` but without touching counters or recency --
         for double-checked lookups that already counted their miss."""
         return self._entries.get(stripe)
 
-    def put(self, stripe: int, payload: bytes) -> None:
-        """Insert/refresh a payload, evicting the least-recent entry."""
+    def put(self, stripe: int, entry: Entry) -> None:
+        """Insert/refresh an entry, evicting the least-recent one."""
         if self.capacity == 0:
             return
-        self._entries[stripe] = payload
+        self._entries[stripe] = entry
         self._entries.move_to_end(stripe)
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)

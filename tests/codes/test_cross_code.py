@@ -11,7 +11,7 @@ import itertools
 import numpy as np
 import pytest
 
-from repro.codes import XorScheduleCode, make_code
+from repro.codes import CODE_FAMILIES, XorScheduleCode, make_code
 
 CONFIGS = [
     ("liberation-optimal", 4, {"p": 5}),
@@ -114,3 +114,16 @@ class TestBitWordAgreement:
             assert np.array_equal(
                 bits[: code.n_cols], got[: code.n_cols]
             ), plane
+
+
+@pytest.mark.parametrize("name", list(CODE_FAMILIES))
+@pytest.mark.parametrize("k", [3, 4])
+def test_p_is_row_parity_says_what_encode_does(name, k, random_words):
+    """``p_is_row_parity`` lets a write fold P's CRC from the data
+    strips'; it must hold exactly where P is their XOR (every family
+    but Cauchy RS with the original matrix)."""
+    code = make_code(name, k)
+    buf = encoded_stripe(code, random_words)
+    is_xor = np.array_equal(np.bitwise_xor.reduce(buf[:k], axis=0), buf[code.p_col])
+    assert code.p_is_row_parity == is_xor
+    assert is_xor == (name != "cauchy-rs-original")

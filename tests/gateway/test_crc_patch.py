@@ -11,7 +11,7 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.gateway.objstore import crc32_patch
+from repro.utils.crc import crc32_patch
 
 from .conftest import sim_gateway
 

@@ -5,7 +5,7 @@ import asyncio
 
 import pytest
 
-from repro.gateway import NoSpaceError, ObjectNotFoundError
+from repro.gateway import Extent, NoSpaceError, ObjectNotFoundError
 from repro.gateway.objstore import IntegrityError
 
 from .conftest import STRIPE_BYTES, sim_gateway
@@ -173,6 +173,28 @@ class TestIntegrity:
                 with pytest.raises(IntegrityError):
                     await gw.get("x")
                 assert gw.metrics.counter("gateway_integrity_errors").value == 1
+
+        run(main())
+
+    @pytest.mark.parametrize("size", [2 * STRIPE_BYTES, 200], ids=["whole", "packed"])
+    def test_an_extent_mapped_to_the_wrong_stripe_raises_integrity_error(self, size):
+        """A get folds its check from the CRCs each strip was checked
+        with, not from the object's bytes; an extent that names another
+        stripe still fails it, whether it covers that stripe whole (its
+        folded CRC) or part of it (hashed)."""
+
+        async def main():
+            async with sim_gateway() as (gw, _arr, _cluster):
+                await gw.put("other", bytes(range(256)) * 8)
+                await gw.put("x", b"x" * size)
+                meta = gw.index["x"]
+                ext = meta.extents[0]
+                wrong = next(s for s in gw.index["other"].stripes if s != ext.stripe)
+                meta.extents[0] = Extent(wrong, ext.start, ext.length)
+                with pytest.raises(IntegrityError):
+                    await gw.get("x")
+                meta.extents[0] = ext
+                assert await gw.get("x") == b"x" * size
 
         run(main())
 
