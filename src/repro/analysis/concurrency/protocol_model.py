@@ -4,7 +4,7 @@ The cluster protocol is stringly-typed by design (verbs ride the frame
 header as JSON), which keeps the wire simple and makes the compiler
 useless: nothing stops a client shipping ``"scrubread"`` to a node that
 only knows ``"scrub-read"``, or a handler rotting caller-less after a
-refactor, or a brand-new 2PC crash point that no crash-sweep test ever
+refactor, or a brand-new node crash point that no crash-sweep test ever
 arms.  This pass rebuilds the protocol model from the AST and proves it
 closed:
 
@@ -29,7 +29,8 @@ Findings:
 * ``PRO402`` -- a handler accepts a verb nothing (src *or* tests)
   sends: dead protocol surface, or a caller lost in a refactor.
 * ``PRO403`` -- a declared crash point never exercised by the test
-  tree: the 2PC sweep has a blind spot exactly one crash wide.
+  tree: the node crash sweeps have a blind spot exactly one crash
+  wide.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _VERB_ARG_INDEX = {
     "request": 0,         # client.request("get", ...)
     "send_verb": 1,       # send_verb(address, "stats", ...)
     "_fan_out": 0,        # array._fan_out("get", [(col, stripes)])
-    "_rpc": 1,            # writer._rpc(col, "prepare", ...)
+    "_rpc": 1,            # rebalancer._rpc(node_id, "release", ...)
 }
 
 #: Internal marker replies, not protocol verbs a caller could send.
@@ -262,8 +263,8 @@ def check_protocol(
             findings.append(Finding(
                 "PRO403", "cluster/node.py", 0, point,
                 f"crash point {point!r} is declared in NodeCrashPlan.POINTS "
-                f"but never appears in the test tree -- the 2PC crash sweep "
-                f"has a blind spot here",
+                f"but never appears in the test tree -- the node crash "
+                f"sweeps have a blind spot here",
             ))
 
     # inline suppressions live in node.py; apply them only to findings

@@ -2,7 +2,7 @@
 
 PR 7 made borrowed views the wire currency: ``words_view`` returns a
 memoryview over the coder's working buffer, ``frame_parts`` casts
-payloads to flat byte views, node/client/rebuild/txn ship
+payloads to flat byte views, node/client/rebuild/rebalance ship
 ``np.ascontiguousarray(...).data`` straight onto the asyncio transport.
 The performance is real and so is the hazard: a view is a *loan*, and
 Python will not stop the lender from reusing the buffer while the loan

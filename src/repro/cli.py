@@ -919,8 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
     fz.add_argument("--progress-every", type=int, default=0,
                     help="print a heartbeat every N cases")
     fz.add_argument("--chaos", action="store_true",
-                    help="include self-healing ops (scrub/heal/2PC crash "
-                         "injection) in generated scenarios")
+                    help="include self-healing ops (corrupt/scrub/heal and "
+                         "late duplicate writes) in generated scenarios")
     fz.add_argument("--objects", action="store_true",
                     help="route the data plane through the object gateway "
                          "(put/get/update/delete with a shadow oracle)")

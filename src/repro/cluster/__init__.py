@@ -21,8 +21,6 @@ Modules:
   paper's single-column locator, applied over the wire);
 * :mod:`repro.cluster.health` -- heartbeats, circuit breakers,
   membership verdicts and automatic fail-to-rebuilt healing;
-* :mod:`repro.cluster.txn` -- atomic stripe updates via two-phase
-  commit (the distributed write-hole fix);
 * :mod:`repro.cluster.membership` -- the epoch-numbered node table
   (join/live/drain/dead);
 * :mod:`repro.cluster.placement` -- column order, and deterministic
@@ -54,7 +52,13 @@ from repro.cluster.placement import (
     PlacementMap,
     place_stripe,
 )
-from repro.cluster.rebalance import RebalanceError, Rebalancer, TokenBucket
+from repro.cluster.rebalance import (
+    ClientCrash,
+    ClientCrashPoint,
+    RebalanceError,
+    Rebalancer,
+    TokenBucket,
+)
 from repro.cluster.protocol import (
     FrameChecksumError,
     ProtocolError,
@@ -64,13 +68,13 @@ from repro.cluster.protocol import (
 )
 from repro.cluster.rebuild import RebuildScheduler
 from repro.cluster.scrub import ClusterScrubReport, ClusterScrubber
-from repro.cluster.txn import ClientCrash, TwoPhaseWriter, TxnCrashPoint
 from repro.obs.metrics import Counter, Histogram, MetricsRegistry
 
 __all__ = [
     "BreakerState",
     "CircuitBreaker",
     "ClientCrash",
+    "ClientCrashPoint",
     "ClusterArray",
     "ClusterDegradedError",
     "ClusterError",
@@ -100,8 +104,6 @@ __all__ = [
     "RetryPolicy",
     "StripNode",
     "TokenBucket",
-    "TwoPhaseWriter",
-    "TxnCrashPoint",
     "place_stripe",
     "encode_frame",
     "read_frame",

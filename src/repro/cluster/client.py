@@ -941,11 +941,7 @@ class ClusterArray:
                     want[stripe] = cols
             if not want:
                 return
-            plan, into = _by_column(want), {s: bufs[s] for s in want}
-            if crcs is None:  # a rebuild window's fetch keeps no CRCs
-                lost = await self._gather(plan, into)
-            else:
-                lost = await self._gather(plan, into, crcs)
+            lost = await self._gather(_by_column(want), {s: bufs[s] for s in want}, crcs)
             pending = [s for s in want if lost[s]]
             for stripe in pending:
                 erasures[stripe].update(lost[stripe])
@@ -1072,13 +1068,13 @@ class ClusterArray:
     ) -> None:
         """The one place :attr:`dirty_stripes` changes, by one rule.
 
-        A column that a write's ``put``, ``xor`` or ``commit``, a
-        repair's ``put`` or a migration's flip landed holds fresh bytes:
-        ``fresh`` (stripe -> columns) takes it off its stripe's stale
-        set.  A column a write skipped, or a fetch found rotted, holds
-        stale bytes: ``stale`` adds it.  A repair that misses a column
-        names it in neither, so its state stays as it was.  A stripe
-        left with no stale column is not listed.
+        A column that a write's ``put`` or ``xor``, a repair's ``put``
+        or a migration's flip landed holds fresh bytes: ``fresh``
+        (stripe -> columns) takes it off its stripe's stale set.  A
+        column a write skipped, or a fetch found rotted, holds stale
+        bytes: ``stale`` adds it.  A repair that misses a column names
+        it in neither, so its state stays as it was.  A stripe left
+        with no stale column is not listed.
         """
         for stripe, cols in (fresh or {}).items():
             listed = self.dirty_stripes.get(stripe)

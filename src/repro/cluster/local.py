@@ -117,9 +117,9 @@ class LocalCluster:
     async def restart_node(self, node_id: int) -> tuple[str, int]:
         """Bring a stopped node back (reboot after a crash).
 
-        Durable state -- disk contents, intent log, checksum sidecars
-        -- survives in the :class:`StripNode` object; only the
-        listening socket was lost.  Returns the (new) address, which a
+        Durable state -- disk contents, checksum sidecars, ``xor``
+        write tokens -- survives in the :class:`StripNode` object; only
+        the listening socket was lost.  Returns the (new) address, which a
         pool's table records under the same id and state.
         """
         address = await self.nodes[node_id].start()

@@ -22,7 +22,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import zlib
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,16 +35,12 @@ from repro.sim.clock import Clock, RealClock
 from repro.sim.transport import AsyncioTransport, Transport
 from repro.utils.words import WORD_DTYPE
 
-__all__ = ["NodeCrashPlan", "NodeCrashed", "NodeIntent", "StripNode"]
+__all__ = ["NodeCrashPlan", "NodeCrashed", "StripNode"]
 
 #: Verbs the fault plan applies to.  Operator verbs (``stats``,
-#: ``fault``, ``shutdown``, ``metrics``) and the recovery plane
-#: (``intents``, ``txn-status``) always get through, so a sick node
-#: stays diagnosable and repairable.
-_DATA_VERBS = frozenset(
-    {"get", "put", "xor", "ping", "scrub-read", "prepare", "commit", "abort",
-     "release"}
-)
+#: ``fault``, ``shutdown``, ``metrics``) and ``membership`` always get
+#: through, so a sick node stays diagnosable and repairable.
+_DATA_VERBS = frozenset({"get", "put", "xor", "ping", "scrub-read", "release"})
 
 
 class NodeCrashed(Exception):
@@ -53,9 +48,9 @@ class NodeCrashed(Exception):
 
     The dispatch loop translates it into a crash: the connection is
     dropped without a reply and the node stops serving, while all
-    durable state (disk contents, intent log, transaction outcomes,
-    checksum sidecars) survives in the object -- calling ``start()``
-    again models the machine rebooting.
+    durable state (disk contents, checksum sidecars, ``xor`` write
+    tokens) survives in the object -- calling ``start()`` again models
+    the machine rebooting.
     """
 
 
@@ -63,22 +58,17 @@ class NodeCrashPlan:
     """Deterministic node-side crash triggers for protocol boundaries.
 
     Each *point* names a position inside a verb handler (e.g.
-    ``commit-before-apply``).  Arming a point with ``after=n`` makes the
+    ``xor-before-apply``).  Arming a point with ``after=n`` makes the
     ``n+1``-th passage through it raise :class:`NodeCrashed`, so tests
-    can sweep every node-side crash position of the two-phase write
-    protocol the way ``tests/array/test_journal.py`` sweeps the local
-    journal's strip writes.
+    can sweep every node-side crash position of a migration's
+    ``release`` and a delta write's ``xor`` the way
+    ``tests/array/test_journal.py`` sweeps the local journal's strip
+    writes.
     """
 
-    #: every point the txn, release and delta verbs pass through, in
+    #: every point the release and delta verbs pass through, in
     #: protocol order
     POINTS = (
-        "prepare-before-log",
-        "prepare-before-reply",
-        "commit-before-apply",
-        "commit-before-reply",
-        "abort-before-drop",
-        "abort-before-reply",
         "release-before-drop",
         "release-before-reply",
         "xor-before-apply",
@@ -102,22 +92,6 @@ class NodeCrashPlan:
             return True
         self._armed[point] -= 1
         return False
-
-
-@dataclass
-class NodeIntent:
-    """One logged write intent: the full new image of this node's strip.
-
-    Mirrors :class:`repro.array.journal.JournalRecord` for the
-    distributed protocol: the record is durable from ``prepare`` until
-    ``commit`` applies it (atomically, like a journal retirement) or
-    ``abort`` drops it.
-    """
-
-    txn: str
-    stripe: int
-    words: np.ndarray
-    participants: list[int] = field(default_factory=list)
 
 
 class StripNode:
@@ -144,10 +118,6 @@ class StripNode:
         self.disk = SimulatedDisk(column, n_strips, strip_words)
         self.faults = NetworkFaultPlan()
         self.crashes = NodeCrashPlan()
-        #: pending write intents (txn id -> record), durable across crashes
-        self.intents: dict[str, NodeIntent] = {}
-        #: resolved transactions (txn id -> "committed" | "aborted")
-        self.txn_done: dict[str, str] = {}
         #: per-strip CRC-32 sidecars, refreshed on every applied write
         self.checksums: dict[int, int] = {}
         #: per strip, the write token of its latest applied ``xor`` delta
@@ -367,31 +337,10 @@ class StripNode:
             return self._serve_xor(header, payload), b""
         if verb == "scrub-read":
             return self._serve_scrub_read(header), b""
-        if verb == "prepare":
-            return self._serve_prepare(header, payload), b""
-        if verb == "commit":
-            return self._serve_commit(header), b""
-        if verb == "abort":
-            return self._serve_abort(header), b""
         if verb == "release":
             return self._serve_release(header), b""
         if verb == "membership":
             return self._serve_membership(header), b""
-        if verb == "txn-status":
-            txn = str(header["txn"])
-            state = self.txn_done.get(
-                txn, "pending" if txn in self.intents else "unknown"
-            )
-            return {"status": "ok", "txn": txn, "state": state}, b""
-        if verb == "intents":
-            return {
-                "status": "ok",
-                "column": self.column,
-                "txns": [
-                    {"txn": rec.txn, "stripe": rec.stripe, "part": rec.participants}
-                    for rec in self.intents.values()
-                ],
-            }, b""
         if verb == "stats":
             return {
                 "status": "ok",
@@ -601,7 +550,7 @@ class StripNode:
             raise NodeCrashed(f"xor({token}): crashed before replying")
         return {"status": "ok", "applied": len(fresh)}
 
-    # -- scrub & two-phase-write verbs --------------------------------------
+    # -- scrub verb ----------------------------------------------------------
 
     def _serve_scrub_read(self, header: dict) -> dict:
         """Checksum probe: compare each named strip to its CRC sidecar.
@@ -629,73 +578,6 @@ class StripNode:
         if unreadable:
             reply["unreadable"] = unreadable
         return reply
-
-    def _serve_prepare(self, header: dict, payload: bytes) -> dict:
-        """Phase 1: log the intent (durably) without touching the disk."""
-        txn = str(header["txn"])
-        if self.crashes.fires("prepare-before-log"):
-            raise NodeCrashed(f"prepare({txn}): crashed before logging intent")
-        done = self.txn_done.get(txn)
-        if done is not None:  # late/duplicate prepare after resolution
-            return {"status": "ok", "txn": txn, "state": done}
-        stripe = int(header["stripe"])
-        if not 0 <= stripe < self.disk.n_strips:
-            raise IndexError(f"stripe {stripe} out of range [0, {self.disk.n_strips})")
-        words = np.frombuffer(payload, dtype=WORD_DTYPE).copy()
-        if words.size != self.disk.strip_words:
-            raise ValueError(
-                f"prepare payload {words.size} words != strip {self.disk.strip_words}"
-            )
-        self.intents[txn] = NodeIntent(
-            txn, stripe, words, [int(c) for c in header.get("part", ())]
-        )
-        self.metrics.counter("txn_prepares").inc()
-        if self.crashes.fires("prepare-before-reply"):
-            raise NodeCrashed(f"prepare({txn}): crashed before replying")
-        return {"status": "ok", "txn": txn, "state": "pending"}
-
-    def _serve_commit(self, header: dict) -> dict:
-        """Phase 2: apply the intent image and retire it, atomically.
-
-        Like :class:`~repro.array.journal.StripeJournal` retirement,
-        apply-and-retire is the atomic step of the simulation (real
-        nodes achieve it with a journaled apply): a crash lands either
-        entirely before it (intent still pending, disk old) or entirely
-        after (intent retired, disk new).  Idempotent, so a client that
-        lost the reply can simply resend.
-        """
-        txn = str(header["txn"])
-        done = self.txn_done.get(txn)
-        if done is not None:
-            return {"status": "ok", "txn": txn, "state": done, "applied": False}
-        rec = self.intents.get(txn)
-        if rec is None:
-            return {"status": "ok", "txn": txn, "state": "unknown", "applied": False}
-        if self.crashes.fires("commit-before-apply"):
-            raise NodeCrashed(f"commit({txn}): crashed before applying")
-        self.disk.write_strip(rec.stripe, rec.words)
-        self.checksums[rec.stripe] = zlib.crc32(np.ascontiguousarray(rec.words).data)
-        del self.intents[txn]
-        self.txn_done[txn] = "committed"
-        self.metrics.counter("txn_commits").inc()
-        if self.crashes.fires("commit-before-reply"):
-            raise NodeCrashed(f"commit({txn}): crashed before replying")
-        return {"status": "ok", "txn": txn, "state": "committed", "applied": True}
-
-    def _serve_abort(self, header: dict) -> dict:
-        """Drop a pending intent; the disk is never touched."""
-        txn = str(header["txn"])
-        done = self.txn_done.get(txn)
-        if done == "committed":  # too late: the decision was commit
-            return {"status": "ok", "txn": txn, "state": done, "applied": False}
-        if self.crashes.fires("abort-before-drop"):
-            raise NodeCrashed(f"abort({txn}): crashed before dropping intent")
-        known = self.intents.pop(txn, None) is not None
-        self.txn_done[txn] = "aborted"
-        self.metrics.counter("txn_aborts").inc()
-        if self.crashes.fires("abort-before-reply"):
-            raise NodeCrashed(f"abort({txn}): crashed before replying")
-        return {"status": "ok", "txn": txn, "state": "aborted", "applied": known}
 
     # -- migration & membership verbs ----------------------------------------
 

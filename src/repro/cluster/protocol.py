@@ -62,11 +62,6 @@ Verbs understood by :class:`~repro.cluster.node.StripNode`:
                 strip, in request order, its sidecar in ``crc_stored``
                 and whether its contents match it in ``match``;
                 ``unreadable`` lists latent strips, as ``get`` does
-``prepare``     2PC phase 1: durably log the payload as a write intent
-``commit``      2PC phase 2: apply + retire the intent (idempotent)
-``abort``       drop a pending intent
-``txn-status``  report a transaction's state (recovery plane)
-``intents``     list pending write intents (recovery plane)
 ``release``     zero a migrated-away strip and drop its sidecar,
                 fenced by the ``crc`` its probe last reported (a
                 migrated strip itself lands by ``put``)

@@ -45,14 +45,51 @@ import numpy as np
 from repro.cluster.client import ClusterArray, ClusterError
 from repro.cluster.membership import MembershipError, NodeState
 from repro.cluster.protocol import strip_crcs
-from repro.cluster.txn import TxnCrashPoint
 from repro.sim.clock import Clock
 
-__all__ = ["RebalanceError", "TokenBucket", "Rebalancer"]
+__all__ = [
+    "ClientCrash", "ClientCrashPoint", "RebalanceError", "TokenBucket", "Rebalancer",
+]
 
 
 class RebalanceError(ClusterError):
     """A migration could not complete (verification or protocol failure)."""
+
+
+class ClientCrash(Exception):
+    """Injected client death: the coordinator vanished mid-protocol.
+
+    Tests catch it where a real deployment would lose the process; the
+    cluster is then in whatever state the completed RPCs left, and a
+    fresh coordinator must converge it.
+    """
+
+
+class ClientCrashPoint:
+    """Deterministic client-side crash trigger, counted in RPCs.
+
+    ``arm(after=n)`` makes the coordinator die immediately before its
+    ``n+1``-th protocol RPC, in issue order, so a sweep over ``n``
+    covers every client-side crash position of a migration.  Disarmed
+    by default and after firing.
+    """
+
+    def __init__(self) -> None:
+        self._remaining: int | None = None
+        self.steps = 0
+
+    def arm(self, *, after: int = 0) -> None:
+        self._remaining = int(after)
+
+    def step(self) -> None:
+        """Account one imminent RPC; raises :class:`ClientCrash` if armed out."""
+        self.steps += 1
+        if self._remaining is None:
+            return
+        if self._remaining == 0:
+            self._remaining = None
+            raise ClientCrash(f"client crashed before protocol RPC #{self.steps}")
+        self._remaining -= 1
 
 
 class TokenBucket:
@@ -124,9 +161,9 @@ class Rebalancer:
 
     Drive it with :meth:`run_until_converged` (tests, drains) or the
     background loop (:meth:`start` / :meth:`stop`).  ``crash`` is a
-    :class:`~repro.cluster.txn.TxnCrashPoint` counting this
-    coordinator's protocol RPCs, so tests sweep coordinator-crash
-    positions exactly like the 2PC writer's sweep.
+    :class:`ClientCrashPoint` counting this coordinator's protocol
+    RPCs: arm it to sweep every coordinator-crash position of a
+    migration.
     """
 
     def __init__(
@@ -137,7 +174,6 @@ class Rebalancer:
         burst_bytes: float | None = None,
         foreground_gate=None,
         gate_backoff: float = 0.05,
-        crash: TxnCrashPoint | None = None,
     ) -> None:
         self.array = array
         self.clock = array.clock
@@ -154,7 +190,7 @@ class Rebalancer:
         #: checked between stripes, never mid-migration
         self.foreground_gate = foreground_gate
         self.gate_backoff = float(gate_backoff)
-        self.crash = crash if crash is not None else TxnCrashPoint()
+        self.crash = ClientCrashPoint()
         self._task: asyncio.Task | None = None
 
     # -- protocol plumbing ---------------------------------------------------

@@ -37,7 +37,6 @@ import json
 import random
 import time
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
@@ -258,10 +257,11 @@ def fuzz(
     Case ``i`` derives everything from ``seed + i``; stripe cases and
     cluster scenarios alternate (scenario every 4th case -- they cost
     more).  ``chaos`` generates scenarios with the self-healing
-    vocabulary (scrub, heal, two-phase writes with crash injection)
-    and their convergence epilogue; ``objects`` routes the data plane
-    through the object gateway (puts/gets/updates/deletes with their
-    own shadow oracle), composable with ``chaos``.  ``membership``
+    vocabulary (silent corruption, scrub, heal, late duplicates on a
+    slow parity node) and their convergence epilogue; ``objects``
+    routes the data plane through the object gateway
+    (puts/gets/updates/deletes with their own shadow oracle),
+    composable with ``chaos``.  ``membership``
     makes every *other* scenario slot an elastic churn campaign
     (joins, heartbeat-verdict leaves, drains, epoch bumps over an
     elastic node pool, with the convergence epilogue proving zero

@@ -43,13 +43,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.array.faults import ALWAYS, NetworkFaultPlan
+from repro.array.faults import NetworkFaultPlan
 from repro.array.raid6 import RAID6Array
-from repro.cluster.client import ClusterError, RetryPolicy
+from repro.cluster.client import RetryPolicy
 from repro.cluster.local import LocalCluster
+from repro.cluster.rebalance import ClientCrash, ClientCrashPoint
 from repro.cluster.rebuild import RebuildScheduler
 from repro.cluster.scrub import ClusterScrubber
-from repro.cluster.txn import ClientCrash, TwoPhaseWriter, TxnCrashPoint
 from repro.codes import make_code
 from repro.gateway.objstore import IntegrityError, ObjectGateway, ObjectNotFoundError
 from repro.obs.tracing import Tracer, use_tracer
@@ -97,13 +97,10 @@ GEOMETRY_PRIMES = (5, 7, 11, 13)
 GEOMETRY_ELEMENTS = (8, 16, 32)
 
 #: Op kinds of the self-healing vocabulary.  Their presence in a
-#: scenario switches the runner into chaos mode (two-phase writer,
-#: scrubber and health monitor attached); plain scenarios never
-#: construct them, so pre-chaos seeds keep their historical digests.
-CHAOS_OPS = frozenset(
-    {"corrupt", "scrub", "txn_write", "recover", "heal", "check_parity",
-     "check_quiescent"}
-)
+#: scenario switches the runner into chaos mode (scrubber and health
+#: monitor attached); plain scenarios never construct them, so
+#: pre-chaos seeds keep their historical digests.
+CHAOS_OPS = frozenset({"corrupt", "scrub", "heal", "check_parity", "check_quiescent"})
 
 #: Op kinds of the object-traffic vocabulary.  Like :data:`CHAOS_OPS`,
 #: their presence switches the runner's data plane: an
@@ -204,15 +201,14 @@ def generate_scenario(
     """Derive a whole campaign from one integer seed.
 
     ``chaos`` widens the op vocabulary with the self-healing verbs --
-    silent corruption, scrub passes, two-phase writes with client crash
-    injection, and heal rounds -- and appends a
-    convergence epilogue (heal, rebuild, recover, deep scrub,
+    silent corruption, scrub passes and heal rounds -- and appends a
+    convergence epilogue (heal, rebuild, deep scrub,
     ``check_quiescent``) so every chaos campaign must end all-clean.
     The default vocabulary is byte-identical to the pre-chaos
     generator: existing seeds keep their digests.
 
     ``objects`` swaps the data plane for object traffic: raw
-    writes/reads/txn-writes become ``gateway_put`` / ``gateway_get`` /
+    writes/reads become ``gateway_put`` / ``gateway_get`` /
     ``gateway_update`` / ``gateway_delete`` through the object
     front-end (raw stripe writes would clobber object extents), while
     the fault vocabulary -- and, with ``chaos``, scrub/corrupt/heal and
@@ -417,9 +413,7 @@ def generate_scenario(
         if impaired:
             choices.append("rebuild")
         if chaos:
-            # txn_write targets raw stripes, which would clobber object
-            # extents -- the object vocabulary drops it, keeps the rest.
-            choices += ["scrub"] if objects else ["txn_write", "scrub"]
+            choices.append("scrub")
             if len(impaired) < 2:
                 choices.append("corrupt")
         kind = rng.choice(choices)
@@ -494,12 +488,6 @@ def generate_scenario(
             impaired.discard(col)
             impair_kind.pop(col, None)
             ops.append({"op": "rebuild", "column": col})
-        elif kind == "txn_write":
-            crash_after = (
-                rng.randint(0, 2 * n_cols + 1) if rng.random() < 0.5 else None
-            )
-            ops.append({"op": "txn_write", "stripe": rng.randrange(n_stripes),
-                        "seed": rng.getrandbits(31), "crash_after": crash_after})
         elif kind == "corrupt":
             # Rot stays at rest: reads, writes and rebuilds meet it as
             # an erasure, so its column counts against the two-column
@@ -525,7 +513,6 @@ def generate_scenario(
         ops.append({"op": "heal"})
         for col in sorted(c for c in impaired if impair_kind[c] in ("disk", "latent")):
             ops.append({"op": "rebuild", "column": col})
-        ops.append({"op": "recover"})
         ops.append({"op": "scrub", "deep": True})
         ops.append({"op": "check_quiescent"})
     if objects:
@@ -659,14 +646,13 @@ def run_scenario(
             # The monitor turns a stopped node into a DEAD verdict and
             # heals a dead column onto a spare; the rebalancer converges
             # a pool's routing onto placement.
-            writer = scrubber = monitor = rebalancer = None
+            scrubber = monitor = rebalancer = None
             if any(op["op"] in CHAOS_OPS | ELASTIC_OPS for op in scenario.ops):
                 monitor = cluster.auto_healer(
                     arr, miss_threshold=2, probe_timeout=0.2, rebuild_batch=2
                 )
                 rebalancer = cluster.rebalancer(arr)
             if any(op["op"] in CHAOS_OPS for op in scenario.ops):
-                writer = TwoPhaseWriter(arr, client_id=f"sim-{scenario.seed}")
                 scrubber = ClusterScrubber(arr, window=2)
 
             async def read_all(i: int, op: dict) -> str:
@@ -679,19 +665,6 @@ def run_scenario(
                     buf = await arr.read_stripe(stripe)
                     check_read(i, op, stripe * sdb, bytes(arr._stripe_payload(buf)))
                 return _sha(got)
-
-            async def txn_committed(txn: str) -> bool:
-                """Whether any participant recorded a commit decision."""
-                for node_id in arr.membership.probed():
-                    try:
-                        reply, _ = await arr.client_for_node(node_id).request(
-                            "txn-status", {"txn": txn}
-                        )
-                    except ClusterError:
-                        continue
-                    if reply.get("state") == "committed":
-                        return True
-                return False
 
             for i, op in enumerate(scenario.ops):
                 kind = op["op"]
@@ -740,32 +713,6 @@ def run_scenario(
                     record["uncorrectable"] = rep.uncorrectable
                     record["deferred"] = rep.deferred
                     record["fast"] = rep.fast_path_hits
-                elif kind == "txn_write":
-                    stripe = int(op["stripe"])
-                    sdb = arr.stripe_data_bytes
-                    data = _payload(int(op["seed"]), sdb)
-                    buf = cluster_code.alloc_stripe()
-                    arr._fill_data_columns(buf, data)
-                    cluster_code.encode(buf)
-                    if op.get("crash_after") is not None:
-                        writer.crash.arm(after=int(op["crash_after"]))
-                    try:
-                        record["skipped"] = await writer.write_stripe(stripe, buf)
-                        committed = True
-                    except ClientCrash:
-                        # The coordinator died mid-protocol; recovery
-                        # decides the txn, and the oracles follow it.
-                        txn = f"{writer.client_id}-{writer._seq}"
-                        recovered = await writer.recover()
-                        committed = (
-                            txn in recovered["rolled_forward"]
-                            or await txn_committed(txn)
-                        )
-                        record["crashed"] = True
-                    record["committed"] = committed
-                    if committed:
-                        model.write(stripe * sdb, data)
-                        shadow[stripe * sdb : (stripe + 1) * sdb] = data
                 elif kind == "gateway_put":
                     name = op["name"]
                     data = _payload(int(op["seed"]), int(op["size"]))
@@ -833,7 +780,7 @@ def run_scenario(
                         # one, and every byte must still read back.
                         record["crashed"] = True
                         record["sha"] = await read_all(i, op)
-                    rebalancer.crash = TxnCrashPoint()  # disarmed
+                    rebalancer.crash = ClientCrashPoint()  # disarmed
                 elif kind == "check_placement":
                     # Quiescence for churn: routing has converged onto
                     # placement, every holder is LIVE, and every strip
@@ -874,10 +821,6 @@ def run_scenario(
                                 )
                     record["epoch"] = arr.membership.epoch
                     record["quiescent"] = True
-                elif kind == "recover":
-                    recovered = await writer.recover()
-                    record["rolled_forward"] = recovered["rolled_forward"]
-                    record["rolled_back"] = recovered["rolled_back"]
                 elif kind == "heal":
                     for _ in range(monitor.miss_threshold):
                         await monitor.probe_once()
@@ -909,26 +852,6 @@ def run_scenario(
                             )
                     record["checked"] = checked
                 elif kind == "check_quiescent":
-                    unretired = []
-                    for node_id in arr.membership.probed():
-                        try:
-                            reply, _ = await arr.client_for_node(node_id).request(
-                                "intents"
-                            )
-                        except ClusterError:
-                            unretired.append({"node": node_id, "unreachable": True})
-                            continue
-                        unretired += [
-                            {"node": node_id, "txn": rec["txn"]}
-                            for rec in reply.get("txns", ())
-                        ]
-                    if unretired:
-                        raise DivergenceError(
-                            f"op[{i}] check_quiescent: unretired intents "
-                            f"{unretired}",
-                            context={"op_index": i, "oracle": "quiescence",
-                                     "intents": unretired, "op": op},
-                        )
                     rep = await scrubber.scrub(deep=True)
                     if not rep.healthy:
                         raise DivergenceError(

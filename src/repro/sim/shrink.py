@@ -115,7 +115,7 @@ def _fix_scenario(case: dict) -> dict:
         if op["op"] in ("write", "read"):
             op["offset"] = min(int(op["offset"]), capacity - 1)
             op["length"] = max(1, min(int(op["length"]), capacity - op["offset"]))
-        if op["op"] in ("latent", "corrupt", "txn_write"):
+        if op["op"] in ("latent", "corrupt"):
             op["stripe"] = min(int(op["stripe"]), case["n_stripes"] - 1)
         ops.append(op)
     return {**case, "ops": ops}

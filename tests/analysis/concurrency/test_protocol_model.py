@@ -150,6 +150,9 @@ class TestLiveTree:
             __import__("repro.cluster.node", fromlist=["__file__"]).__file__
         ).read_text()
         assert tuple(extract_crash_points(src)) == NodeCrashPlan.POINTS
-        # 6 2PC-write points + 2 migration points (release: a migrated
-        # strip lands by put) + 2 delta-write points (xor)
-        assert len(NodeCrashPlan.POINTS) == 10
+        # 2 migration points (release: a migrated strip lands by put)
+        # + 2 delta-write points (xor)
+        assert NodeCrashPlan.POINTS == (
+            "release-before-drop", "release-before-reply",
+            "xor-before-apply", "xor-before-reply",
+        )

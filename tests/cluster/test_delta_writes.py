@@ -14,6 +14,7 @@ data, P and Q fetched from the nodes must pass ``code.verify``.
 """
 
 import asyncio
+import itertools
 import random
 import zlib
 
@@ -484,5 +485,67 @@ class TestXorCrashSweep:
                 assert (await ClusterScrubber(arr).scrub(deep=True)).healthy
                 assert await consistent(arr)
                 assert await arr.read(0, arr.capacity) == bytes(data)
+
+        asyncio.run(run())
+
+
+class TestTornDeltaWrite:
+    """A client that dies inside a delta write leaves any subset of its
+    three strips landed: the data strip, P and Q.  Every sidecar still
+    matches its strip, so only a deep scrub sees the stripe, and any
+    subset is one column from the old codeword or the new one: the
+    locator settles it all-old when 0 or 1 strip landed, all-new when 2
+    or 3 did."""
+
+    @pytest.mark.parametrize("k", [3, 4, 6])
+    def test_a_deep_scrub_settles_every_torn_subset_on_one_codeword(self, k):
+        async def tear(landed: tuple[str, ...]) -> tuple[list, str]:
+            code, cluster = sim_cluster(k=k, p=7, n_stripes=2)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                await arr.write(0, payload_for(arr, seed=k))
+                # read_stripe fetches only the data columns: encode P and Q.
+                old = await arr.read_stripe(0)
+                code.encode(old)
+                new = old.copy()
+                new[1, 3, 2] ^= np.uint64(0x0123456789ABCDEF)  # 8 B in column 1
+                code.encode(new)
+                torn = {"data": 1, "P": code.p_col, "Q": code.q_col}
+                assert [c for c in range(code.n_cols)
+                        if not np.array_equal(old[c], new[c])] == sorted(torn.values())
+                for name in landed:
+                    col = torn[name]
+                    strip = new[col].tobytes()
+                    await arr.client_for_node(arr.holders(0)[col]).request(
+                        "put", {"stripe": 0, "crcs": [zlib.crc32(strip)]}, strip
+                    )
+                # The client is gone: a fresh one lists no stale column.
+                fresh = cluster.array(policy=FAST_POLICY)
+                assert fresh.dirty_stripes == {}
+                plain = await ClusterScrubber(fresh).scrub()
+                deep = await ClusterScrubber(fresh).scrub(deep=True)
+                assert deep.healthy
+                stored = {
+                    col: cluster.nodes[col].disk.read_strip(0).reshape(old[col].shape)
+                    for col in torn.values()
+                }
+                if all(np.array_equal(stored[c], old[c]) for c in stored):
+                    state = "old"
+                elif all(np.array_equal(stored[c], new[c]) for c in stored):
+                    state = "new"
+                else:
+                    state = "mixed"
+                return plain.corrected, state
+
+        async def run():
+            subsets = [
+                subset for size in range(4)
+                for subset in itertools.combinations(("data", "P", "Q"), size)
+            ]
+            outcome = {subset: await tear(subset) for subset in subsets}
+            assert outcome == {
+                subset: ([], "old" if len(subset) <= 1 else "new")
+                for subset in subsets
+            }
 
         asyncio.run(run())

@@ -19,6 +19,7 @@ import asyncio
 import pytest
 
 from repro.cluster import (
+    ClientCrash,
     ClusterError,
     ClusterScrubber,
     HealthMonitor,
@@ -28,7 +29,6 @@ from repro.cluster import (
 )
 from repro.cluster.membership import NodeState
 from repro.cluster.node import NodeCrashed
-from repro.cluster.txn import ClientCrash
 from repro.sim import VirtualClock
 from tests.cluster.conftest import (
     FAST_POLICY,

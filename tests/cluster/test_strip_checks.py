@@ -187,11 +187,11 @@ class TestFetchRule:
                 await cluster.stop_node(2)
                 gather, calls = arr._gather, []
 
-                async def second_loss(plan, into):
+                async def second_loss(plan, into, crcs=None):
                     calls.append(sorted(into))
                     if len(calls) == 2:  # the first fetch of window two
                         await cluster.stop_node(0)
-                    return await gather(plan, into)
+                    return await gather(plan, into, crcs)
 
                 arr._gather = second_loss
                 spare = await cluster.start_replacement(2)

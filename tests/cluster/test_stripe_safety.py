@@ -18,7 +18,7 @@ import asyncio
 
 import pytest
 
-from repro.cluster import ClusterScrubber, RebuildScheduler, TwoPhaseWriter
+from repro.cluster import ClusterScrubber, RebuildScheduler
 from repro.cluster.placement import place_stripe
 from tests.cluster.conftest import (
     FAST_POLICY,
@@ -90,7 +90,8 @@ class TestStaleColumns:
         asyncio.run(run())
 
 
-    @pytest.mark.parametrize("via", ["write", "txn"])
+    # Parametrized so the test id stays `...[write]`.
+    @pytest.mark.parametrize("via", ["write"])
     def test_a_full_write_supersedes_older_stale_columns(self, via):
         """Three outages in turn, a full-stripe write during each: only
         the last write's skipped column is stale, so every node up reads
@@ -102,17 +103,10 @@ class TestStaleColumns:
                 arr = cluster.array(policy=FAST_POLICY)
                 sdb = arr.stripe_data_bytes
                 await arr.write(0, payload_for(arr, seed=1))
-                writer = TwoPhaseWriter(arr)
                 for column in range(3):
                     fresh = payload_for(arr, seed=10 + column)[:sdb]
                     await cluster.stop_node(column)
-                    if via == "write":
-                        await arr.write(0, fresh)
-                    else:
-                        buf = code.alloc_stripe()
-                        arr._fill_data_columns(buf, fresh)
-                        code.encode(buf)
-                        assert await writer.write_stripe(0, buf) == [column]
+                    await arr.write(0, fresh)
                     assert arr.dirty_stripes == {0: {column}}
                     arr.replace_node(column, await cluster.restart_node(column))
                 assert await arr.read(0, sdb) == fresh

@@ -5,7 +5,7 @@ oracles (gateway directory, raw shadow, object CRC) agreeing."""
 import pytest
 
 from repro.sim import generate_scenario, run_scenario
-from repro.sim.scenario import CHAOS_OPS, GATEWAY_OPS
+from repro.sim.scenario import GATEWAY_OPS
 
 #: Seeds exercised end-to-end; chosen to cover put/get/update/delete
 #: plus fault interleavings (verified reachable below).
@@ -48,14 +48,13 @@ class TestObjectGenerator:
             assert ops[-2] == "check_objects"
 
     def test_objects_mode_never_issues_raw_stripe_writes_after_priming(self):
-        """Raw ``txn_write`` would clobber extents beneath the gateway;
+        """A raw ``write`` would clobber extents beneath the gateway;
         after the sidecar-freshening prefill, the data plane must be
         object traffic only."""
         for seed in range(20):
             sc = generate_scenario(seed, objects=True, chaos=True)
             assert sc.ops[0]["op"] == "write"  # the freshening prefill
-            assert not any(op["op"] in ("write", "txn_write")
-                           for op in sc.ops[1:])
+            assert not any(op["op"] == "write" for op in sc.ops[1:])
 
     def test_delete_then_get_is_generated(self):
         """The dead-name probe: some gets must target deleted objects so
