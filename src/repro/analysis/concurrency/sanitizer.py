@@ -6,10 +6,12 @@ view of it.  This module is the dynamic half of the bargain, switched
 on by ``REPRO_ALIAS_SANITIZER=1`` (or :func:`enable` in tests):
 
 * :func:`guard` fingerprints a payload view (CRC-32 over the flat
-  bytes) at the moment it is handed to the transport;
+  bytes) at the moment it is handed to the transport -- each writable
+  buffer of a payload given as a list or tuple of them (a batch's
+  strips) on its own;
 * :func:`check` re-fingerprints after ``drain()`` returns -- a mismatch
   means some writer raced the wire and is recorded as an
-  :class:`AliasEvent`;
+  :class:`AliasEvent`, one per buffer that changed;
 * :func:`readonly_words` hardens ``words_view``'s loans: under the
   sanitizer, borrowed word views come back non-writable, so a miswired
   schedule that tries to XOR *into* a borrowed wire buffer raises
@@ -80,14 +82,13 @@ class AliasViolationError(RuntimeError):
 
 
 class _Token:
-    """A guarded view plus its handoff-time fingerprint."""
+    """The guarded views plus their handoff-time fingerprints."""
 
-    __slots__ = ("site", "view", "crc")
+    __slots__ = ("site", "views")
 
-    def __init__(self, site: str, view: memoryview, crc: int) -> None:
+    def __init__(self, site: str, views: list[tuple[memoryview, int]]) -> None:
         self.site = site
-        self.view = view
-        self.crc = crc
+        self.views = views
 
 
 def enabled() -> bool:
@@ -108,32 +109,42 @@ def enable(on: bool | None = True) -> None:
 def guard(payload, site: str) -> _Token | None:
     """Fingerprint ``payload`` at handoff; returns a token for :func:`check`.
 
-    ``bytes`` payloads are immutable and skipped outright -- only
-    buffers someone *could* write (memoryviews, bytearrays, numpy
-    ``.data``) are worth the CRC.
+    ``payload`` is one buffer or a list or tuple of them, each
+    fingerprinted on its own.  ``bytes`` and read-only views are
+    immutable here and skipped outright -- only buffers someone *could*
+    write (memoryviews, bytearrays, numpy arrays and their ``.data``)
+    are worth the CRC.
     """
     if payload is None or isinstance(payload, bytes) or not enabled():
         return None
-    try:
-        view = memoryview(payload)
-    except TypeError:
-        return None
-    if view.readonly:
-        return None
-    flat = view.cast("B") if view.ndim != 1 or view.format != "B" else view
-    return _Token(site, flat, zlib.crc32(flat))
+    views = []
+    for buf in payload if isinstance(payload, (list, tuple)) else (payload,):
+        if isinstance(buf, bytes):
+            continue
+        try:
+            view = memoryview(buf)
+        except TypeError:
+            continue
+        if view.readonly:
+            continue
+        flat = view.cast("B") if view.ndim != 1 or view.format != "B" else view
+        views.append((flat, zlib.crc32(flat)))
+    return _Token(site, views) if views else None
 
 
 def check(token: _Token | None) -> AliasEvent | None:
-    """Re-fingerprint a guarded view; record and return a mismatch."""
+    """Re-fingerprint the guarded views; record an event for each that
+    changed and return the first."""
     if token is None:
         return None
-    crc_after = zlib.crc32(token.view)
-    if crc_after == token.crc:
-        return None
-    event = AliasEvent(token.site, len(token.view), token.crc, crc_after)
-    _events.append(event)
-    return event
+    first = None
+    for view, crc in token.views:
+        crc_after = zlib.crc32(view)
+        if crc_after != crc:
+            event = AliasEvent(token.site, len(view), crc, crc_after)
+            _events.append(event)
+            first = first or event
+    return first
 
 
 def events() -> tuple[AliasEvent, ...]:

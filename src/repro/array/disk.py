@@ -17,7 +17,7 @@ on traffic (e.g. update-complexity experiments count parity writes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,6 +105,15 @@ class SimulatedDisk:
 
     def read_strip(self, strip: int) -> np.ndarray:
         """Return a copy of a strip's words."""
+        return self.read_view(strip).copy()
+
+    def read_view(self, strip: int) -> np.ndarray:
+        """A strip's words as a read-only view of the disk's storage.
+
+        Faults and statistics are :meth:`read_strip`'s.  The view shows
+        the strip as it is, so a later write shows through it: a caller
+        that keeps the bytes past its next ``await`` copies them.
+        """
         self._check_strip(strip)
         if self._failed:
             raise DiskFailedError(f"disk {self.disk_id} is failed")
@@ -112,7 +121,9 @@ class SimulatedDisk:
             raise LatentSectorError(f"disk {self.disk_id} strip {strip} unreadable")
         self.stats.reads += 1
         self.stats.bytes_read += self.strip_words * 8
-        return self._store[strip].copy()
+        view = self._store[strip]
+        view.flags.writeable = False
+        return view
 
     def write_strip(self, strip: int, words: np.ndarray) -> None:
         """Overwrite a strip (clears any latent error on it)."""

@@ -23,7 +23,7 @@ can sweep *every* crash position of a workload
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

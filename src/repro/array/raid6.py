@@ -20,7 +20,7 @@ evaluation is about coding computation, not queueing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -19,7 +19,7 @@ uniform-random, zipf-hotspot) for the examples and tests.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections.abc import Iterable, Iterator
 
 import numpy as np

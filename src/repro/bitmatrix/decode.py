@@ -23,7 +23,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.engine.ops import Schedule
-from repro.gf.gf2 import gf2_inverse, gf2_mul
+from repro.gf.gf2 import gf2_inverse
 from repro.bitmatrix.schedule import schedule_from_rows, _emit_chain
 from repro.utils.validation import check_erasures
 

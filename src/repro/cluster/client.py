@@ -41,6 +41,7 @@ from repro.cluster.membership import MembershipTable
 from repro.cluster.placement import ColumnOrder, PlacementMap
 from repro.cluster.protocol import (
     FrameChecksumError,
+    Payload,
     ProtocolError,
     read_frame,
     strip_crcs,
@@ -163,7 +164,8 @@ async def send_verb(
     ``timeout`` bounds the whole exchange (connect + request + reply)
     so a hung node cannot stall control-plane callers forever; pass
     ``None`` to wait indefinitely.  The timer runs on ``clock`` so
-    simulated callers time out in virtual seconds.
+    simulated callers time out in virtual seconds.  The reply payload
+    comes back as ``bytes`` (a ``metrics`` reply's text).
     """
     transport = transport if transport is not None else AsyncioTransport()
     clock = clock if clock is not None else RealClock()
@@ -172,7 +174,8 @@ async def send_verb(
         reader, writer = await transport.connect(address)
         try:
             await write_frame(writer, {"verb": verb, **(header or {})}, payload)
-            return await read_frame(reader)
+            reply, data = await read_frame(reader)
+            return reply, bytes(data)
         finally:
             writer.close()
             try:
@@ -238,7 +241,7 @@ class NodeClient:
         self.metrics.counter("connects").inc()
         return connection
 
-    async def _attempt(self, header: dict, payload: bytes) -> tuple[dict, bytes]:
+    async def _attempt(self, header: dict, payload: Payload) -> tuple[dict, memoryview]:
         reader, writer = await self._connection()
         try:
             await write_frame(writer, header, payload)
@@ -263,10 +266,13 @@ class NodeClient:
             writer.close()
 
     async def request(
-        self, verb: str, header: dict | None = None, payload: bytes = b""
-    ) -> tuple[dict, bytes]:
+        self, verb: str, header: dict | None = None, payload: Payload = b""
+    ) -> tuple[dict, memoryview]:
         """Issue one verb; returns ``(reply_header, reply_payload)``.
 
+        ``payload`` is one buffer or a list of them (a batch's strips),
+        joined into the frame (:func:`~repro.cluster.protocol.frame_parts`);
+        the reply's payload is a read-only view of the frame it came in.
         Raises :class:`RemoteDiskError` for ``latent`` / ``disk-failed``
         answers and :class:`NodeUnavailableError` once the retry budget
         is exhausted by transport-level failures.
@@ -276,7 +282,7 @@ class NodeClient:
         )
         if self.tracer is None:
             return await issue(verb, header, payload)
-        with self.tracer.span(f"rpc.{verb}", bytes_out=len(payload)) as span:
+        with self.tracer.span(f"rpc.{verb}", bytes_out=_nbytes(payload)) as span:
             try:
                 reply, data = await issue(verb, header, payload)
             except ClusterError as exc:
@@ -287,8 +293,8 @@ class NodeClient:
             return reply, data
 
     async def _hedged(
-        self, verb: str, header: dict | None, payload: bytes
-    ) -> tuple[dict, bytes]:
+        self, verb: str, header: dict | None, payload: Payload
+    ) -> tuple[dict, memoryview]:
         """Issue the request; past ``hedge_after`` seconds, race a twin.
 
         The winner is the first attempt to *succeed*; a lone failure
@@ -337,8 +343,8 @@ class NodeClient:
         raise first_error
 
     async def _request_with_retries(
-        self, verb: str, header: dict | None, payload: bytes
-    ) -> tuple[dict, bytes]:
+        self, verb: str, header: dict | None, payload: Payload
+    ) -> tuple[dict, memoryview]:
         full_header = {"verb": verb, **(header or {})}
         policy = self.policy
         delays = policy.delays(self.rng)
@@ -445,6 +451,12 @@ def _by_column(columns: dict[int, list[int]]) -> list[tuple[int, list[int]]]:
     return sorted(plan.items())
 
 
+def _nbytes(payload: Payload) -> int:
+    """The bytes of a payload given as one buffer or a list of them."""
+    bufs = payload if isinstance(payload, (list, tuple)) else (payload,)
+    return sum(memoryview(buf).nbytes for buf in bufs)
+
+
 def _touched(pieces: list[tuple[int, memoryview]], unit: int) -> list[int]:
     """The ``unit``-byte blocks of a stripe payload -- its strips, or
     its elements -- that the ``(within, chunk)`` pieces write, in order."""
@@ -459,15 +471,13 @@ def _strips_of(
     bufs: dict[int, np.ndarray], crcs: dict[tuple[int, int], int] | None = None
 ):
     """The ``payload_for`` and ``header_for`` of a ``put`` of strips of
-    the stripe buffers ``bufs``: one strip ships as a view of its stripe
-    buffer, several are gathered into one buffer, and the header lists
-    each strip's CRC-32 -- ``crcs[stripe, column]`` where given, else
-    the hash of the strip as built."""
+    the stripe buffers ``bufs``: the payload is the batch's strips as
+    views of their stripe buffers, which the frame joins, and the header
+    lists each strip's CRC-32 -- ``crcs[stripe, column]`` where given,
+    else the hash of the strip as built."""
 
-    def strips(col: int, batch: list[int]):
-        if len(batch) == 1:
-            return np.ascontiguousarray(bufs[batch[0]][col]).data
-        return np.concatenate([bufs[s][col] for s in batch]).data
+    def strips(col: int, batch: list[int]) -> list[np.ndarray]:
+        return [bufs[s][col] for s in batch]
 
     def listed(col: int, batch: list[int]) -> dict:
         if crcs is None:
@@ -719,8 +729,8 @@ class ClusterArray:
 
     async def _node_request(
         self, route: tuple, column: int, verb: str, header: dict | None,
-        payload: bytes = b"",
-    ) -> tuple[dict, bytes]:
+        payload: Payload = b"",
+    ) -> tuple[dict, memoryview]:
         """Data-plane RPC over a resolved ``(client, breaker)`` route.
 
         An open breaker short-circuits to :class:`NodeUnavailableError`
@@ -1272,9 +1282,7 @@ class ClusterArray:
                 token = self._write_token()
                 xor = self._fan_out(
                     "xor", xors,
-                    lambda col, batch: np.concatenate(
-                        [parity[s][col][rows[s, col]] for s in batch]
-                    ).data,
+                    lambda col, batch: [parity[s][col][rows[s, col]] for s in batch],
                     lambda col, batch: {
                         "rows": [rows[s, col] for s in batch],
                         "row_bytes": code.element_size,

@@ -224,7 +224,7 @@ class StripNode:
             with contextlib.suppress(Exception):
                 await writer.wait_closed()
 
-    async def _dispatch(self, header: dict, payload: bytes, writer) -> bool:
+    async def _dispatch(self, header: dict, payload: memoryview, writer) -> bool:
         """Serve one request; returns False to close the connection."""
         verb = header.get("verb", "?")
         if self.tracer is None:
@@ -234,7 +234,7 @@ class StripNode:
             return await self._dispatch_inner(verb, header, payload, writer)
 
     async def _dispatch_inner(
-        self, verb: str, header: dict, payload: bytes, writer
+        self, verb: str, header: dict, payload: memoryview, writer
     ) -> bool:
         self.metrics.counter(f"requests_{verb}").inc()
         self.metrics.counter("bytes_in").inc(len(payload))
@@ -296,9 +296,12 @@ class StripNode:
     ) -> bool:
         """Send one reply frame as one ``bytes`` in one ``write``.
 
-        ``corrupt`` flips a header/payload bit (the CRC goes stale) and
-        ``drop`` sends only the first half of the frame; returns False
-        when the connection must close.
+        The payload (a ``get``'s strips are read-only views of the
+        disk's storage) is joined into the frame before the first
+        ``await``, so a write that lands while the frame drains never
+        shows in it.  ``corrupt`` flips a header/payload bit (the CRC
+        goes stale) and ``drop`` sends only the first half of the
+        frame; returns False when the connection must close.
         """
         token = sanitizer.guard(payload, label)
         frame = b"".join(frame_parts(header, payload))
@@ -320,8 +323,8 @@ class StripNode:
     # -- verb implementations ----------------------------------------------
 
     def _serve(
-        self, verb: str, header: dict, payload: bytes
-    ) -> tuple[dict, bytes | memoryview]:
+        self, verb: str, header: dict, payload: memoryview
+    ) -> tuple[dict, bytes | list]:
         if "crcs" in header and verb != "put":
             # The frame's CRC left out the payload, whose strips only a
             # put checks against the listed CRCs.
@@ -409,7 +412,7 @@ class StripNode:
                 )
         return stripes
 
-    def _serve_put(self, header: dict, payload: bytes) -> dict:
+    def _serve_put(self, header: dict, payload: memoryview) -> dict:
         """Store the payload's strips, one after another.
 
         Each strip is checked against the CRC-32 the request lists for
@@ -442,14 +445,15 @@ class StripNode:
 
     def _read_strips(self, header: dict) -> tuple[list, list[int]]:
         """The strips a ``get`` or ``scrub-read`` names, as ``(stripe,
-        strip)`` in request order, leaving out (and returning as
-        unreadable) those behind a latent sector.  A failed disk, or no
-        readable strip at all, fails the whole request."""
+        strip)`` in request order, each a read-only view of the disk's
+        storage, leaving out (and returning as unreadable) those behind
+        a latent sector.  A failed disk, or no readable strip at all,
+        fails the whole request."""
         strips, unreadable = [], []
         error: LatentSectorError | None = None
         for stripe in self._stripes(header):
             try:
-                strips.append((stripe, self.disk.read_strip(stripe)))
+                strips.append((stripe, self.disk.read_view(stripe)))
             except LatentSectorError as exc:
                 unreadable.append(stripe)
                 error = exc
@@ -457,13 +461,15 @@ class StripNode:
             raise error
         return strips, unreadable
 
-    def _serve_get(self, header: dict) -> tuple[dict, bytes | memoryview]:
+    def _serve_get(self, header: dict) -> tuple[dict, list]:
         """The named strips in request order, each with its CRC sidecar
         in ``crcs``, leaving out (and listing as ``unreadable``) those
         behind a latent sector.  No strip is hashed: the client checks
         each against its sidecar, so rot at rest shows there.  A strip
         without a sidecar (never written through this node) adopts its
-        CRC, as :meth:`_serve_scrub_read` does."""
+        CRC, as :meth:`_serve_scrub_read` does.  The payload is the
+        strips' views of the disk's storage, which :meth:`_reply` joins
+        into the frame."""
         strips, unreadable = self._read_strips(header)
         crcs = []
         for stripe, strip in strips:
@@ -474,12 +480,9 @@ class StripNode:
         reply: dict = {"status": "ok", "crcs": crcs}
         if unreadable:
             reply["unreadable"] = unreadable
-        # One strip goes out as a view of the disk's copy; several are
-        # gathered into one buffer.
-        data = strips[0][1] if len(strips) == 1 else np.concatenate([s for _, s in strips])
-        return reply, np.ascontiguousarray(data).data
+        return reply, [strip for _, strip in strips]
 
-    def _serve_xor(self, header: dict, payload: bytes) -> dict:
+    def _serve_xor(self, header: dict, payload: memoryview) -> dict:
         """XOR the payload's rows into the named strips: a delta write.
 
         ``rows`` lists, per strip, the rows of ``row_bytes`` bytes the
@@ -568,7 +571,7 @@ class StripNode:
         strips, unreadable = self._read_strips(header)
         stored, match = [], []
         for stripe, strip in strips:
-            actual = zlib.crc32(np.ascontiguousarray(strip).data)
+            actual = zlib.crc32(strip)
             crc = self.checksums.setdefault(stripe, actual)
             if crc != actual:
                 self.metrics.counter("scrub_crc_mismatches").inc()

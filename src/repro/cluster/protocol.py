@@ -10,10 +10,23 @@ Every message -- request or reply -- is one *frame*:
     +-------+------------+-------------+--------------+-----------+--------+
 
 The header is a small JSON object (``{"verb": "get", "stripes": [3, 4]}``);
-the payload carries raw strip bytes.  Every payload byte is covered by
-a CRC-32 that its receiver checks, so a flipped bit surfaces as an
-error rather than as silently corrupted strip data -- the network
-analogue of the scrubber's checksum discipline:
+the payload carries raw strip bytes.
+
+Each side copies a strip once.  A sender hands :func:`frame_parts` its
+payload as one buffer or as a list of them -- a put's strips as views
+of the stripe buffers, a ``get`` reply's as read-only views of the
+disk's storage -- and joining the parts into the one ``bytes`` a frame
+is written as is the payload's only copy.  :func:`read_frame` reads a
+frame in two reads, the 12-byte preamble and then header, payload and
+CRC together, and returns the payload as a read-only view of that one
+buffer.  :class:`~repro.sim.transport.AsyncioTransport` receives a
+read that long straight into the buffer it returns, so the kernel's
+copy is the receiver's only one.
+
+Every payload byte is covered by a CRC-32 that its receiver checks, so
+a flipped bit surfaces as an error rather than as silently corrupted
+strip data -- the network analogue of the scrubber's checksum
+discipline:
 
 * A frame whose header lists ``crcs`` (a ``put`` request, a ``get``
   reply) carries strips, one CRC-32 per strip in payload order; its
@@ -105,11 +118,16 @@ __all__ = [
 #: memoryview included -- multi-dimensional views are flattened).
 Buffer = bytes | bytearray | memoryview
 
+#: A frame's payload: one buffer, or a list or tuple of them sent one
+#: after another (a batch's strips, each a view of where it lives).
+Payload = Buffer | list | tuple
+
 #: Frame preamble; reject anything else immediately (protects the node
 #: from port scanners and stale peers speaking an older framing).
 MAGIC = b"RPR1"
 
-#: Upper bound on header+payload, far above any legal strip.
+#: Upper bound on a frame's header and, separately, on its payload:
+#: far above any legal batch of strips.
 MAX_FRAME_BYTES = 1 << 26
 
 _PREAMBLE = struct.Struct("!4sII")
@@ -124,42 +142,50 @@ class FrameChecksumError(ProtocolError):
     """Frame arrived intact in length but failed its CRC-32."""
 
 
-def frame_parts(header: dict[str, Any], payload: Buffer = b"") -> tuple:
-    """One frame as ``(preamble, header, payload, crc)`` buffers.
+def frame_parts(header: dict[str, Any], payload: Payload = b"") -> tuple:
+    """One frame as its buffers, flat: ``(preamble, header, *payload,
+    crc)``.
 
-    The payload buffer is passed through untouched (a ``memoryview``
-    over a stripe column is not staged through ``bytes``) and the CRC
-    is computed directly over it -- or not at all when the header lists
-    the payload's strip CRCs (``crcs``); joining the parts into the one
-    ``bytes`` a frame is sent as (:func:`encode_frame`) is its only
-    copy.
+    ``payload`` is one buffer, or a list or tuple of buffers sent one
+    after another.  Each is passed through untouched, as a flat byte
+    view (a ``memoryview`` over a strip of a stripe buffer, or of the
+    disk's storage, is not staged through ``bytes``), and the CRC is
+    computed directly over them -- or not at all when the header lists
+    the payload's strip CRCs (``crcs``).  Joining the parts into the
+    one ``bytes`` a frame is sent as (:func:`encode_frame`) is the
+    payload's only copy.
     """
-    if not isinstance(payload, (bytes, bytearray)):
-        # Flatten e.g. numpy's (rows, words) strip views; cast requires
-        # C-contiguity, which is also what the CRC and socket need.
-        payload = memoryview(payload).cast("B")
+    bufs = payload if isinstance(payload, (list, tuple)) else (payload,)
+    # Flatten e.g. numpy's (rows, words) strip views; cast requires
+    # C-contiguity, which is also what the CRC and socket need.
+    parts = [
+        buf if isinstance(buf, (bytes, bytearray)) else memoryview(buf).cast("B")
+        for buf in bufs
+    ]
     hdr = json.dumps(header, separators=(",", ":")).encode()
-    if len(hdr) > MAX_FRAME_BYTES or len(payload) > MAX_FRAME_BYTES:
+    size = sum(map(len, parts))
+    if len(hdr) > MAX_FRAME_BYTES or size > MAX_FRAME_BYTES:
         raise ProtocolError("frame exceeds MAX_FRAME_BYTES")
+    crc = zlib.crc32(hdr)
     # A payload of strips is covered strip by strip by the header's crcs.
-    crc = zlib.crc32(b"" if "crcs" in header else payload, zlib.crc32(hdr))
-    return (
-        _PREAMBLE.pack(MAGIC, len(hdr), len(payload)),
-        hdr,
-        payload,
-        _CRC.pack(crc),
-    )
+    if "crcs" not in header:
+        for part in parts:
+            crc = zlib.crc32(part, crc)
+    return (_PREAMBLE.pack(MAGIC, len(hdr), size), hdr, *parts, _CRC.pack(crc))
 
 
-def encode_frame(header: dict[str, Any], payload: Buffer = b"") -> bytes:
+def encode_frame(header: dict[str, Any], payload: Payload = b"") -> bytes:
     """Serialise one frame to a single ``bytes``."""
     return b"".join(frame_parts(header, payload))
 
 
-async def read_frame(reader: asyncio.StreamReader) -> tuple[dict[str, Any], bytes]:
+async def read_frame(reader: asyncio.StreamReader) -> tuple[dict[str, Any], memoryview]:
     """Read and validate one frame; returns ``(header, payload)``.
 
-    Raises :class:`FrameChecksumError` on CRC mismatch,
+    Two reads: the preamble, then header, payload and CRC as one
+    buffer, of which the payload is a read-only view (a caller that
+    keeps it past the next frame keeps that buffer alive, never a
+    shared one).  Raises :class:`FrameChecksumError` on CRC mismatch,
     :class:`ProtocolError` on structural garbage, and lets
     ``IncompleteReadError`` (connection dropped mid-frame) propagate so
     callers can treat it as a transport failure.  A payload whose
@@ -171,9 +197,10 @@ async def read_frame(reader: asyncio.StreamReader) -> tuple[dict[str, Any], byte
         raise ProtocolError(f"bad magic {magic!r}")
     if hlen > MAX_FRAME_BYTES or plen > MAX_FRAME_BYTES:
         raise ProtocolError(f"oversized frame (header={hlen}, payload={plen})")
-    hdr_bytes = await reader.readexactly(hlen)
-    payload = await reader.readexactly(plen)
-    (crc,) = _CRC.unpack(await reader.readexactly(_CRC.size))
+    body = await reader.readexactly(hlen + plen + _CRC.size)
+    hdr_bytes = body[:hlen]
+    payload = memoryview(body)[hlen : hlen + plen].toreadonly()
+    (crc,) = _CRC.unpack_from(body, hlen + plen)
     # The header says what the CRC covers, so it is parsed first; the
     # CRC covers the header bytes either way, so a damaged header
     # still fails the check below before any parse error is reported.
@@ -197,18 +224,18 @@ def strip_crcs(strips) -> list[int]:
 
 
 async def write_frame(
-    writer: asyncio.StreamWriter, header: dict[str, Any], payload: Buffer = b""
+    writer: asyncio.StreamWriter, header: dict[str, Any], payload: Payload = b""
 ) -> None:
     """Encode and flush one frame, as one ``bytes`` in one ``write``.
 
     Joining the frame parts costs one copy of the payload and saves a
     ``send`` syscall per part.  The transport then holds only that
-    ``bytes``, never a view of the caller's buffer, so callers may
+    ``bytes``, never a view of the caller's buffers, so callers may
     reuse or mutate the payload as soon as the coroutine completes
     (``drain()`` is awaited here).  Under ``REPRO_ALIAS_SANITIZER=1``
-    the payload is fingerprinted at handoff and re-verified after the
-    drain: a concurrent writer racing the framing is recorded as a
-    write-after-handoff event.
+    each writable buffer of the payload is fingerprinted at handoff and
+    re-verified after the drain: a concurrent writer racing the framing
+    is recorded as a write-after-handoff event.
     """
     token = sanitizer.guard(payload, "protocol.write_frame")
     writer.write(encode_frame(header, payload))

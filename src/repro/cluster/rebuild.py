@@ -33,8 +33,6 @@ from __future__ import annotations
 
 import asyncio
 
-import numpy as np
-
 from repro.cluster.client import ClusterArray
 from repro.cluster.protocol import strip_crcs
 from repro.parallel import BatchCoder, alloc_batch, iter_batches
@@ -148,14 +146,13 @@ class RebuildScheduler:
                 else:  # mixed losses: per-stripe patterns
                     for i, erased in enumerate(patterns):
                         code.decode(batch[i], list(erased))
-                # ... and one `put` pushes it to the replacement.
+                # ... and one `put` pushes it to the replacement, each
+                # strip a view of the window's buffer.
                 pushes = []
                 for frame in array._frames(stripes):
-                    strips = batch[frame[0] - start : frame[-1] - start + 1, column]
+                    strips = [batch[s - start, column] for s in frame]
                     pushes.append(replacement.request(
-                        "put",
-                        {"stripes": frame, "crcs": strip_crcs(strips)},
-                        np.ascontiguousarray(strips).data,
+                        "put", {"stripes": frame, "crcs": strip_crcs(strips)}, strips
                     ))
                 await asyncio.gather(*pushes)
                 # The replacement holds the column's fresh bytes; the

@@ -16,7 +16,6 @@ path for the throughput experiments.
 from __future__ import annotations
 
 import abc
-from functools import lru_cache
 
 import numpy as np
 

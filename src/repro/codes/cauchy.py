@@ -21,7 +21,7 @@ from repro.bitmatrix.cauchy import (
     min_w_for,
 )
 from repro.bitmatrix.decode import bitmatrix_decode_schedule
-from repro.bitmatrix.schedule import dumb_schedule, smart_schedule
+from repro.bitmatrix.schedule import smart_schedule
 from repro.codes.base import XorScheduleCode
 from repro.gf.gf2w import GF2w
 

@@ -24,7 +24,6 @@ import numpy as np
 from repro.bitmatrix import (
     liberation_bitmatrix,
     dumb_schedule,
-    smart_schedule,
     bitmatrix_decode_schedule,
 )
 from repro.codes.base import XorScheduleCode

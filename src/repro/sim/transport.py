@@ -5,8 +5,10 @@
 :class:`Transport`: ``serve()`` binds a listener and ``connect()``
 yields a ``(StreamReader, writer)`` pair.  :class:`AsyncioTransport`
 is the production default: ``asyncio.start_server`` /
-``asyncio.open_connection``, with socket reads landing in one buffer
-the transport owns instead of a fresh bytes object per read.
+``asyncio.open_connection``, with a short read landing in one small
+buffer the transport owns instead of a fresh bytes object per read,
+and a long one (a frame of strips) received straight into the buffer
+it returns.
 
 :class:`MemoryTransport` replaces the network with deterministic
 in-process pipes: a listener is an entry in a dict, a connection is a
@@ -22,6 +24,7 @@ whole cluster scenarios replay bit-identically.
 from __future__ import annotations
 
 import asyncio
+import ctypes
 from typing import Awaitable, Callable
 
 __all__ = [
@@ -68,33 +71,114 @@ class _AsyncioListener:
         await self._server.wait_closed()
 
 
-#: Bytes one socket read may return (asyncio's own read size).
-READ_SIZE = 256 * 1024
+#: Bytes one socket read may fill while no long read waits: every frame
+#: of a small RPC, and the head of a frame of strips.  A read of more
+#: bytes is received straight into the buffer it returns.
+READ_SIZE = 16 * 1024
+
+# ``bytearray(n)`` zero-fills, which commits all ``n`` bytes at once; a
+# peer that announced a 64 MiB frame and stalled would pin 64 MiB.  The
+# C constructor given no source leaves the bytes as allocated, so a
+# large buffer's pages are committed only as the socket fills them.
+_new_bytearray = ctypes.pythonapi.PyByteArray_FromStringAndSize
+_new_bytearray.argtypes = (ctypes.c_char_p, ctypes.c_ssize_t)
+_new_bytearray.restype = ctypes.py_object
+
+
+class _FrameReader(asyncio.StreamReader):
+    """A stream reader that receives a long read into its own buffer.
+
+    A read of at most :data:`READ_SIZE` bytes is the stream's own
+    ``readexactly``, unchanged.  A longer one -- a frame of strips --
+    gets a buffer of its own: the bytes the stream already holds are
+    moved into it, and :class:`_StreamProtocol` hands the socket the
+    rest of it to fill, so every later byte is copied once, by the
+    kernel.  The returned ``bytearray`` is the caller's; nothing here
+    keeps it once the read ends, completed, failed or cancelled.
+    """
+
+    def __init__(self, loop) -> None:
+        super().__init__(loop=loop)
+        #: the buffer a long read is being received into, and how many
+        #: of its bytes have arrived
+        self._direct: bytearray | None = None
+        self._filled = 0
+
+    def readexactly(self, n: int):
+        # Not a coroutine itself: a short read awaits the stream's own
+        # coroutine, with no layer in between.
+        if n <= READ_SIZE:
+            return super().readexactly(n)
+        return self._receive(n)
+
+    async def _receive(self, n: int) -> bytearray:
+        if self._exception is not None:
+            raise self._exception
+        out = _new_bytearray(None, n)
+        have = min(n, len(self._buffer))
+        with memoryview(self._buffer) as held:
+            out[:have] = held[:have]
+        del self._buffer[:have]
+        self._maybe_resume_transport()
+        self._direct, self._filled = out, have
+        try:
+            while self._filled < n:
+                if self._eof:
+                    raise asyncio.IncompleteReadError(bytes(out[: self._filled]), n)
+                await self._wait_for_data("readexactly")
+        finally:
+            self._direct = None
+        return out
+
+    def _pending(self) -> bool:
+        """Whether a long read still waits for bytes."""
+        return self._direct is not None and self._filled < len(self._direct)
+
+    def _received(self, nbytes: int) -> None:
+        """``nbytes`` more of the pending long read have arrived."""
+        self._filled += nbytes
+        if self._filled == len(self._direct):
+            self._wakeup_waiter()
 
 
 class _StreamProtocol(asyncio.StreamReaderProtocol, asyncio.BufferedProtocol):
     """asyncio's stream protocol, reading into a buffer it is handed.
 
-    A plain stream read allocates a fresh ``READ_SIZE`` bytes object
-    per read.  That is above glibc's mmap threshold, so depending on
-    the heap's layout every read of a small reply can cost an mmap and
-    a munmap: a third more set-up time on a small-RPC workload, in some
+    A plain stream read allocates a fresh 256 KiB bytes object per
+    read.  That is above glibc's mmap threshold, so depending on the
+    heap's layout every read of a small reply can cost an mmap and a
+    munmap: a third more set-up time on a small-RPC workload, in some
     checkouts and not others.  Reading into a buffer allocates nothing.
     A read runs to completion on the loop, and its bytes are copied
     into the stream before the next read starts, so one buffer serves
     every connection of a transport on that loop.
+
+    The buffer is :data:`READ_SIZE` bytes.  It holds any frame of a
+    small RPC, and it bounds how much of a frame of strips lands there,
+    to be copied by the stream, before its reader asks for the rest.
+    While a :class:`_FrameReader` waits on a long read, the socket is
+    handed the unfilled tail of that read's buffer instead.
     """
 
     def __init__(self, buffer: bytearray, reader, *args, **kwargs) -> None:
         super().__init__(reader, *args, **kwargs)
         self._buffer = buffer
 
-    def get_buffer(self, sizehint: int) -> bytearray:
-        return self._buffer
+    def get_buffer(self, sizehint: int) -> bytearray | memoryview:
+        reader = self._stream_reader
+        if reader is None or not reader._pending():
+            return self._buffer
+        return memoryview(reader._direct)[reader._filled :]
 
     def buffer_updated(self, nbytes: int) -> None:
-        # The stream copies the bytes out before this returns.
-        self.data_received(memoryview(self._buffer)[:nbytes])
+        # The transport calls this straight after get_buffer(), so the
+        # reader is in the state get_buffer() saw.
+        reader = self._stream_reader
+        if reader is None or not reader._pending():
+            # The stream copies the bytes out before this returns.
+            self.data_received(memoryview(self._buffer)[:nbytes])
+        else:
+            reader._received(nbytes)
 
 
 class AsyncioTransport(Transport):
@@ -110,14 +194,14 @@ class AsyncioTransport(Transport):
         loop = asyncio.get_running_loop()
 
         def factory() -> _StreamProtocol:
-            reader = asyncio.StreamReader(loop=loop)
+            reader = _FrameReader(loop)
             return _StreamProtocol(self._buffer, reader, handler, loop=loop)
 
         return _AsyncioListener(await loop.create_server(factory, host, port))
 
     async def connect(self, address: tuple[str, int]):
         loop = asyncio.get_running_loop()
-        reader = asyncio.StreamReader(loop=loop)
+        reader = _FrameReader(loop)
         protocol = _StreamProtocol(self._buffer, reader, loop=loop)
         transport, _ = await loop.create_connection(lambda: protocol, *address)
         return reader, asyncio.StreamWriter(transport, protocol, reader, loop)

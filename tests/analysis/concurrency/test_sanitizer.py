@@ -15,6 +15,7 @@ from repro.analysis.concurrency import sanitizer
 from repro.analysis.concurrency.sanitizer import (
     AliasViolationError,
 )
+from repro.array.disk import SimulatedDisk
 from repro.cluster.protocol import write_frame
 from repro.utils.words import words_view
 
@@ -58,6 +59,25 @@ class TestGuardCheck:
     def test_disabled_is_a_noop(self):
         sanitizer.enable(False)
         assert sanitizer.guard(bytearray(4), "t") is None
+
+    def test_one_mutated_strip_of_three_records_one_event(self):
+        strips = np.arange(3 * 8, dtype=np.uint64).reshape(3, 2, 4)
+        tok = sanitizer.guard([strips[0], strips[1], strips[2]], "t")
+        strips[1, 0, 0] ^= 1
+        event = sanitizer.check(tok)
+        assert event is not None and event.nbytes == strips[1].nbytes
+        assert sanitizer.events() == (event,)
+
+    def test_untouched_strips_record_nothing(self):
+        strips = np.arange(3 * 8, dtype=np.uint64).reshape(3, 2, 4)
+        tok = sanitizer.guard((strips[0], strips[1], strips[2]), "t")
+        assert sanitizer.check(tok) is None
+        assert sanitizer.events() == ()
+
+    def test_read_only_disk_views_are_skipped(self):
+        disk = SimulatedDisk(0, n_strips=2, strip_words=4)
+        assert sanitizer.guard([disk.read_view(0), disk.read_view(1)], "t") is None
+        assert sanitizer.guard([b"bytes", disk.read_view(0)], "t") is None
 
     def test_assert_clean_raises_and_consumes(self):
         buf = bytearray(8)

@@ -1,7 +1,5 @@
 """Tests for the MTTDL / URE reliability models."""
 
-import math
-
 import pytest
 
 from repro.analysis.reliability import (

@@ -1,6 +1,5 @@
 """Tests for the parity-declustered layout."""
 
-import numpy as np
 import pytest
 
 from repro.array import RAID6Array, Scrubber

@@ -48,6 +48,35 @@ class TestIO:
         assert disk.stats.bytes_written == 32 and disk.stats.bytes_read == 64
 
 
+class TestViewRead:
+    """``read_view``: the node frames a ``get`` straight from storage."""
+
+    def test_view_is_read_only_and_shows_the_stored_strip(self, disk, random_words):
+        data = random_words(4)
+        disk.write_strip(3, data)
+        view = disk.read_view(3)
+        assert np.array_equal(view, data)
+        assert not view.flags.writeable and memoryview(view).readonly
+        with pytest.raises(ValueError):
+            view[0] = 0
+        assert np.array_equal(disk.read_strip(3), data)  # storage untouched
+
+    def test_faults_and_stats_are_read_strips(self, disk, random_words):
+        disk.write_strip(0, random_words(4))
+        disk.read_view(0)
+        disk.read_strip(0)
+        assert disk.stats.reads == 2 and disk.stats.bytes_read == 64
+        with pytest.raises(IndexError):
+            disk.read_view(8)
+        disk.mark_latent_error(1)
+        with pytest.raises(LatentSectorError):
+            disk.read_view(1)
+        disk.fail()
+        with pytest.raises(DiskFailedError):
+            disk.read_view(0)
+        assert disk.stats.reads == 2  # a failed read counts nothing
+
+
 class TestWholeDiskFailure:
     def test_fail_blocks_io(self, disk, random_words):
         disk.fail()

@@ -1,6 +1,5 @@
 """Property-based tests for stripe layouts and byte addressing."""
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.array.layout import DeclusteredLayout, StripeLayout

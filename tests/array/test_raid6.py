@@ -1,6 +1,5 @@
 """Integration tests for the RAID-6 array simulator."""
 
-import numpy as np
 import pytest
 
 from repro.array import ArrayDegradedError, RAID6Array

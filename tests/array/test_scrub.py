@@ -1,6 +1,5 @@
 """Tests for scrubbing and fault injection."""
 
-import numpy as np
 import pytest
 
 from repro.array import FaultInjector, RAID6Array, Scrubber

@@ -1,7 +1,5 @@
 """Tests for the throughput harness (small, fast configurations)."""
 
-import pytest
-
 from repro.bench.throughput import (
     ThroughputResult,
     decode_throughput_series,

@@ -6,7 +6,6 @@ import pytest
 from repro.bitmatrix.builder import liberation_bitmatrix
 from repro.bitmatrix.schedule import dumb_schedule, schedule_from_rows, smart_schedule
 from repro.engine.executor import execute_bits
-from repro.engine.ops import Schedule
 
 
 def reference_encode(generator, w, k, bits):

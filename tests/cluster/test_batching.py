@@ -301,7 +301,7 @@ class TestRpcCounts:
         def recording(frame_parts):
             def parts(header, payload=b""):
                 out = frame_parts(header, payload)
-                payloads.append(len(out[2]))
+                payloads.append(sum(map(len, out[2:-1])))  # the payload's parts
                 return out
 
             return parts

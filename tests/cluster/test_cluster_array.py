@@ -9,10 +9,9 @@ noise.  Real-socket coverage lives in ``test_node.py`` (marked slow).
 import asyncio
 import itertools
 
-import numpy as np
 import pytest
 
-from repro.cluster import ClusterArray, ClusterDegradedError, RebuildScheduler, RetryPolicy
+from repro.cluster import ClusterArray, ClusterDegradedError, RebuildScheduler
 from tests.cluster.conftest import (
     FAST_POLICY,
     elastic_sim_cluster,

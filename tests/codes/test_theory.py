@@ -1,7 +1,5 @@
 """Theory-vs-measurement agreement (Table I closed forms)."""
 
-import itertools
-
 import pytest
 
 from repro.codes import make_code

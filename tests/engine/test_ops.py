@@ -1,6 +1,5 @@
 """Tests for the schedule data model."""
 
-import numpy as np
 import pytest
 
 from repro.engine.ops import Schedule, XorOp

@@ -2,7 +2,6 @@
 
 import asyncio
 import json
-import pathlib
 import threading
 import zlib
 
@@ -448,7 +447,6 @@ class TestRoundTripProperty:
     def test_random_sizes_and_losses(self, tmp_path):
         """Fuzz: arbitrary file sizes (incl. empty-ish and unaligned),
         arbitrary recoverable loss patterns."""
-        import itertools
         import random
 
         rnd = random.Random(0xBEEF)

@@ -6,8 +6,6 @@ files to the code they describe.
 
 import pathlib
 
-import pytest
-
 from repro.codes import available_codes
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent

@@ -6,7 +6,6 @@ carry real tracebacks and coverage is attributed.
 
 import importlib.util
 import pathlib
-import sys
 
 import pytest
 

@@ -8,7 +8,6 @@ degraded arrays.
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.array import (
