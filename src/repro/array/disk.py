@@ -61,6 +61,10 @@ class SimulatedDisk:
         self.n_strips = int(n_strips)
         self.strip_words = int(strip_words)
         self._store = np.zeros((n_strips, strip_words), dtype=WORD_DTYPE)
+        #: the same storage as one read-only run of words, which
+        #: :meth:`read_view` slices
+        self._words = self._store.reshape(-1)
+        self._words.flags.writeable = False
         self._failed = False
         self._latent: set[int] = set()
         self.stats = DiskStats()
@@ -107,23 +111,35 @@ class SimulatedDisk:
         """Return a copy of a strip's words."""
         return self.read_view(strip).copy()
 
-    def read_view(self, strip: int) -> np.ndarray:
-        """A strip's words as a read-only view of the disk's storage.
+    def read_view(self, strip: int, count: int = 1) -> np.ndarray:
+        """The words of ``count`` consecutive strips from ``strip``, one
+        strip after another, as one flat read-only view of the disk's
+        storage.
 
-        Faults and statistics are :meth:`read_strip`'s.  The view shows
-        the strip as it is, so a later write shows through it: a caller
-        that keeps the bytes past its next ``await`` copies them.
+        A failed disk raises, and so does a latent sector on any strip
+        of the range, before anything is counted; otherwise each strip
+        counts as one read.  The view shows the strips as they are, so a
+        later write shows through it: a caller that keeps the bytes past
+        its next ``await`` copies them.
         """
-        self._check_strip(strip)
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
+        if not 0 <= strip <= self.n_strips - count:
+            raise IndexError(
+                f"strips [{strip}, {strip + count}) out of range [0, {self.n_strips}) "
+                f"on disk {self.disk_id}"
+            )
         if self._failed:
             raise DiskFailedError(f"disk {self.disk_id} is failed")
-        if strip in self._latent:
-            raise LatentSectorError(f"disk {self.disk_id} strip {strip} unreadable")
-        self.stats.reads += 1
-        self.stats.bytes_read += self.strip_words * 8
-        view = self._store[strip]
-        view.flags.writeable = False
-        return view
+        if self._latent:
+            latent = self._latent.intersection(range(strip, strip + count))
+            if latent:
+                raise LatentSectorError(
+                    f"disk {self.disk_id} strip {min(latent)} unreadable"
+                )
+        self.stats.reads += count
+        self.stats.bytes_read += count * self.strip_words * 8
+        return self._words[strip * self.strip_words : (strip + count) * self.strip_words]
 
     def write_strip(self, strip: int, words: np.ndarray) -> None:
         """Overwrite a strip (clears any latent error on it)."""

@@ -444,22 +444,35 @@ class StripNode:
         return {"status": "ok"}
 
     def _read_strips(self, header: dict) -> tuple[list, list[int]]:
-        """The strips a ``get`` or ``scrub-read`` names, as ``(stripe,
-        strip)`` in request order, each a read-only view of the disk's
-        storage, leaving out (and returning as unreadable) those behind
-        a latent sector.  A failed disk, or no readable strip at all,
-        fails the whole request."""
-        strips, unreadable = [], []
+        """The strips a ``get`` or ``scrub-read`` names, in request
+        order, as ``(stripes, words)`` runs: each maximal run of
+        consecutive stripes in the request is one disk read, its words
+        a read-only view of the disk's storage, strip after strip.
+
+        Strips behind a latent sector are left out and returned as
+        unreadable: a run that holds one is read again strip by strip,
+        each readable strip a run of its own.  A failed disk, or no
+        readable strip at all, fails the whole request."""
+        stripes = self._stripes(header)
+        runs, unreadable = [], []
         error: LatentSectorError | None = None
-        for stripe in self._stripes(header):
+        start = 0
+        for end in range(1, len(stripes) + 1):
+            if end < len(stripes) and stripes[end] == stripes[end - 1] + 1:
+                continue
+            run, start = stripes[start:end], end
             try:
-                strips.append((stripe, self.disk.read_view(stripe)))
-            except LatentSectorError as exc:
-                unreadable.append(stripe)
-                error = exc
-        if error is not None and not strips:
+                runs.append((run, self.disk.read_view(run[0], len(run))))
+            except LatentSectorError:
+                for stripe in run:
+                    try:
+                        runs.append(([stripe], self.disk.read_view(stripe)))
+                    except LatentSectorError as exc:
+                        unreadable.append(stripe)
+                        error = exc
+        if error is not None and not runs:
             raise error
-        return strips, unreadable
+        return runs, unreadable
 
     def _serve_get(self, header: dict) -> tuple[dict, list]:
         """The named strips in request order, each with its CRC sidecar
@@ -467,20 +480,25 @@ class StripNode:
         behind a latent sector.  No strip is hashed: the client checks
         each against its sidecar, so rot at rest shows there.  A strip
         without a sidecar (never written through this node) adopts its
-        CRC, as :meth:`_serve_scrub_read` does.  The payload is the
-        strips' views of the disk's storage, which :meth:`_reply` joins
-        into the frame."""
-        strips, unreadable = self._read_strips(header)
+        CRC, as :meth:`_serve_scrub_read` does.  The payload is one view
+        of the disk's storage per run of consecutive stripes
+        (:meth:`_read_strips`), which :meth:`_reply` joins into the
+        frame."""
+        runs, unreadable = self._read_strips(header)
+        size = self.disk.strip_words
         crcs = []
-        for stripe, strip in strips:
-            crc = self.checksums.get(stripe)
-            if crc is None:
-                crc = self.checksums[stripe] = zlib.crc32(strip)
-            crcs.append(crc)
+        for run, words in runs:
+            for i, stripe in enumerate(run):
+                crc = self.checksums.get(stripe)
+                if crc is None:
+                    crc = self.checksums[stripe] = zlib.crc32(
+                        words[i * size : (i + 1) * size]
+                    )
+                crcs.append(crc)
         reply: dict = {"status": "ok", "crcs": crcs}
         if unreadable:
             reply["unreadable"] = unreadable
-        return reply, [strip for _, strip in strips]
+        return reply, [words for _, words in runs]
 
     def _serve_xor(self, header: dict, payload: memoryview) -> dict:
         """XOR the payload's rows into the named strips: a delta write.
@@ -568,15 +586,17 @@ class StripNode:
         pre-existing damage is indistinguishable from original content
         at that point, exactly like real sidecar adoption.
         """
-        strips, unreadable = self._read_strips(header)
+        runs, unreadable = self._read_strips(header)
+        size = self.disk.strip_words
         stored, match = [], []
-        for stripe, strip in strips:
-            actual = zlib.crc32(strip)
-            crc = self.checksums.setdefault(stripe, actual)
-            if crc != actual:
-                self.metrics.counter("scrub_crc_mismatches").inc()
-            stored.append(crc)
-            match.append(crc == actual)
+        for run, words in runs:
+            for i, stripe in enumerate(run):
+                actual = zlib.crc32(words[i * size : (i + 1) * size])
+                crc = self.checksums.setdefault(stripe, actual)
+                if crc != actual:
+                    self.metrics.counter("scrub_crc_mismatches").inc()
+                stored.append(crc)
+                match.append(crc == actual)
         reply: dict = {"status": "ok", "crc_stored": stored, "match": match}
         if unreadable:
             reply["unreadable"] = unreadable

@@ -15,8 +15,9 @@ the payload carries raw strip bytes.
 Each side copies a strip once.  A sender hands :func:`frame_parts` its
 payload as one buffer or as a list of them -- a put's strips as views
 of the stripe buffers, a ``get`` reply's as read-only views of the
-disk's storage -- and joining the parts into the one ``bytes`` a frame
-is written as is the payload's only copy.  :func:`read_frame` reads a
+disk's storage, one part per run of consecutive stripes the request
+names -- and joining the parts into the one ``bytes`` a frame is
+written as is the payload's only copy.  :func:`read_frame` reads a
 frame in two reads, the 12-byte preamble and then header, payload and
 CRC together, and returns the payload as a read-only view of that one
 buffer.  :class:`~repro.sim.transport.AsyncioTransport` receives a

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro.cluster.client import ClusterArray, ClusterError
 from repro.cluster.membership import MembershipError, NodeState
-from repro.cluster.protocol import strip_crcs
+from repro.cluster.protocol import Payload, strip_crcs
 from repro.sim.clock import Clock
 
 __all__ = [
@@ -196,7 +196,7 @@ class Rebalancer:
     # -- protocol plumbing ---------------------------------------------------
 
     async def _rpc(
-        self, node_id, verb: str, header: dict, payload: bytes = b""
+        self, node_id, verb: str, header: dict, payload: Payload = b""
     ) -> dict:
         self.crash.step()
         reply, _ = await self.array.client_for_node(node_id).request(
@@ -277,8 +277,7 @@ class Rebalancer:
         # degraded write left stale, so no old bytes move.
         (buf,) = await array._fetch_stripes([stripe])
         code.encode(buf)
-        payloads = {col: bytes(np.ascontiguousarray(buf[col]).data) for col in moving}
-        moved_bytes = sum(len(p) for p in payloads.values())
+        moved_bytes = sum(buf[col].nbytes for col in moving)
 
         # throttle on the bytes about to move (before they move, so a
         # drained bucket delays the copy, not the release)
@@ -292,8 +291,8 @@ class Rebalancer:
                 await self._rpc(
                     target[col],
                     "put",
-                    {"stripe": stripe, "crcs": strip_crcs([payloads[col]])},
-                    payloads[col],
+                    {"stripe": stripe, "crcs": strip_crcs([buf[col]])},
+                    buf[col],
                 )
             self._reroute(stripe, {col: target[col] for col in cols})
             # The moved columns just landed freshly encoded strips; a
@@ -304,7 +303,7 @@ class Rebalancer:
 
         # 3. decode-path read-back through the new route
         (check,) = await array._fetch_stripes([stripe])
-        if bytes(array._stripe_payload(check)) != bytes(array._stripe_payload(buf)):
+        if not np.array_equal(check[: code.k], buf[: code.k]):
             # Every put verified on arrival, yet the stripe does not
             # read back.  A moved column may route back only to a
             # source that took no other column -- any other source's

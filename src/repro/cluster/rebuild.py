@@ -12,8 +12,13 @@ rebuild drains in the background; progress is visible live through the
 A window costs one ``get`` per column its decode reads -- for a lost
 Liberation data column the other data columns and P, k in all, never
 Q -- and one ``put`` to the replacement, each carrying every stripe of
-the window.  A rebuild tolerates a *second* concurrent loss: a column
-a window's fetch loses, for any reason (unreachable, unreadable,
+the window.  Every window fills the one buffer the rebuild allocates.
+The push lists each rebuilt strip's CRC-32.  A lost data column that
+decoded from the other data columns and P alone is their XOR, so its
+CRC is folded from the CRCs they were checked with, and the
+replacement's put check holds the decode to that fold; any other strip
+is hashed as built.  A rebuild tolerates a *second* concurrent loss: a
+column a window's fetch loses, for any reason (unreachable, unreadable,
 rotted or stale), joins that stripe's erasure pattern, and one more
 fetch widens to what the two-erasure decode reads, up to the code's
 two-column budget.  The decode restores the window's stale columns as
@@ -32,10 +37,13 @@ strips are re-placed by the :class:`~repro.cluster.rebalance.Rebalancer`.
 from __future__ import annotations
 
 import asyncio
+import zlib
 
-from repro.cluster.client import ClusterArray
-from repro.cluster.protocol import strip_crcs
+import numpy as np
+
+from repro.cluster.client import ClusterArray, NodeClient
 from repro.parallel import BatchCoder, alloc_batch, iter_batches
+from repro.utils.crc import crc32_xor
 
 __all__ = ["RebuildScheduler"]
 
@@ -114,16 +122,43 @@ class RebuildScheduler:
             if target_provider is None:
                 raise ValueError("need an address or a target_provider")
             address = await target_provider(column)
-        metrics = array.metrics
-        metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
+        array.metrics.counter("rebuild_stripes_total").inc(array.n_stripes)
         self.progress = (0, array.n_stripes)
         # Share the array's transport/clock seam so rebuilds run (and
         # replay deterministically) under simulation too.
         replacement = array._make_client(address)
+        try:
+            done = await self._rebuild_windows(column, replacement)
+        except BaseException:
+            # Failed or cancelled: no one adopts the client, so its
+            # pooled connections close here.
+            replacement.close()
+            raise
+        array.replace_node(node_id, replacement)
+        return done
+
+    async def _rebuild_windows(self, column: int, replacement: NodeClient) -> int:
+        """Rebuild ``column`` window by window onto ``replacement``;
+        returns the stripes rebuilt.
+
+        Every window fills one buffer, allocated once: the last, short
+        window uses a prefix of it, and each full window hands the batch
+        decode the same object, so its transposed view and the plan's
+        bound program are reused.  A window zeroes its erased columns;
+        any other column it does not fetch still holds the previous
+        window's bytes, which nothing reads -- the decode reads only its
+        sources and scratch cells it wrote first, the push sends only
+        ``column`` and the write-back only the stale columns the decode
+        restored.
+        """
+        array = self.array
+        code = array.code
+        metrics = array.metrics
+        window = alloc_batch(code, min(self.batch_stripes, array.n_stripes))
         done = 0
         for start, stop in iter_batches(array.n_stripes, self.batch_stripes):
             stripes = list(range(start, stop))
-            batch = alloc_batch(code, stop - start)
+            batch = window if stop - start == len(window) else window[: stop - start]
             async with array.stripe_locks(stripes):
                 # Columns on the dirty list hold *stale* strips, which
                 # join the erasure pattern: the rebuild neither fetches
@@ -134,7 +169,10 @@ class RebuildScheduler:
                 erasures = {
                     s: {column, *array.dirty_stripes.get(s, ())} for s in stripes
                 }
-                await array._fetch_for(dict(zip(stripes, batch)), erasures, {column})
+                crcs: dict[tuple[int, int], int] = {}
+                await array._fetch_for(
+                    dict(zip(stripes, batch)), erasures, {column}, crcs
+                )
                 patterns = [tuple(sorted(erasures[s])) for s in stripes]
                 for i, erased in enumerate(patterns):
                     for col in erased:
@@ -148,11 +186,13 @@ class RebuildScheduler:
                         code.decode(batch[i], list(erased))
                 # ... and one `put` pushes it to the replacement, each
                 # strip a view of the window's buffer.
+                listed = self._pushed_crcs(column, batch, stripes, patterns, crcs)
                 pushes = []
                 for frame in array._frames(stripes):
-                    strips = [batch[s - start, column] for s in frame]
                     pushes.append(replacement.request(
-                        "put", {"stripes": frame, "crcs": strip_crcs(strips)}, strips
+                        "put",
+                        {"stripes": frame, "crcs": [listed[s - start] for s in frame]},
+                        [batch[s - start, column] for s in frame],
                     ))
                 await asyncio.gather(*pushes)
                 # The replacement holds the column's fresh bytes; the
@@ -165,5 +205,31 @@ class RebuildScheduler:
             done += stop - start
             metrics.counter("rebuild_stripes_done").inc(stop - start)
             self.progress = (done, array.n_stripes)
-        array.replace_node(node_id, replacement)
         return done
+
+    def _pushed_crcs(
+        self, column: int, batch: np.ndarray, stripes: list[int],
+        patterns: list[tuple[int, ...]], crcs: dict[tuple[int, int], int],
+    ) -> list[int]:
+        """The CRC-32 the push lists for each stripe's rebuilt strip.
+
+        Where P is the row parity
+        (:attr:`~repro.codes.base.RAID6Code.p_is_row_parity`), a lost
+        data column is the XOR of the other data columns and P.  So a
+        strip that decoded alone, from sources whose CRCs the fetch kept
+        in ``crcs``, lists the fold of those k CRCs
+        (:func:`~repro.utils.crc.crc32_xor`), and the replacement's
+        check of what it stores holds the decode to it.  Every other
+        strip is hashed as built.
+        """
+        code = self.array.code
+        sources = [c for c in range(code.k) if c != column] + [code.p_col]
+        fold = code.p_is_row_parity and column < code.k
+        listed = []
+        for i, stripe in enumerate(stripes):
+            keys = [(stripe, c) for c in sources]
+            if fold and patterns[i] == (column,) and all(key in crcs for key in keys):
+                listed.append(crc32_xor((crcs[key] for key in keys), code.strip_bytes))
+            else:
+                listed.append(zlib.crc32(batch[i, column]))
+        return listed

@@ -76,6 +76,35 @@ class TestViewRead:
             disk.read_view(0)
         assert disk.stats.reads == 2  # a failed read counts nothing
 
+    def test_a_run_view_holds_consecutive_strips_read_only(self, disk, random_words):
+        data = [random_words(4) for _ in range(3)]
+        for i, words in enumerate(data):
+            disk.write_strip(2 + i, words)
+        view = disk.read_view(2, 3)
+        assert np.array_equal(view, np.concatenate(data))
+        assert not view.flags.writeable and memoryview(view).readonly
+        with pytest.raises(ValueError):
+            view[0] = 0
+        assert np.array_equal(disk.read_strip(3), data[1])  # storage untouched
+        assert np.array_equal(disk.read_view(7, 1), disk.read_view(7))
+
+    def test_a_run_read_counts_each_strip_and_fails_whole(self, disk):
+        disk.read_view(2, 3)
+        assert disk.stats.reads == 3 and disk.stats.bytes_read == 96
+        for strip, count in ((6, 3), (-1, 2), (0, 9)):
+            with pytest.raises(IndexError):
+                disk.read_view(strip, count)
+        with pytest.raises(ValueError):
+            disk.read_view(0, 0)
+        disk.mark_latent_error(4)
+        with pytest.raises(LatentSectorError, match="strip 4"):
+            disk.read_view(2, 3)
+        disk.read_view(5, 3)  # the range ends past the latent strip
+        disk.fail()
+        with pytest.raises(DiskFailedError):
+            disk.read_view(5, 3)
+        assert disk.stats.reads == 6  # a failed read counts nothing
+
 
 class TestWholeDiskFailure:
     def test_fail_blocks_io(self, disk, random_words):

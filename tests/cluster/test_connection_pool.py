@@ -16,6 +16,7 @@ import pytest
 
 from repro.array.faults import NetworkFaultPlan
 from repro.cluster import (
+    ClusterError,
     HealthMonitor,
     NodeClient,
     NodeUnavailableError,
@@ -65,6 +66,33 @@ async def open_connections(node: StripNode) -> int:
     injected service latency) has played out."""
     await node.clock.sleep(60.0)
     return len(node._connections)
+
+
+async def rebuild_failing_in_window_three(exc: BaseException) -> None:
+    """Rebuild column 1 of 32 stripes in windows of 8 while the third
+    window's fetch raises ``exc``; the rebuild raises it, leaves the
+    column where it was and leaves the replacement no open connection."""
+    code, cluster = sim_cluster(n_stripes=32)
+    async with cluster:
+        arr = cluster.array(policy=FAST_POLICY)
+        await arr.write(0, payload_for(arr))
+        await cluster.stop_node(1)
+        spare = await cluster.start_replacement(1)
+        fetch_for, calls = arr._fetch_for, []
+
+        async def failing(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise exc
+            return await fetch_for(*args, **kwargs)
+
+        arr._fetch_for = failing
+        with pytest.raises(type(exc)):
+            await RebuildScheduler(arr, batch_stripes=8).rebuild_column(1, spare)
+        replacement = cluster.replacements[1]
+        assert replacement.metrics.get("requests_put") == 2  # windows one and two
+        assert arr.client_for_node(1).address != spare
+        assert await open_connections(replacement) == 0
 
 
 class TestReuse:
@@ -313,3 +341,11 @@ class TestClientLifecycle:
                 assert await open_connections(replacement) == held
 
         asyncio.run(run())
+
+    def test_a_failed_rebuild_closes_its_client(self):
+        """A rebuild whose window fails hands its client to no one: the
+        replacement keeps no connection open."""
+        asyncio.run(rebuild_failing_in_window_three(ClusterError("window three failed")))
+
+    def test_a_cancelled_rebuild_closes_its_client(self):
+        asyncio.run(rebuild_failing_in_window_three(asyncio.CancelledError()))

@@ -1,9 +1,11 @@
-"""Tests of a single strip node over real loopback sockets.
+"""Tests of a single strip node.
 
-Marked slow: these bind actual TCP ports and pay real retry backoff.
-The equivalent logic runs socket-free in ``tests/sim`` and the
-sim-seam cluster tests; this module keeps the production transport
-honest (run with ``-m ""`` or ``-m slow``).
+The verb, disk-fault and shutdown drills run over real loopback sockets
+and are marked slow: they bind actual TCP ports and pay real retry
+backoff.  The equivalent logic runs socket-free in ``tests/sim`` and the
+sim-seam cluster tests; those drills keep the production transport
+honest (run with ``-m ""`` or ``-m slow``).  The run-read drills serve
+the node on the simulation seam.
 """
 
 import asyncio
@@ -11,8 +13,6 @@ import zlib
 
 import numpy as np
 import pytest
-
-pytestmark = pytest.mark.slow
 
 from repro.array.faults import NetworkFaultPlan
 from repro.cluster import (
@@ -23,6 +23,7 @@ from repro.cluster import (
     StripNode,
     send_verb,
 )
+from repro.sim import MemoryTransport, VirtualClock
 from repro.utils.words import WORD_DTYPE
 
 STRIP_WORDS = 10
@@ -53,6 +54,7 @@ def strip(seed=0) -> np.ndarray:
     )
 
 
+@pytest.mark.slow
 class TestBasicVerbs:
     def test_ping(self):
         async def go(node, client):
@@ -101,6 +103,7 @@ class TestBasicVerbs:
         assert reply["disk"]["reads"] == 1 and reply["disk"]["writes"] == 1
 
 
+@pytest.mark.slow
 class TestDiskFaultsOverTheWire:
     def test_latent_error_reported_not_retried(self):
         async def go(node, client):
@@ -144,6 +147,7 @@ class TestDiskFaultsOverTheWire:
         assert run_with_node(go) == "NodeUnavailableError"
 
 
+@pytest.mark.slow
 class TestShutdown:
     def test_shutdown_verb_stops_serving(self):
         async def run():
@@ -173,3 +177,64 @@ class TestShutdown:
 
         pings, after = run_with_node(go)
         assert pings == 4 and after == pings
+
+
+class TestRunReads:
+    """A ``get`` or ``scrub-read`` reads each run of consecutive stripes
+    with one disk read, strip by strip only where a run holds a latent
+    strip, and answers in request order."""
+
+    @staticmethod
+    def serve(go):
+        """Run ``go(node, client)`` against a node holding ``strip(s)``
+        as strip ``s``, on the simulation seam."""
+
+        async def run():
+            transport, clock = MemoryTransport(), VirtualClock()
+            node = StripNode(0, 10, STRIP_WORDS, transport=transport, clock=clock)
+            for stripe in range(10):
+                node.disk.write_strip(stripe, strip(stripe))
+            await node.start()
+            client = NodeClient(
+                node.address, policy=RetryPolicy(attempts=1, timeout=0.5),
+                transport=transport, clock=clock,
+            )
+            try:
+                return await go(node, client)
+            finally:
+                client.close()
+                await node.stop()
+
+        return asyncio.run(run())
+
+    def test_a_latent_strip_inside_a_run_is_listed_alone(self):
+        async def go(node, client):
+            node.disk.mark_latent_error(3)
+            request = {"stripes": [2, 3, 4, 7, 8]}
+            reply, payload = await client.request("get", request)
+            probe, _ = await client.request("scrub-read", request)
+            return reply, bytes(payload), probe, node.disk.stats.reads
+
+        reply, payload, probe, reads = self.serve(go)
+        answered = [2, 4, 7, 8]
+        assert payload == b"".join(strip(s).tobytes() for s in answered)
+        assert reply["crcs"] == [zlib.crc32(strip(s)) for s in answered]
+        assert reply["unreadable"] == [3] and probe["unreadable"] == [3]
+        assert probe["crc_stored"] == reply["crcs"] and probe["match"] == [True] * 4
+        assert reads == 2 * len(answered)  # each strip read counts once
+
+    def test_an_unsorted_request_keeps_its_order(self):
+        async def go(node, client):
+            _, payload = await client.request("get", {"stripes": [5, 4, 6, 7, 1, 2]})
+            return bytes(payload)
+
+        assert self.serve(go) == b"".join(strip(s).tobytes() for s in [5, 4, 6, 7, 1, 2])
+
+    def test_a_get_reply_frames_one_part_per_run(self):
+        node = StripNode(0, 10, STRIP_WORDS)
+        node.disk.mark_latent_error(3)
+        _, parts = node._serve("get", {"stripes": [2, 3, 4, 5, 9, 0, 1]}, b"")
+        # Runs [2..5], [9] and [0, 1]; the first holds the latent strip.
+        assert [len(p) // STRIP_WORDS for p in parts] == [1, 1, 1, 1, 2]
+        assert all(not p.flags.writeable for p in parts)
+        assert node.disk.stats.reads == 6

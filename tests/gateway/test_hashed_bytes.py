@@ -4,10 +4,11 @@ Every CRC-32 in the stack, client, node and gateway alike, goes through
 ``zlib.crc32`` looked up on the module, so a wrapper there counts them
 all.  The geometry is the bulk benchmark's: k=6, p=7 and 4 KiB
 elements, so 28 KiB strips and 168 KiB stripes; the cache is off, and
-a 1 MiB object is written over an existing one, then read.  The alias
+a 1 MiB object is written over an existing one, then read.  The
+``hashed`` fixture (``tests/conftest.py``) counts the bytes; the alias
 sanitizer, when it is on, fingerprints payloads through ``zlib.crc32``
-as well; that is instrumentation, not the program's hashing, and is not
-counted.
+as well, which is instrumentation, not the program's hashing, and is
+not counted.
 
 A put hashes the user's bytes once (a piece that fills a strip is the
 CRC its put lists, and P's folds from the data strips'), Q once, and
@@ -17,30 +18,12 @@ strip where it lands and the one packed extent: about 1.3.
 
 import asyncio
 import random
-import sys
-import zlib
 
 import pytest
-
-from repro.analysis.concurrency import sanitizer
 
 from .conftest import sim_gateway
 
 SIZE = 1 << 20
-
-
-@pytest.fixture
-def hashed(monkeypatch):
-    count = [0]
-    real = zlib.crc32
-
-    def counting(data, value=0):
-        if sys._getframe(1).f_globals["__name__"] != sanitizer.__name__:
-            count[0] += memoryview(data).nbytes
-        return real(data, value)
-
-    monkeypatch.setattr(zlib, "crc32", counting)
-    return count
 
 
 @pytest.mark.parametrize("lost", [None, 1], ids=["healthy", "one-data-column-down"])
