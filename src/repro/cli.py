@@ -75,14 +75,6 @@ __all__ = ["main"]
 MANIFEST_SUFFIX = ".manifest.json"
 
 
-def _sha256(path: pathlib.Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def _piece_names(stem: str, k: int) -> list[str]:
     return [f"{stem}.d{j}" for j in range(k)] + [f"{stem}.p", f"{stem}.q"]
 

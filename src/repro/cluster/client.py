@@ -1023,37 +1023,6 @@ class ClusterArray:
         """Assemble one stripe buffer, decoding around lost columns."""
         return (await self._read_stripes([stripe]))[0]
 
-    async def _write_stripes(
-        self, stripes: list[int], bufs: list[np.ndarray], *,
-        columns: list[int] | None = None,
-    ) -> dict[int, list[int]]:
-        """:meth:`_put_stripes` under the stripes' locks."""
-        async with self.stripe_locks(stripes):
-            return await self._put_stripes(stripes, bufs, columns=columns)
-
-    async def _put_stripes(
-        self, stripes: list[int], bufs: list[np.ndarray], *,
-        columns: list[int] | None = None,
-    ) -> dict[int, list[int]]:
-        """Scatter (selected columns of) stripe buffers to the nodes: one
-        ``put`` per column and holder carries every stripe's strip.
-
-        Columns whose node cannot be reached are skipped -- degraded
-        write semantics -- unless that would leave a stripe beyond
-        RAID-6 tolerance, which raises :class:`ClusterDegradedError`.
-        Returns each stripe's *skipped* columns (empty means fully
-        durable), which :meth:`_wrote` lists stale so reads decode
-        around them and the scrubber repairs them first once their
-        nodes return.  The caller holds the stripes' locks.
-        """
-        for stripe in stripes:
-            self._check_stripe(stripe)
-        cols = list(range(self.code.n_cols)) if columns is None else list(columns)
-        done = await self._fan_out(
-            "put", [(col, stripes) for col in cols], *_strips_of(dict(zip(stripes, bufs)))
-        )
-        return self._wrote(stripes, done)
-
     def _wrote(self, stripes: list[int], done) -> dict[int, list[int]]:
         """Settle a write's fan-out ``done``: the columns it landed are
         fresh and the ones it skipped stale (:meth:`_mark_columns`), so
@@ -1116,9 +1085,23 @@ class ClusterArray:
     async def write_stripe(
         self, stripe: int, buf: np.ndarray, *, columns: list[int] | None = None
     ) -> list[int]:
-        """Scatter (selected columns of) one stripe buffer; returns the
-        columns skipped (see :meth:`_put_stripes`)."""
-        return (await self._write_stripes([stripe], [buf], columns=columns))[stripe]
+        """Scatter (selected columns of) one stripe buffer to the nodes,
+        one ``put`` per column and holder, under the stripe's lock.
+
+        Columns whose node cannot be reached are skipped -- degraded
+        write semantics -- unless that would leave the stripe beyond
+        RAID-6 tolerance, which raises :class:`ClusterDegradedError`.
+        Returns the *skipped* columns (empty means fully durable), which
+        :meth:`_wrote` lists stale so reads decode around them and the
+        scrubber repairs them first once their nodes return.
+        """
+        self._check_stripe(stripe)
+        cols = range(self.code.n_cols) if columns is None else columns
+        async with self.stripe_lock(stripe):
+            done = await self._fan_out(
+                "put", [(col, [stripe]) for col in cols], *_strips_of({stripe: buf})
+            )
+            return self._wrote([stripe], done)[stripe]
 
     # -- byte-addressed user I/O -------------------------------------------
 
@@ -1277,10 +1260,10 @@ class ClusterArray:
             xors = _by_column({
                 s: [col for col in (code.p_col, code.q_col) if rows[s, col]] for s in delta
             })
-            put = self._fan_out("put", _by_column(puts), *_strips_of(bufs, known))
+            sends = [self._fan_out("put", _by_column(puts), *_strips_of(bufs, known))]
             if xors:
                 token = self._write_token()
-                xor = self._fan_out(
+                sends.append(self._fan_out(
                     "xor", xors,
                     lambda col, batch: [parity[s][col][rows[s, col]] for s in batch],
                     lambda col, batch: {
@@ -1288,13 +1271,8 @@ class ClusterArray:
                         "row_bytes": code.element_size,
                         "token": token,
                     },
-                )
-                done = [d for sent in await asyncio.gather(put, xor) for d in sent]
-            else:
-                # Awaited in this task, so a write without an xor runs
-                # on the same schedule as :meth:`_put_stripes`.
-                done = await put
-            self._wrote(stripes, done)
+                ))
+            self._wrote(stripes, [d for sent in await asyncio.gather(*sends) for d in sent])
         if not read_old:
             return crcs, None
         return crcs, [b"".join(old[s][i] for s, i in where) for where in placed]

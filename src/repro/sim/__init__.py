@@ -5,7 +5,8 @@ The correctness backstop of the whole stack.  Three layers:
 * **Virtual time + in-memory transport**
   (:mod:`repro.sim.clock`, :mod:`repro.sim.transport`): the cluster's
   injectable seams.  A :class:`VirtualClock` advances discrete-event
-  style only when the loop quiesces; a :class:`MemoryTransport`
+  style only when nothing else in the loop can run (a loop that never
+  goes idle raises :class:`LivelockError`); a :class:`MemoryTransport`
   replaces TCP with cross-wired stream buffers.  Cluster scenarios --
   node kills, timeouts, mid-frame drops, corrupt frames,
   rebuild-under-loss -- run with zero real sockets or sleeps and
@@ -31,11 +32,12 @@ scenario/fuzzing layers import :mod:`repro.cluster` back, so they load
 lazily via module ``__getattr__`` to keep the import graph acyclic.
 """
 
-from repro.sim.clock import Clock, RealClock, VirtualClock
+from repro.sim.clock import Clock, LivelockError, RealClock, VirtualClock
 from repro.sim.transport import AsyncioTransport, MemoryTransport, Transport
 
 __all__ = [
     "Clock",
+    "LivelockError",
     "RealClock",
     "VirtualClock",
     "Transport",

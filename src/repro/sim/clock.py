@@ -6,19 +6,20 @@ faults, request timeouts, retry backoff, latency histograms -- goes
 through a :class:`Clock`.  The default :class:`RealClock` delegates to
 asyncio, so production behaviour is unchanged.  Under simulation a
 :class:`VirtualClock` replaces it: ``sleep`` and ``wait_for`` consume
-*virtual* seconds that advance only when every task in the loop has
-quiesced, so a scenario with seconds of backoff and timeout runs in
+*virtual* seconds that advance only when nothing else in the loop can
+run, so a scenario with seconds of backoff and timeout runs in
 microseconds of wall time and -- because nothing ever races the wall
 clock -- replays bit-identically from the same seed.
 
 The advancement rule is the standard discrete-event one: while any
-virtual sleeper is pending, let the event loop drain all ready work,
-then jump time straight to the earliest deadline and wake everything
-due.  With the in-memory transport (:mod:`repro.sim.transport`) there
-is no real I/O to wait on, so "ready work drained" is observable by
-yielding the pump task through the loop a bounded number of times --
-each ``asyncio.sleep(0)`` parks the pump behind every currently
-runnable callback.
+virtual sleeper is pending, let the event loop run all ready work, then
+jump time straight to the earliest deadline and wake everything due.
+The in-memory transport (:mod:`repro.sim.transport`) has no real I/O,
+so the loop is idle exactly when its ready queue -- CPython's private
+``BaseEventLoop._ready``, present on 3.10-3.12 -- is empty as the pump
+task resumes from an ``asyncio.sleep(0)``.  A loop still busy after
+:data:`SPIN_LIMIT` such yields is livelocked: every sleeper then fails
+with :class:`LivelockError` instead of time moving.
 """
 
 from __future__ import annotations
@@ -28,9 +29,19 @@ import contextlib
 import heapq
 from typing import Awaitable
 
-__all__ = ["Clock", "RealClock", "VirtualClock"]
+__all__ = ["Clock", "LivelockError", "RealClock", "VirtualClock"]
 
 _timeout = getattr(asyncio, "timeout", None)
+
+#: Busy yields before a pump gives up on the loop going idle.  The
+#: deepest settle in tier-1 and the chaos fuzz campaigns took 247
+#: yields; a loop busy for 400 times that is spinning, not settling.
+SPIN_LIMIT = 100_000
+
+
+class LivelockError(RuntimeError):
+    """A :class:`VirtualClock`'s loop never went idle, so its time
+    could not move; raised in every task sleeping on it."""
 
 
 class Clock:
@@ -67,21 +78,18 @@ class RealClock(Clock):
 class VirtualClock(Clock):
     """Deterministic discrete-event time for simulation.
 
-    ``settle_yields`` bounds how many times the advancing task cycles
-    through the ready queue before concluding the loop has quiesced;
-    each cycle runs *every* currently ready callback, so the default
-    comfortably covers the deepest RPC chains in the cluster stack.
-    The value only affects how conservatively time advances, never the
-    results: all in-simulation work is deterministic either way.
+    The pump runs while the clock has a pending sleeper and ends with
+    its last one.  Two clocks with sleepers pending at once on one loop
+    see each other's pump as ready work and raise :class:`LivelockError`;
+    clocks used one after another share a loop freely.
     """
 
-    def __init__(self, start: float = 0.0, *, settle_yields: int = 20) -> None:
+    def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
         self._seq = 0
         #: heap of (deadline, seq, future) for pending sleepers
         self._sleepers: list[tuple[float, int, asyncio.Future]] = []
         self._pump: asyncio.Task | None = None
-        self.settle_yields = int(settle_yields)
 
     def time(self) -> float:
         return self._now
@@ -100,7 +108,7 @@ class VirtualClock(Clock):
         heapq.heappush(self._sleepers, (self._now + float(delay), self._seq, fut))
         self._seq += 1
         if self._pump is None or self._pump.done():
-            self._pump = loop.create_task(self._advance_forever())
+            self._pump = loop.create_task(self._advance())
         await fut
 
     async def wait_for(self, awaitable: Awaitable, timeout: float):
@@ -108,7 +116,8 @@ class VirtualClock(Clock):
 
         Mirrors :func:`asyncio.wait_for`: on timeout the awaitable is
         cancelled and :class:`asyncio.TimeoutError` is raised, and
-        cancelling the wait cancels the awaitable too.
+        cancelling the wait cancels the awaitable too.  A timer failed
+        by a livelock raises its :class:`LivelockError` here.
         """
         if timeout is None:
             return await awaitable
@@ -118,6 +127,7 @@ class VirtualClock(Clock):
             await asyncio.wait({task, timer}, return_when=asyncio.FIRST_COMPLETED)
             if task.done():
                 return task.result()
+            await timer  # done: a livelock raises here
             raise asyncio.TimeoutError(f"virtual wait_for timed out after {timeout}s")
         finally:
             for waiter in (task, timer):
@@ -132,17 +142,28 @@ class VirtualClock(Clock):
         while self._sleepers and self._sleepers[0][2].done():
             heapq.heappop(self._sleepers)
 
-    async def _advance_forever(self) -> None:
+    async def _advance(self) -> None:
+        ready = asyncio.get_running_loop()._ready
+        spins = 0
         while True:
-            # Let every runnable task make progress before touching time.
-            for _ in range(self.settle_yields):
-                await asyncio.sleep(0)
+            # Park behind every runnable callback before touching time.
+            await asyncio.sleep(0)
             self._prune()
             if not self._sleepers:
                 return
-            deadline = self._sleepers[0][0]
-            if deadline > self._now:
-                self._now = deadline
+            if ready:
+                spins += 1
+                if spins < SPIN_LIMIT:
+                    continue
+                for _, _, fut in self._sleepers:
+                    if not fut.done():
+                        fut.set_exception(LivelockError(
+                            f"virtual time stuck at t={self._now:.6f}: "
+                            f"the loop stayed busy for {spins} yields"))
+                self._sleepers.clear()
+                return
+            spins = 0
+            self._now = max(self._now, self._sleepers[0][0])
             while self._sleepers and self._sleepers[0][0] <= self._now:
                 _, _, fut = heapq.heappop(self._sleepers)
                 if not fut.done():

@@ -1,12 +1,13 @@
 """VirtualClock semantics: virtual seconds cost no wall time, fire in
-deadline order, and wait_for mirrors asyncio.wait_for."""
+deadline order, move only when nothing else can run, and wait_for
+mirrors asyncio.wait_for."""
 
 import asyncio
 import time
 
 import pytest
 
-from repro.sim import RealClock, VirtualClock
+from repro.sim import LivelockError, RealClock, VirtualClock
 
 
 def test_virtual_sleep_costs_no_wall_time():
@@ -128,6 +129,74 @@ def test_interleaved_sleep_chains_are_deterministic():
         return asyncio.run(run())
 
     assert campaign() == campaign()
+
+
+def test_zero_time_yields_never_move_virtual_time():
+    async def run():
+        clock = VirtualClock()
+
+        async def yields():
+            for _ in range(100):
+                await asyncio.sleep(0)
+            return "done"
+
+        result = await clock.wait_for(yields(), timeout=1.0)
+        return result, clock.time()
+
+    assert asyncio.run(run()) == ("done", 0.0)
+
+
+def test_a_deep_chain_of_tasks_never_moves_virtual_time():
+    async def run():
+        clock = VirtualClock()
+
+        async def nested(depth):
+            if depth == 0:
+                return "done"
+            return await asyncio.ensure_future(nested(depth - 1))
+
+        result = await clock.wait_for(nested(30), timeout=1.0)
+        return result, clock.time()
+
+    assert asyncio.run(run()) == ("done", 0.0)
+
+
+def test_a_livelock_raises_in_every_sleeping_task():
+    async def run():
+        clock = VirtualClock()
+
+        async def spin():
+            while True:
+                await asyncio.sleep(0)
+
+        napper = asyncio.ensure_future(clock.sleep(5.0))
+        with pytest.raises(LivelockError):
+            # A real-time bound, so a waiter left hanging fails the test.
+            await asyncio.wait_for(clock.wait_for(spin(), timeout=1.0), timeout=60.0)
+        with pytest.raises(LivelockError):
+            await napper
+        return clock.time()
+
+    assert asyncio.run(run()) == 0.0
+
+
+def test_a_clock_with_no_sleeper_left_stops_its_pump():
+    """A pump ends with its clock's last sleeper, so clocks used one
+    after another on one loop never spin against each other."""
+
+    async def run():
+        for _ in range(10):
+            clock = VirtualClock()
+            # The sleep wins, so wait_for cancels its timer ...
+            await clock.wait_for(clock.sleep(0.5), timeout=1.0)
+            # ... and this sleeper is the clock's last.
+            await clock.sleep(0.5)
+            for _ in range(10):  # turns for the pump to find its heap empty
+                await asyncio.sleep(0)
+            assert asyncio.all_tasks() == {asyncio.current_task()}
+            assert clock.time() == 1.0
+
+    asyncio.run(run())
 
 
 def test_real_clock_smoke():
