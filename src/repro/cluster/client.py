@@ -53,7 +53,7 @@ from repro.obs.tracing import Tracer
 from repro.sim.clock import Clock, RealClock
 from repro.sim.transport import AsyncioTransport, Transport
 from repro.utils.crc import crc32_combine, crc32_xor
-from repro.utils.words import WORD_DTYPE
+from repro.utils.words import WORD_DTYPE, element_words
 
 __all__ = [
     "RetryPolicy",
@@ -838,20 +838,24 @@ class ClusterArray:
         ]
 
     async def _gather(
-        self, plan: list[tuple[int, list[int]]], into: dict[int, np.ndarray],
+        self, plan: list[tuple[int, list[int]]], into: dict,
         crcs: dict[tuple[int, int], int] | None = None,
     ) -> dict[int, list[int]]:
-        """Fetch each ``(column, stripes)`` of ``plan`` into the stripes'
-        buffers ``into``, one ``get`` per column and holder; returns each
-        stripe's lost columns.  A strip behind a latent sector costs
-        only its own stripe's column.
+        """Fetch each ``(column, stripes)`` of ``plan`` into ``into``,
+        one ``get`` per column and holder; returns each stripe's lost
+        columns.  ``into`` holds per stripe either its stripe buffer,
+        which gets a copy of each strip, or a dict, which gets each strip
+        itself under its column: a read-only view of the reply frame it
+        came in, to hash, join or copy, never to compute on (it is not
+        word-aligned).  A strip behind a latent sector costs only its
+        own stripe's column.
 
         Every strip is checked against the CRC-32 sidecar its node lists
-        for it before it lands in a buffer, and ``crcs`` (when given)
-        keeps that CRC under ``(stripe, column)``.  A strip that fails is
-        fetched once more, since a flip on the wire looks the same; if
-        it fails again it rotted at rest, and is lost to its stripe like
-        a latent sector -- counted (``rot_erasures``) and listed in
+        for it before it lands, and ``crcs`` (when given) keeps that CRC
+        under ``(stripe, column)``.  A strip that fails is fetched once
+        more, since a flip on the wire looks the same; if it fails again
+        it rotted at rest, and is lost to its stripe like a latent sector
+        -- counted (``rot_erasures``) and listed in
         :attr:`dirty_stripes`, so every reader decodes around it and the
         scrub rewrites it.  A reply that does not answer for the strips
         it was asked for (by its payload size or its count of CRCs)
@@ -871,16 +875,19 @@ class ClusterArray:
         return lost
 
     def _land(
-        self, done, into: dict[int, np.ndarray], lost: dict[int, list[int]],
+        self, done, into: dict, lost: dict[int, list[int]],
         crcs: dict[tuple[int, int], int] | None,
     ):
-        """Copy the strips of a ``get`` fan-out's ``done`` replies that
-        match their CRCs into their buffers ``into``, keeping each one's
-        CRC in ``crcs`` (when given), and add the strips it lost to
-        ``lost``; returns the strips that failed their CRC, as stripe ->
-        columns."""
+        """Land the strips of a ``get`` fan-out's ``done`` replies that
+        match their CRCs in ``into`` (a stripe buffer copies each in, a
+        dict keeps its frame view; see :meth:`_gather`), keeping each
+        one's CRC in ``crcs`` (when given), and add the strips it lost
+        to ``lost`` -- those the reply lists ``unreadable`` among them,
+        all of its strips included; returns the strips that failed their
+        CRC, as stripe -> columns."""
         code = self.code
         size = code.strip_bytes
+        words = element_words(code.element_size)
         suspect: dict[int, list[int]] = {}
         for col, batch, outcome in done:
             gone = batch  # the batch's strips that did not come back
@@ -893,7 +900,7 @@ class ClusterArray:
                         and len(payload) == len(readable) * size):
                     gone = [s for s in batch if s in unreadable]
                     strips = np.frombuffer(payload, dtype=WORD_DTYPE).reshape(
-                        len(readable), code.rows, -1
+                        len(readable), code.rows, words
                     )
                     view = memoryview(payload)
                     for i, stripe in enumerate(readable):
@@ -912,24 +919,25 @@ class ClusterArray:
         return suspect
 
     async def _fetch_for(
-        self, bufs: dict[int, np.ndarray], erasures: dict[int, set[int]], restore,
+        self, bufs: dict, erasures: dict[int, set[int]], restore,
         crcs: dict[tuple[int, int], int] | None = None,
     ) -> None:
-        """Fetch into each stripe's buffer of ``bufs`` what it takes to
-        hold its ``restore`` columns, keeping each landed strip's CRC in
-        ``crcs`` (see :meth:`_gather`).
+        """Fetch into each stripe's entry of ``bufs`` -- its stripe
+        buffer, or a dict that keeps each strip as a view of its reply
+        frame (see :meth:`_gather`) -- what it takes to hold its
+        ``restore`` columns, keeping each landed strip's CRC in ``crcs``.
 
         A stripe whose ``restore`` columns are intact fetches just
         them.  One that must decode fetches only what its decode reads
         (:meth:`~repro.codes.base.RAID6Code.sources` of its erasures):
         for one lost data column of a Liberation stripe, the other data
         columns and P, not Q.  Columns already in ``erasures`` -- lost
-        to an earlier fetch, or listed stale -- are never asked for.  A
-        column a fetch loses, for any reason, joins the stripe's
-        ``erasures`` (updated in place), and one more fetch widens to
-        the sources of the larger pattern.  Raises
-        :class:`ClusterDegradedError` for a stripe that would have to
-        decode more than two erasures.
+        to an earlier fetch, or listed stale -- are never asked for, so
+        none of them ever lands.  A column a fetch loses, for any
+        reason, joins the stripe's ``erasures`` (updated in place), and
+        one more fetch widens to the sources of the larger pattern.
+        Raises :class:`ClusterDegradedError` for a stripe that would
+        have to decode more than two erasures.
         """
         fetched: dict[int, set[int]] = {stripe: set() for stripe in bufs}
         pending = list(bufs)  # the stripes whose erasures changed
@@ -960,26 +968,49 @@ class ClusterArray:
 
     # -- stripe I/O --------------------------------------------------------
 
-    async def _read_stripes(
-        self, stripes: list[int], crcs: dict[tuple[int, int], int] | None = None
-    ) -> list[np.ndarray]:
-        """Assemble stripe buffers once no stripe of them is mid-migration
-        (``crcs`` as in :meth:`_fetch_stripes`)."""
-        # A stripe mid-migration is read only once the migration is
-        # over, never routed through holders that are about to change.
+    async def _await_migrations(self, stripes: list[int]) -> None:
+        """Return once no stripe of ``stripes`` is mid-migration: such a
+        stripe is read only once its migration is over, never routed
+        through holders that are about to change."""
         while True:
             moving = next((s for s in stripes if s in self.migrating), None)
             if moving is None:
-                break
+                return
             async with self.stripe_lock(moving):
                 pass
-        return await self._fetch_stripes(stripes, crcs=crcs)
+
+    def _stripe_buffer(self) -> np.ndarray:
+        """A stripe buffer shaped as ``code.alloc_stripe()``'s, left
+        unfilled: whoever takes one writes every column it reads."""
+        code = self.code
+        return np.empty(
+            (code.total_cols, code.rows, element_words(code.element_size)), WORD_DTYPE
+        )
+
+    def _decode(
+        self, stripe: int, buf: np.ndarray, erased: set[int],
+        crcs: dict[tuple[int, int], int] | None,
+    ) -> None:
+        """Decode ``stripe``'s buffer ``buf`` -- its fetched strips, and
+        zeros in every other column -- around its ``erased`` columns,
+        keeping each decoded data strip's CRC-32, its hash, in ``crcs``
+        (when given)."""
+        code = self.code
+        missing = sorted(erased)
+        code.decode(buf, missing)
+        self.metrics.counter("decodes").inc()
+        self.metrics.counter("degraded_reads").inc()
+        if crcs is not None:
+            for col in missing:
+                if col < code.k:
+                    crcs[stripe, col] = zlib.crc32(buf[col])
 
     async def _fetch_stripes(
         self, stripes: list[int], lost: dict[int, list[int]] | None = None,
         crcs: dict[tuple[int, int], int] | None = None,
     ) -> list[np.ndarray]:
-        """Assemble stripe buffers, decoding around lost columns.
+        """Assemble zero-filled stripe buffers, decoding around lost
+        columns.
 
         The sunny-day path is one ``get`` per data column (and holder)
         for all of ``stripes``; only the stripes that lost a data column
@@ -1005,23 +1036,15 @@ class ClusterArray:
         data = range(code.k)
         await self._fetch_for(dict(zip(stripes, bufs)), erasures, data, crcs)
         for stripe, buf in zip(stripes, bufs):
-            if erasures[stripe].isdisjoint(data):
-                continue
-            missing = sorted(erasures[stripe])
-            for col in missing:
-                buf[col] = 0
-            code.decode(buf, missing)
-            self.metrics.counter("decodes").inc()
-            self.metrics.counter("degraded_reads").inc()
-            if crcs is not None:
-                for col in missing:
-                    if col < code.k:
-                        crcs[stripe, col] = zlib.crc32(buf[col])
+            if not erasures[stripe].isdisjoint(data):
+                self._decode(stripe, buf, erasures[stripe], crcs)
         return bufs
 
     async def read_stripe(self, stripe: int) -> np.ndarray:
-        """Assemble one stripe buffer, decoding around lost columns."""
-        return (await self._read_stripes([stripe]))[0]
+        """Assemble one zero-filled stripe buffer once the stripe is not
+        mid-migration, decoding around lost columns."""
+        await self._await_migrations([stripe])
+        return (await self._fetch_stripes([stripe]))[0]
 
     def _wrote(self, stripes: list[int], done) -> dict[int, list[int]]:
         """Settle a write's fan-out ``done``: the columns it landed are
@@ -1208,7 +1231,7 @@ class ClusterArray:
         stripes = sorted(pieces)
         columns = {s: _touched(pieces[s], size) for s in stripes if s not in whole}
         async with self.stripe_locks(stripes):
-            bufs = {s: code.alloc_stripe() for s in stripes}
+            bufs = {s: self._stripe_buffer() for s in stripes}
             delta = [s for s in columns if s not in self.dirty_stripes]
             lost: dict[int, list[int]] = {}
             if delta:
@@ -1224,7 +1247,10 @@ class ClusterArray:
             parity: dict[int, np.ndarray] = {}
             for stripe in stripes:
                 buf = bufs[stripe]
-                before = buf[: code.k].copy() if stripe in delta else None
+                if stripe in delta:  # the elements it patches, as they were
+                    elements = _touched(pieces[stripe], code.element_size)
+                    cells = [divmod(element, code.rows) for element in elements]
+                    before = [buf[col, row].copy() for col, row in cells]
                 view = self._stripe_payload(buf)
                 for within, chunk in pieces[stripe]:
                     if read_old:
@@ -1234,11 +1260,12 @@ class ClusterArray:
                     self.metrics.counter("full_stripe_writes").inc()
                 else:  # a read-modify-write, by delta or by fallback
                     self.metrics.counter("rmw_writes").inc()
-                if before is None:
-                    code.encode(buf)
-                else:
-                    parity[stripe] = self._parity_delta(buf, before, pieces[stripe])
+                if stripe in delta:
+                    parity[stripe] = self._parity_delta(buf, cells, before)
                     self.metrics.counter("delta_writes").inc()
+                else:  # an encode plan may accumulate into parity and scratch
+                    buf[code.k :] = 0
+                    code.encode(buf)
 
             puts = {s: columns[s] if s in parity else range(code.n_cols) for s in stripes}
             for stripe, cols in puts.items():
@@ -1278,17 +1305,16 @@ class ClusterArray:
         return crcs, [b"".join(old[s][i] for s, i in where) for where in placed]
 
     def _parity_delta(
-        self, buf: np.ndarray, before: np.ndarray, pieces: list[tuple[int, memoryview]]
+        self, buf: np.ndarray, cells: list[tuple[int, int]], before: list[np.ndarray]
     ) -> np.ndarray:
-        """The P and Q change a patch makes to a stripe, from the data
-        columns ``before`` it: ``code.update`` of each element the
-        ``pieces`` touch, by its change, on a zeroed scratch stripe
-        (every code here is linear)."""
+        """The P and Q change a patch makes to a stripe: ``code.update``
+        of each element it touches -- at ``cells``, ``(column, row)`` --
+        by its change from ``before`` to what ``buf`` holds, on a zeroed
+        scratch stripe (every code here is linear)."""
         code = self.code
         scratch = code.alloc_stripe()
-        for element in _touched(pieces, code.element_size):
-            col, row = divmod(element, code.rows)
-            code.update(scratch, col, row, buf[col, row] ^ before[col, row])
+        for (col, row), was in zip(cells, before):
+            code.update(scratch, col, row, buf[col, row] ^ was)
         return scratch
 
     async def read(self, offset: int, length: int) -> bytes:
@@ -1296,15 +1322,24 @@ class ClusterArray:
         return (await self.read_spans([(offset, length)]))[0][0]
 
     async def read_spans(self, spans: list[tuple[int, int]]) -> list[tuple[bytes, int]]:
-        """Read ``(offset, length)`` byte spans as one batch: every
-        stripe they touch is fetched by one ``get`` per column and
-        holder, decoding around failures.
+        """Read ``(offset, length)`` byte spans as one batch: once no
+        stripe they touch is mid-migration, every one of them is
+        fetched by one ``get`` per column and holder, decoding around
+        failures.
+
+        A strip that passes its check stays a read-only view of the
+        reply frame it came in (:meth:`_gather`), and each span is one
+        join of its strips' views, the read's one copy of its bytes.
+        Only a stripe that lost a data column gets a buffer
+        (:meth:`_stripe_buffer`), its fetched strips copied in and its
+        other columns zeroed, to decode.
 
         Returns each span's bytes and CRC-32.  The CRC is folded from
         the CRCs its strips were checked with where they landed (a
         decoded strip's is its hash, taken once); only a span's part of
         a strip is hashed."""
-        sdb, size = self.stripe_data_bytes, self.code.strip_bytes
+        code = self.code
+        sdb, size = self.stripe_data_bytes, code.strip_bytes
         touched: set[int] = set()
         for offset, length in spans:
             if length < 0 or offset < 0 or offset + length > self.capacity:
@@ -1312,26 +1347,31 @@ class ClusterArray:
             if length:
                 touched.update(range(offset // sdb, (offset + length - 1) // sdb + 1))
         stripes = sorted(touched)
+        await self._await_migrations(stripes)
         crcs: dict[tuple[int, int], int] = {}
-        bufs = await self._read_stripes(stripes, crcs)
-        payloads = dict(zip(stripes, map(self._stripe_payload, bufs)))
+        #: stripe -> its strips by column: frame views, or a decoded buffer
+        strips: dict = {s: {} for s in stripes}
+        erasures = {s: set(self.dirty_stripes.get(s, ())) for s in stripes}
+        data = range(code.k)
+        await self._fetch_for(strips, erasures, data, crcs)
+        for stripe in stripes:
+            if not erasures[stripe].isdisjoint(data):
+                fetched, buf = strips[stripe], self._stripe_buffer()
+                for col in range(code.total_cols):
+                    buf[col] = fetched.get(col, 0)
+                self._decode(stripe, buf, erasures[stripe], crcs)
+                strips[stripe] = buf
         out = []
         for offset, length in spans:
-            if not length:
-                out.append((b"", 0))
-                continue
-            first, last = offset // sdb, (offset + length - 1) // sdb
-            blob = b"".join(payloads[s] for s in range(first, last + 1))
-            start = offset - first * sdb
-            crc = 0
+            parts, crc = [], 0
             for stripe, col, within, take in _strip_parts(offset, offset + length, sdb, size):
-                part = (
-                    crcs[stripe, col]
-                    if take == size
-                    else zlib.crc32(payloads[stripe][within : within + take])
+                at = within - col * size
+                part = memoryview(strips[stripe][col]).cast("B")[at : at + take]
+                parts.append(part)
+                crc = crc32_combine(
+                    crc, crcs[stripe, col] if take == size else zlib.crc32(part), take
                 )
-                crc = crc32_combine(crc, part, take)
-            out.append((blob[start : start + length], crc))
+            out.append((b"".join(parts), crc))
         return out
 
     # -- health / metrics (node-keyed) -------------------------------------

@@ -181,7 +181,8 @@ class ObjectGateway:
         assembled: an extent that covers its stripe's payload takes the
         stripe's CRC, which the array read folded from the CRCs its
         strips were checked with (and the cache keeps with the payload);
-        any other extent is hashed."""
+        any other extent is hashed.  An extent is a view of its payload
+        until the object's join, its one copy."""
         entries: dict[int, tuple[bytes, int]] = {}
         missed = []
         for stripe in dict.fromkeys(ext.stripe for ext in extents):
@@ -207,9 +208,9 @@ class ObjectGateway:
                     entries[stripe] = entry
         parts, crc = [], 0
         for ext in extents:
-            payload, ext_crc = entries[ext.stripe]
-            part = payload[ext.start : ext.start + ext.length]
-            if ext.length != len(payload):  # part of a stripe: hash it
+            part, ext_crc = entries[ext.stripe]
+            if ext.length != len(part):  # part of a stripe: hash it
+                part = memoryview(part)[ext.start : ext.start + ext.length]
                 ext_crc = zlib.crc32(part)
             crc = crc32_combine(crc, ext_crc, ext.length)
             parts.append(part)

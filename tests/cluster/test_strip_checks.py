@@ -164,6 +164,32 @@ class TestMisbehavingReplies:
 
         asyncio.run(run())
 
+    def test_a_reply_that_answers_for_none_of_its_strips_loses_them(self):
+        """Column 1's node answers every ``get`` ``ok`` while listing
+        each strip it was asked for as unreadable, with no payload and
+        an empty ``crcs``.  Those strips are lost like latent sectors:
+        the read decodes around them."""
+
+        async def run():
+            code, cluster = sim_cluster(n_stripes=8)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr)
+                await arr.write(0, data)
+                node = cluster.nodes[1]
+
+                def confused(header):
+                    reply = {"status": "ok", "crcs": [], "unreadable": node._stripes(header)}
+                    return reply, []
+
+                node._serve_get = confused
+                assert await arr.read(0, arr.capacity) == data
+                assert arr.metrics.get("decodes") == 8
+                assert arr.metrics.get("bad_replies") == 0
+                assert arr.dirty_stripes == {}
+
+        asyncio.run(run())
+
 
 class TestFetchRule:
     def test_liberation_reads_p_alone_for_one_lost_data_column(self):
