@@ -845,10 +845,12 @@ class ClusterArray:
         one ``get`` per column and holder; returns each stripe's lost
         columns.  ``into`` holds per stripe either its stripe buffer,
         which gets a copy of each strip, or a dict, which gets each strip
-        itself under its column: a read-only view of the reply frame it
-        came in, to hash, join or copy, never to compute on (it is not
-        word-aligned).  A strip behind a latent sector costs only its
-        own stripe's column.
+        itself under its column: a read-only byte (``uint8``) view of the
+        reply frame it came in, ``[rows, element_size]``.  Such a view
+        is hashed, joined, and computed on where it is: a degraded read
+        decodes from it (:meth:`_decode`).  It follows a header of any
+        length, so it is not word-aligned, and it stays a byte view.  A
+        strip behind a latent sector costs only its own stripe's column.
 
         Every strip is checked against the CRC-32 sidecar its node lists
         for it before it lands, and ``crcs`` (when given) keeps that CRC
@@ -880,14 +882,14 @@ class ClusterArray:
     ):
         """Land the strips of a ``get`` fan-out's ``done`` replies that
         match their CRCs in ``into`` (a stripe buffer copies each in, a
-        dict keeps its frame view; see :meth:`_gather`), keeping each
-        one's CRC in ``crcs`` (when given), and add the strips it lost
-        to ``lost`` -- those the reply lists ``unreadable`` among them,
-        all of its strips included; returns the strips that failed their
-        CRC, as stripe -> columns."""
+        dict keeps its byte view of the frame, which a degraded read
+        decodes from; see :meth:`_gather`), keeping each one's CRC in
+        ``crcs`` (when given), and add the strips it lost to ``lost`` --
+        those the reply lists ``unreadable`` among them, all of its
+        strips included; returns the strips that failed their CRC, as
+        stripe -> columns."""
         code = self.code
         size = code.strip_bytes
-        words = element_words(code.element_size)
         suspect: dict[int, list[int]] = {}
         for col, batch, outcome in done:
             gone = batch  # the batch's strips that did not come back
@@ -899,14 +901,17 @@ class ClusterArray:
                 if (isinstance(listed, list) and len(listed) == len(readable)
                         and len(payload) == len(readable) * size):
                     gone = [s for s in batch if s in unreadable]
-                    strips = np.frombuffer(payload, dtype=WORD_DTYPE).reshape(
-                        len(readable), code.rows, words
+                    strips = np.frombuffer(payload, np.uint8).reshape(
+                        len(readable), code.rows, code.element_size
                     )
+                    words = strips.view(WORD_DTYPE)
                     view = memoryview(payload)
                     for i, stripe in enumerate(readable):
                         crc = zlib.crc32(view[i * size : (i + 1) * size])
                         if crc == listed[i]:
-                            into[stripe][col] = strips[i]
+                            # a dict keeps the byte view, a buffer copies the words in
+                            target = into[stripe]
+                            target[col] = (strips if isinstance(target, dict) else words)[i]
                             if crcs is not None:
                                 crcs[stripe, col] = crc
                         else:
@@ -918,14 +923,28 @@ class ClusterArray:
                 lost[stripe].append(col)
         return suspect
 
+    def _shut(self, stripe: int, cols: list[int]) -> list[int]:
+        """The columns of ``cols`` whose holder of ``stripe`` has a
+        breaker that would short-circuit a request now
+        (:meth:`_node_request`)."""
+        if not self.breakers:
+            return []
+        holders = self.holders(stripe)
+        return [
+            col for col in cols
+            if (breaker := self.breakers.get(holders[col])) is not None
+            and not breaker.allow()
+        ]
+
     async def _fetch_for(
         self, bufs: dict, erasures: dict[int, set[int]], restore,
         crcs: dict[tuple[int, int], int] | None = None,
     ) -> None:
         """Fetch into each stripe's entry of ``bufs`` -- its stripe
-        buffer, or a dict that keeps each strip as a view of its reply
-        frame (see :meth:`_gather`) -- what it takes to hold its
-        ``restore`` columns, keeping each landed strip's CRC in ``crcs``.
+        buffer, or a dict that keeps each strip as a byte view of its
+        reply frame, which a degraded read decodes from (see
+        :meth:`_gather`) -- what it takes to hold its ``restore``
+        columns, keeping each landed strip's CRC in ``crcs``.
 
         A stripe whose ``restore`` columns are intact fetches just
         them.  One that must decode fetches only what its decode reads
@@ -933,11 +952,16 @@ class ClusterArray:
         for one lost data column of a Liberation stripe, the other data
         columns and P, not Q.  Columns already in ``erasures`` -- lost
         to an earlier fetch, or listed stale -- are never asked for, so
-        none of them ever lands.  A column a fetch loses, for any
-        reason, joins the stripe's ``erasures`` (updated in place), and
-        one more fetch widens to the sources of the larger pattern.
-        Raises :class:`ClusterDegradedError` for a stripe that would
-        have to decode more than two erasures.
+        none of them ever lands.  Nor is a column whose holder's
+        circuit breaker is open when the fetch is planned: it joins the
+        stripe's ``erasures`` before any request goes out, so a read
+        with a known-down data node asks for P in its one round (a
+        HALF_OPEN breaker lets its trial through and is asked).  A
+        column a fetch loses, for any reason, joins the stripe's
+        ``erasures`` (updated in place), and one more fetch widens to
+        the sources of the larger pattern.  Raises
+        :class:`ClusterDegradedError` for a stripe that would have to
+        decode more than two erasures.
         """
         fetched: dict[int, set[int]] = {stripe: set() for stripe in bufs}
         pending = list(bufs)  # the stripes whose erasures changed
@@ -945,16 +969,21 @@ class ClusterArray:
             want: dict[int, list[int]] = {}
             for stripe in pending:
                 erased = erasures[stripe]
-                if erased.isdisjoint(restore):
-                    cols = restore
-                elif len(erased) > 2:
-                    raise ClusterDegradedError(
-                        f"stripe {stripe}: columns {sorted(erased)} lost; "
-                        "RAID-6 tolerates 2"
-                    )
-                else:
-                    cols = self.code.sources(erased)
-                cols = [c for c in cols if c not in erased and c not in fetched[stripe]]
+                while True:  # until no column planned sits behind an open breaker
+                    if erased.isdisjoint(restore):
+                        cols = restore
+                    elif len(erased) > 2:
+                        raise ClusterDegradedError(
+                            f"stripe {stripe}: columns {sorted(erased)} lost; "
+                            "RAID-6 tolerates 2"
+                        )
+                    else:
+                        cols = self.code.sources(erased)
+                    cols = [c for c in cols if c not in erased and c not in fetched[stripe]]
+                    shut = self._shut(stripe, cols)
+                    if not shut:
+                        break
+                    erased.update(shut)
                 if cols:
                     want[stripe] = cols
             if not want:
@@ -988,26 +1017,44 @@ class ClusterArray:
         )
 
     def _decode(
-        self, stripe: int, buf: np.ndarray, erased: set[int],
-        crcs: dict[tuple[int, int], int] | None,
+        self, stripe: int, strips: np.ndarray | dict,
+        erased: set[int], crcs: dict[tuple[int, int], int] | None,
     ) -> None:
-        """Decode ``stripe``'s buffer ``buf`` -- its fetched strips, and
-        zeros in every other column -- around its ``erased`` columns,
-        keeping each decoded data strip's CRC-32, its hash, in ``crcs``
-        (when given)."""
+        """Decode ``stripe`` around its ``erased`` columns with
+        ``code.decode``, keeping each decoded data strip's CRC-32, its
+        hash, in ``crcs`` (when given).
+
+        ``strips`` is the stripe's buffer -- its fetched strips, and
+        zeros in every other column -- or the dict of its landed strips
+        by column (:meth:`_land`), byte views of their reply frames.
+        The dict form decodes from the frames where they are: the code
+        gets the stripe as its columns, each landed strip as it is, a
+        fresh zeroed byte array for each column the decode writes (the
+        erased ones, and the code's scratch columns), ``None`` for the
+        rest; each decoded column then joins the dict.
+        """
         code = self.code
         missing = sorted(erased)
-        code.decode(buf, missing)
+        if isinstance(strips, dict):
+            written = {*missing, *range(code.n_cols, code.total_cols)}
+            columns = [
+                np.zeros((code.rows, code.element_size), np.uint8)
+                if col in written else strips.get(col)
+                for col in range(code.total_cols)
+            ]
+            code.decode(columns, missing)
+            strips.update((col, columns[col]) for col in missing)
+        else:
+            code.decode(strips, missing)
         self.metrics.counter("decodes").inc()
         self.metrics.counter("degraded_reads").inc()
         if crcs is not None:
             for col in missing:
                 if col < code.k:
-                    crcs[stripe, col] = zlib.crc32(buf[col])
+                    crcs[stripe, col] = zlib.crc32(strips[col])
 
     async def _fetch_stripes(
         self, stripes: list[int], lost: dict[int, list[int]] | None = None,
-        crcs: dict[tuple[int, int], int] | None = None,
     ) -> list[np.ndarray]:
         """Assemble zero-filled stripe buffers, decoding around lost
         columns.
@@ -1021,9 +1068,6 @@ class ClusterArray:
         its buffer.  ``lost`` names each stripe's columns an earlier
         fetch already lost: they count as erasures and are not asked
         for again, so an unreachable node costs its retry budget once.
-        ``crcs``, when given, gets every data strip's CRC-32 under
-        ``(stripe, column)``: the one it was checked with where it
-        landed, or for a decoded strip its hash, taken once.
         """
         code = self.code
         for stripe in stripes:
@@ -1034,10 +1078,10 @@ class ClusterArray:
             s: set(self.dirty_stripes.get(s, ())) | set(known.get(s, ())) for s in stripes
         }
         data = range(code.k)
-        await self._fetch_for(dict(zip(stripes, bufs)), erasures, data, crcs)
+        await self._fetch_for(dict(zip(stripes, bufs)), erasures, data)
         for stripe, buf in zip(stripes, bufs):
             if not erasures[stripe].isdisjoint(data):
-                self._decode(stripe, buf, erasures[stripe], crcs)
+                self._decode(stripe, buf, erasures[stripe], None)
         return bufs
 
     async def read_stripe(self, stripe: int) -> np.ndarray:
@@ -1327,12 +1371,16 @@ class ClusterArray:
         fetched by one ``get`` per column and holder, decoding around
         failures.
 
-        A strip that passes its check stays a read-only view of the
-        reply frame it came in (:meth:`_gather`), and each span is one
-        join of its strips' views, the read's one copy of its bytes.
-        Only a stripe that lost a data column gets a buffer
-        (:meth:`_stripe_buffer`), its fetched strips copied in and its
-        other columns zeroed, to decode.
+        A strip that passes its check stays a read-only byte view of
+        the reply frame it came in (:meth:`_gather`), and each span is
+        one join of its strips' views, the read's one copy of its bytes.
+        A stripe that lost a data column decodes from those views where
+        they are (:meth:`_decode`): only the columns the decode writes
+        are new arrays, and the spans join its decoded strips with the
+        views.  The read allocates no stripe buffer and copies no
+        fetched strip.  A column whose node's breaker is open is planned
+        around before the first fetch (:meth:`_fetch_for`), so a read
+        with a data node known down fetches P in its one round.
 
         Returns each span's bytes and CRC-32.  The CRC is folded from
         the CRCs its strips were checked with where they landed (a
@@ -1349,18 +1397,14 @@ class ClusterArray:
         stripes = sorted(touched)
         await self._await_migrations(stripes)
         crcs: dict[tuple[int, int], int] = {}
-        #: stripe -> its strips by column: frame views, or a decoded buffer
-        strips: dict = {s: {} for s in stripes}
+        #: stripe -> its strips by column: frame views, and decoded strips
+        strips: dict[int, dict[int, np.ndarray]] = {s: {} for s in stripes}
         erasures = {s: set(self.dirty_stripes.get(s, ())) for s in stripes}
         data = range(code.k)
         await self._fetch_for(strips, erasures, data, crcs)
         for stripe in stripes:
             if not erasures[stripe].isdisjoint(data):
-                fetched, buf = strips[stripe], self._stripe_buffer()
-                for col in range(code.total_cols):
-                    buf[col] = fetched.get(col, 0)
-                self._decode(stripe, buf, erasures[stripe], crcs)
-                strips[stripe] = buf
+                self._decode(stripe, strips[stripe], erasures[stripe], crcs)
         out = []
         for offset, length in spans:
             parts, crc = [], 0

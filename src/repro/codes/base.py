@@ -4,7 +4,9 @@ Every code family (Liberation optimal/original, EVENODD, RDP,
 Reed-Solomon) implements :class:`RAID6Code`.  A code is configured with
 ``k`` data disks (plus P and Q) and an element size; stripes are NumPy
 word arrays ``buf[k+2, rows, words]`` as produced by
-:meth:`RAID6Code.alloc_stripe`.
+:meth:`RAID6Code.alloc_stripe`.  A decode also takes a stripe given as
+its columns, one array per column (:meth:`RAID6Code.decode`), so a
+reader can decode from the strips where they landed.
 
 XOR-based codes additionally implement the *schedule* API
 (:class:`XorScheduleCode`): their encode/decode programs are
@@ -20,6 +22,7 @@ import abc
 import numpy as np
 
 from repro.engine import Schedule, StreamingSchedule, compile_kernel, execute_bits
+from repro.engine.executor import Columns
 from repro.obs.profile import kernel_attrs, schedule_span
 from repro.obs.tracing import active_tracer
 from repro.utils.validation import check_element_size, check_erasures
@@ -99,8 +102,22 @@ class RAID6Code(abc.ABC):
         """Fill the parity columns from the data columns, in place."""
 
     @abc.abstractmethod
-    def decode(self, buf: np.ndarray, erasures) -> np.ndarray:
-        """Rebuild up to two erased columns, in place."""
+    def decode(self, buf: np.ndarray | Columns, erasures) -> np.ndarray | Columns:
+        """Rebuild up to two erased columns, in place.
+
+        ``buf`` is a stripe buffer, or the stripe given as its columns:
+        a sequence of :attr:`total_cols` arrays ``[rows, ...]`` of one
+        shape and dtype (see
+        :func:`~repro.engine.executor.checked_columns`).  There, each
+        survivor the decode reads (:meth:`sources`) is an array the
+        decode only reads -- a read-only view will do, such as a byte
+        view of the frame a strip came in -- and each column it writes
+        (its erasures, and the scratch columns where the family has
+        them) is a fresh zeroed array; every other column may be
+        ``None``.  A decode that would touch a column that was not
+        supplied, or write one that is read-only, raises
+        :class:`ValueError`.
+        """
 
     def sources(self, erasures) -> tuple[int, ...]:
         """The columns a decode of ``erasures`` reads; the others may
@@ -283,8 +300,13 @@ class XorScheduleCode(RAID6Code):
             kernel_attrs(span, plan)
             return plan.run(buf)
 
-    def decode(self, buf: np.ndarray, erasures) -> np.ndarray:
-        self.check_stripe(buf)
+    def decode(self, buf: np.ndarray | Columns, erasures) -> np.ndarray | Columns:
+        """Run the erasure pattern's decode plan over ``buf`` in place:
+        a stripe buffer, or the stripe given as its columns
+        (:meth:`RAID6Code.decode`), which the plan binds column by
+        column and does not cache."""
+        if isinstance(buf, np.ndarray):
+            self.check_stripe(buf)
         ers = check_erasures(erasures, self.n_cols)
         if not ers:
             return buf
@@ -301,7 +323,7 @@ class XorScheduleCode(RAID6Code):
             cache = "miss"
         with schedule_span(
             tracer, "code.decode", code=self.name, xors=xors,
-            ops=ops, nbytes=int(buf.nbytes), cache=cache,
+            ops=ops, nbytes=_nbytes(buf), cache=cache,
             erasures=",".join(map(str, ers)),
         ) as span:
             plan = self.plan(ers, sched)
@@ -339,3 +361,11 @@ class XorScheduleCode(RAID6Code):
         if not ers:
             return 0.0
         return self.decoding_xors(ers) / (len(ers) * self.rows)
+
+
+def _nbytes(buf: np.ndarray | Columns) -> int:
+    """The bytes of a stripe buffer, or of the columns a stripe was
+    given as."""
+    if isinstance(buf, np.ndarray):
+        return int(buf.nbytes)
+    return sum(int(col.nbytes) for col in buf if col is not None)

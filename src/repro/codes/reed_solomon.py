@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.codes.base import RAID6Code
+from repro.engine.executor import Columns, checked_columns
 from repro.gf.gf256 import GF256
 from repro.utils.validation import check_erasures
 
@@ -79,23 +80,30 @@ class ReedSolomonCode(RAID6Code):
             np.bitwise_xor(qb, self._bytes(self.gf.mul_strip(self._coeff[j], buf[j])), out=qb)
         return buf
 
-    def decode(self, buf: np.ndarray, erasures) -> np.ndarray:
-        self.check_stripe(buf)
+    def decode(self, buf: np.ndarray | Columns, erasures) -> np.ndarray | Columns:
+        """Rebuild up to two erased columns of a stripe buffer, or of a
+        stripe given as its columns (:meth:`RAID6Code.decode`), in place.
+        Over columns, every survivor (:meth:`sources`) must be supplied,
+        and every erased column writable."""
         ers = check_erasures(erasures, self.n_cols)
-        if not ers:
-            return buf
+        if isinstance(buf, np.ndarray):
+            stripe = self.check_stripe(buf)
+        else:
+            stripe = checked_columns(
+                buf, self.total_cols, self.rows, reads=self.sources(ers), writes=ers
+            )
         data = [c for c in ers if c < self.k]
         parity = [c for c in ers if c >= self.k]
 
         if len(data) == 2:
-            self._decode_two_data(buf, data[0], data[1])
+            self._decode_two_data(stripe, data[0], data[1])
         elif len(data) == 1:
             if self.p_col in parity:
-                self._decode_one_data_with_q(buf, data[0])
+                self._decode_one_data_with_q(stripe, data[0])
             else:
-                self._decode_one_data_with_p(buf, data[0])
+                self._decode_one_data_with_p(stripe, data[0])
         if parity:
-            self._reencode_parity(buf, parity)
+            self._reencode_parity(stripe, parity)
         return buf
 
     def _reencode_parity(self, buf: np.ndarray, parity: list[int]) -> None:

@@ -11,6 +11,14 @@ Two executors share one semantics:
   per scheduled op: the paper's per-op cost model, and the word-level
   reference every faster executor is compared against.
 
+Both word executors (this one and the kernel plan) also run over a
+stripe given as its **columns**: a sequence of ``cols`` arrays
+``[rows, ...]``, one per column, with ``None`` for a column the
+schedule never touches (:func:`checked_columns`).  That is how a
+degraded read decodes straight from the strips it received: each
+survivor is a read-only byte view of its reply frame, and only the
+columns the schedule writes are fresh arrays.
+
 The production fast path lowers schedules further, to bulk-XOR slice
 kernels (:func:`repro.engine.kernels.compile_kernel`).  The XOR *count*
 of a schedule is a property of the schedule itself
@@ -20,11 +28,51 @@ speed cannot change the complexity accounting.
 
 from __future__ import annotations
 
+from collections.abc import Collection, Sequence
+from typing import overload
+
 import numpy as np
 
 from repro.engine.ops import Schedule
 
-__all__ = ["execute_bits", "StreamingSchedule"]
+__all__ = ["execute_bits", "StreamingSchedule", "Columns", "checked_columns"]
+
+#: A stripe given as its columns: one array ``[rows, ...]`` per column,
+#: or ``None`` for a column the program never touches.
+Columns = Sequence["np.ndarray | None"]
+
+
+def checked_columns(
+    columns: Columns, cols: int, rows: int, *,
+    reads: Collection[int], writes: Collection[int],
+) -> list[np.ndarray | None]:
+    """``columns`` as a list, checked for a program over ``cols`` columns
+    of ``rows`` rows that reads ``reads`` and writes ``writes``.
+
+    Raises :class:`ValueError` when the count is not ``cols``, when a
+    column the program touches was not supplied, when one it writes is
+    read-only, or when the supplied columns differ in shape or dtype
+    (each op pairs two of them element for element) or do not have
+    ``rows`` rows.
+    """
+    listed = list(columns)
+    if len(listed) != cols:
+        raise ValueError(f"{len(listed)} columns given; the program has {cols}")
+    for col in sorted({*reads, *writes}):
+        if listed[col] is None:
+            raise ValueError(f"the program touches column {col}, which was not supplied")
+    for col in sorted(writes):
+        column = listed[col]
+        assert column is not None
+        if not column.flags.writeable:
+            raise ValueError(f"the program writes column {col}, which is read-only")
+    forms = {(c.shape, c.dtype) for c in listed if c is not None}
+    if len(forms) > 1:
+        raise ValueError(f"columns differ in shape or dtype: {sorted(map(str, forms))}")
+    for shape, _ in forms:
+        if len(shape) < 2 or shape[0] != rows:
+            raise ValueError(f"column shape {shape} does not have {rows} rows")
+    return listed
 
 
 def execute_bits(schedule: Schedule, bits: np.ndarray) -> np.ndarray:
@@ -60,7 +108,9 @@ class StreamingSchedule:
     first two axes (a word-packed batch, or a transposed stripe-major
     batch view).  The ``(cols, rows)`` axes must merge into one without
     a copy; a view where they cannot (a Fortran-ordered stripe) is
-    rejected rather than silently coded into a temporary.
+    rejected rather than silently coded into a temporary.  Given the
+    stripe as its columns (:func:`checked_columns`), it indexes each
+    cell as ``columns[col][row]``.
     """
 
     def __init__(self, schedule: Schedule) -> None:
@@ -71,13 +121,25 @@ class StreamingSchedule:
         self._dst = (arr[:, 0] * rows + arr[:, 1]).astype(np.intp)
         self._src = (arr[:, 2] * rows + arr[:, 3]).astype(np.intp)
         self._copy = arr[:, 4].astype(bool)
+        self._writes = {int(c) for c in arr[:, 0]}
+        self._reads = {int(c) for c in arr[:, 2]}
 
     @property
     def n_ops(self) -> int:
         return self._dst.size
 
-    def run(self, buf: np.ndarray) -> np.ndarray:
-        """Execute over ``buf[cols, rows, ...]`` (in place)."""
+    @overload
+    def run(self, buf: np.ndarray) -> np.ndarray: ...
+
+    @overload
+    def run(self, buf: Columns) -> Columns: ...
+
+    def run(self, buf: np.ndarray | Columns) -> np.ndarray | Columns:
+        """Execute over ``buf[cols, rows, ...]``, or over the stripe
+        given as its columns, in place."""
+        if not isinstance(buf, np.ndarray):
+            self._run_columns(buf)
+            return buf
         if buf.ndim < 3 or buf.shape[:2] != (self.cols, self.rows):
             raise ValueError(
                 f"stripe shape {buf.shape} does not match schedule "
@@ -95,3 +157,17 @@ class StreamingSchedule:
             else:
                 np.bitwise_xor(flat[dst], flat[src], out=flat[dst])
         return buf
+
+    def _run_columns(self, columns: Columns) -> None:
+        cols = checked_columns(
+            columns, self.cols, self.rows, reads=self._reads, writes=self._writes
+        )
+        for dst, src, is_copy in zip(self._dst, self._src, self._copy):
+            dc, dr = divmod(int(dst), self.rows)
+            sc, sr = divmod(int(src), self.rows)
+            target, source = cols[dc], cols[sc]
+            assert target is not None and source is not None
+            if is_copy:
+                target[dr] = source[sr]
+            else:
+                np.bitwise_xor(target[dr], source[sr], out=target[dr])

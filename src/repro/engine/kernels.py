@@ -32,6 +32,20 @@ an id can never be reused while cached); repeated coding of the same
 stripe buffer, the shape of every benchmark and of batch rebuild, pays
 for binding once.
 
+A plan also binds over a stripe given as its **columns**
+(:func:`~repro.engine.executor.checked_columns`): one array per
+column, ``None`` where the plan touches nothing.  A slice op then binds
+to one column's rows, and a reduce over a block of columns -- separate
+arrays now, with no 3-D block to reduce -- binds as a chain: a copy of
+its first column (or an XOR, when it accumulates), then one XOR per
+further column.  The lowering, and so the prover's proof of it, is the
+same either way.  A degraded read decodes like this from the byte
+(``uint8``) views of the reply frames its strips came in: they follow a
+header of any length, so they are not word-aligned, and a chain over
+unaligned ``uint64`` views runs about half as fast as over the same
+bytes viewed as ``uint8``.  A column binding is never cached: the cache
+would keep the frames alive.
+
 Kernel programs slice the stripe axis-wise and therefore run
 correctly (in place) on any stripe view, and on buffers with any
 trailing shape beyond the first two axes.  That is what makes the
@@ -51,9 +65,11 @@ lowering bit-for-bit).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import overload
 
 import numpy as np
 
+from repro.engine.executor import Columns, checked_columns
 from repro.engine.ops import Schedule
 from repro.engine.verify import ScheduleViolation
 from repro.obs.tracing import active_tracer
@@ -137,7 +153,8 @@ class KernelPlan:
 
     Build with :func:`compile_kernel`; execute with :meth:`run` (which
     binds views to the buffer and caches the bound program), or bind
-    explicitly with :meth:`bind` and replay via :meth:`execute`.
+    explicitly with :meth:`bind` and replay via :meth:`execute`.  Both
+    take a stripe buffer or the stripe given as its columns.
     """
 
     #: bound-program cache entries kept (strong refs to their buffers).
@@ -157,6 +174,15 @@ class KernelPlan:
             2 if (op.kind == "reduce" and not op.init) else 1 for op in self.ops
         )
         self._needs_ws = any(op.kind == "reduce" and not op.init for op in self.ops)
+        #: the columns the program writes, and those it reads
+        self._writes = {op.dst_col for op in self.ops}
+        self._reads = {
+            col
+            for op in self.ops
+            for col in (
+                range(op.src_col, op.src_col_hi) if op.kind == "reduce" else (op.src_col,)
+            )
+        }
         self._check_op_aliasing()
         self._bound: dict[int, tuple[np.ndarray, list[tuple]]] = {}
 
@@ -197,13 +223,21 @@ class KernelPlan:
                 f"({self.cols}, {self.rows}, words...)"
             )
 
-    def bind(self, buf: np.ndarray) -> list[tuple]:
+    def bind(self, buf: np.ndarray | Columns) -> list[tuple]:
         """Materialise the plan's slice views against ``buf``.
 
         Returns the bound program: a list of opcode tuples replayed by
         :meth:`execute`.  Valid for as long as ``buf`` is alive; the
         views alias ``buf``, so execution mutates it in place.
+
+        ``buf`` may be the stripe given as its columns: each slice op
+        then binds to one column's rows, and a reduce over separate
+        columns binds as a copy-then-XOR chain (an XOR chain when it
+        accumulates).  Raises :class:`ValueError` if an op touches a
+        column that was not supplied, or writes one that is read-only.
         """
+        if not isinstance(buf, np.ndarray):
+            return self._bind_columns(buf)
         self._check(buf)
         ws = (
             np.empty((self.rows,) + buf.shape[2:], dtype=buf.dtype)
@@ -226,6 +260,27 @@ class KernelPlan:
                 prog.append((code, dst, src))
         return prog
 
+    def _bind_columns(self, columns: Columns) -> list[tuple]:
+        cols = checked_columns(
+            columns, self.cols, self.rows, reads=self._reads, writes=self._writes
+        )
+        prog: list[tuple] = []
+        for op in self.ops:
+            dst = _rows(cols[op.dst_col], op.dst_lo, op.dst_hi)
+            if op.kind == "reduce":
+                first = op.src_col
+                if op.init:
+                    prog.append((_OP_COPY, dst, _rows(cols[first], op.dst_lo, op.dst_hi)))
+                    first += 1
+                prog.extend(
+                    (_OP_XOR, dst, _rows(cols[col], op.dst_lo, op.dst_hi))
+                    for col in range(first, op.src_col_hi)
+                )
+            else:
+                src = _rows(cols[op.src_col], op.src_lo, op.src_hi)
+                prog.append((_OP_COPY if op.kind == "copy" else _OP_XOR, dst, src))
+        return prog
+
     @staticmethod
     def execute(prog: list[tuple]) -> None:
         """Replay a bound program (all state lives in the views)."""
@@ -245,13 +300,25 @@ class KernelPlan:
                 reduce_(step[1], 0, None, ws)
                 xor(step[2], ws, step[2])
 
-    def run(self, buf: np.ndarray) -> np.ndarray:
-        """Execute over ``buf[cols, rows, words]`` (in place).
+    @overload
+    def run(self, buf: np.ndarray) -> np.ndarray: ...
 
-        The bound program is cached per buffer identity (a few entries,
-        holding the buffer alive so the id cannot be recycled); coding
-        the same stripe buffer repeatedly binds once.
+    @overload
+    def run(self, buf: Columns) -> Columns: ...
+
+    def run(self, buf: np.ndarray | Columns) -> np.ndarray | Columns:
+        """Execute over ``buf[cols, rows, words]``, or over the stripe
+        given as its columns, in place.
+
+        A buffer's bound program is cached per buffer identity (a few
+        entries, holding the buffer alive so the id cannot be recycled);
+        coding the same stripe buffer repeatedly binds once.  A column
+        binding is used once and dropped, so the columns (views of reply
+        frames, on a degraded read) die with their caller.
         """
+        if not isinstance(buf, np.ndarray):
+            self.execute(self._bind_columns(buf))
+            return buf
         key = id(buf)
         entry = self._bound.get(key)
         if entry is None or entry[0] is not buf:
@@ -282,6 +349,13 @@ class KernelPlan:
             f"ops={len(self.ops)}, calls={self.n_calls}, "
             f"levels={self.n_levels}, cell_xors={self.n_cell_xors})"
         )
+
+
+def _rows(column: np.ndarray | None, lo: int, hi: int) -> np.ndarray:
+    """Rows ``[lo, hi)`` of a supplied column (checked by
+    :func:`~repro.engine.executor.checked_columns`)."""
+    assert column is not None
+    return column[lo:hi]
 
 
 # -- lowering ---------------------------------------------------------------

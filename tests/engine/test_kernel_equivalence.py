@@ -10,15 +10,22 @@ that claim three ways:
   rather than ``p``), random data, encode plus a menu of single- and
   double-erasure decodes, each schedule run through the naive
   streaming executor, the kernel plan on a single stripe, the kernel
-  plan bound wide over a word-packed batch, and the bit-plane
-  reference -- all byte-identical, with every kernel lowering
-  symbolically proved (``validate=True``);
+  plan bound wide over a word-packed batch, the kernel plan and the
+  streaming executor each bound over the stripe's columns (survivors as
+  read-only byte views at an odd offset, as strips land in their reply
+  frames), and the bit-plane reference -- all byte-identical, with every
+  kernel lowering symbolically proved (``validate=True``);
 * a **Hypothesis fuzz** over random (family, p, k, data, erasures)
   cases -- the shapes the grid's fixed menu cannot enumerate;
 * **mutation canaries** -- a single flipped XOR, planted either in the
   source schedule or in the lowered op list, must be caught (by the
-  byte comparison and by the symbolic prover respectively).  A harness
-  that cannot fail is not evidence; these prove this one can.
+  byte comparison, over a stripe buffer or over columns, and by the
+  symbolic prover respectively).  A harness that cannot fail is not
+  evidence; these prove this one can;
+* **decodes over columns** -- every registered family's ``code.decode``
+  given the stripe as its columns matches its decode of a stripe
+  buffer, and a decode whose plan reads a column that was not supplied
+  raises.
 """
 
 import os
@@ -27,7 +34,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.codes import make_code
+from repro.codes import available_codes, make_code
 from repro.engine.executor import StreamingSchedule, execute_bits
 from repro.engine.kernels import KernelOp, KernelPlan, _validate_kernel, compile_kernel
 from repro.engine.ops import Schedule, XorOp
@@ -74,18 +81,53 @@ def erasure_menu(code):
     )
 
 
+def frame_view(column):
+    """``column``'s bytes as a read-only byte view at an odd offset of a
+    ``bytes`` object, the way a strip lands in its reply frame."""
+    raw = b"\x00" + column.tobytes()
+    return np.frombuffer(raw, np.uint8, offset=1).reshape(column.shape[0], -1)
+
+
+def as_columns(schedule, buf):
+    """``buf`` given as its columns to ``schedule``: a writable byte copy
+    of each column it writes, a read-only frame view of each it only
+    reads, ``None`` for the rest."""
+    writes = {op.dst_col for op in schedule}
+    reads = {op.src_col for op in schedule}
+    return [
+        buf[c].view(np.uint8).copy() if c in writes
+        else frame_view(buf[c]) if c in reads
+        else None
+        for c in range(schedule.cols)
+    ]
+
+
+def assert_columns_agree(columns, want, what):
+    """Each supplied column of ``columns`` holds the bytes of ``want``'s."""
+    for c, column in enumerate(columns):
+        if column is not None:
+            np.testing.assert_array_equal(
+                column, want[c].view(np.uint8), err_msg=f"{what}, column {c}"
+            )
+
+
 def assert_paths_agree(schedule, buf, what):
     """Every execution path of ``schedule`` maps ``buf`` identically.
 
     Returns the agreed output stripe.  The op-at-a-time streaming
-    executor is the word-level reference; the kernel plan (single-stripe
-    and word-packed wide over three stripes) and the bit-plane
-    reference must match it byte for byte.
+    executor is the word-level reference; the kernel plan (single-stripe,
+    word-packed wide over three stripes, and bound over the stripe's
+    columns), the streaming executor bound over the columns, and the
+    bit-plane reference must match it byte for byte.
     """
     streaming = StreamingSchedule(schedule).run(buf.copy())
     plan = compile_kernel(schedule, validate=True)
     kernel = plan.run(buf.copy())
     np.testing.assert_array_equal(streaming, kernel, err_msg=f"{what}: kernel")
+    for name, run in (("kernel", plan.run), ("streaming", StreamingSchedule(schedule).run)):
+        columns = as_columns(schedule, buf)
+        run(columns)
+        assert_columns_agree(columns, streaming, f"{what}: {name} over columns")
     words = buf.shape[2]
     wide = plan.run(np.concatenate([buf, buf, buf], axis=2))
     for i in range(3):
@@ -229,20 +271,30 @@ class TestMutationCanary:
         # (wrong) schedule.  Catching this flip is the byte diff's job.
         compile_kernel(mutated, validate=True)
 
-    def _doctor_one_op(self, plan):
+    def _doctor_one_op(self, plan, kind="xor"):
         for i, op in enumerate(plan.ops):
-            if op.kind != "xor":
+            if op.kind != kind:
                 continue
-            new_src = (op.src_col + 1) % plan.cols
-            if new_src == op.dst_col or new_src == op.src_col:
-                continue
+            if kind == "reduce":  # drop the block's last source column
+                if op.n_sources < 3:
+                    continue
+                doctored = KernelOp(
+                    "reduce", op.dst_col, op.dst_lo, op.dst_hi,
+                    op.src_col, op.src_lo, op.src_hi,
+                    src_col_hi=op.src_col_hi - 1, init=op.init,
+                )
+            else:
+                new_src = (op.src_col + 1) % plan.cols
+                if new_src == op.dst_col or new_src == op.src_col:
+                    continue
+                doctored = KernelOp(
+                    "xor", op.dst_col, op.dst_lo, op.dst_hi,
+                    new_src, op.src_lo, op.src_hi,
+                )
             ops = list(plan.ops)
-            ops[i] = KernelOp(
-                "xor", op.dst_col, op.dst_lo, op.dst_hi,
-                new_src, op.src_lo, op.src_hi,
-            )
+            ops[i] = doctored
             return KernelPlan(plan.cols, plan.rows, ops, n_levels=plan.n_levels)
-        raise AssertionError("no doctorable op found")
+        raise AssertionError(f"no doctorable {kind} op found")
 
     def test_flipped_xor_in_lowered_plan_fails_the_prover(self):
         code = xor_code("liberation-optimal", 5)
@@ -258,6 +310,22 @@ class TestMutationCanary:
         doctored = self._doctor_one_op(plan)
         buf = filled(code, seed=3)
         assert not np.array_equal(plan.run(buf.copy()), doctored.run(buf.copy()))
+
+    @pytest.mark.parametrize("kind", ["xor", "reduce"])
+    def test_doctored_op_bound_over_columns_diverges(self, kind):
+        # A reduce binds over columns as a copy-then-XOR chain, so a
+        # doctored block must show there as well as a doctored slice op.
+        code = xor_code("liberation-optimal", 5)
+        sched = code.encode_schedule()
+        plan = compile_kernel(sched)
+        doctored = self._doctor_one_op(plan, kind)
+        buf = filled(code, seed=3)
+        good, bad = as_columns(sched, buf), as_columns(sched, buf)
+        plan.run(good)
+        doctored.run(bad)
+        assert any(
+            not np.array_equal(g, b) for g, b in zip(good, bad) if g is not None
+        ), f"a doctored {kind} op bound over columns must change the output"
 
     def test_changed_xor_work_fails_conservation(self):
         # compile-time tripwire: a lowering that loses or invents XOR
@@ -275,3 +343,81 @@ class TestMutationCanary:
         assert plan.n_cell_xors != extended.n_xors
         with pytest.raises(ScheduleViolation, match="diverges|XOR"):
             _validate_kernel(extended, plan)
+
+
+#: Every registered family at k=3; the XOR families at p=5.
+FAMILY_KWARGS = {
+    name: {} if name in ("reed-solomon", "cauchy-rs", "cauchy-rs-original") else {"p": 5}
+    for name in available_codes()
+}
+
+
+def decode_columns(code, encoded, pattern):
+    """``encoded`` given to a decode of ``pattern`` as its columns: each
+    survivor the decode reads a read-only frame view, each column it
+    writes (the erasures, and any scratch column) a fresh zeroed byte
+    array, every other column ``None``."""
+    writes = {*pattern, *range(code.n_cols, code.total_cols)}
+    reads = set(code.sources(pattern))
+    shape = (code.rows, code.element_size)
+    return [
+        np.zeros(shape, np.uint8) if c in writes
+        else frame_view(encoded[c]) if c in reads
+        else None
+        for c in range(code.total_cols)
+    ]
+
+
+class TestDecodeOverColumns:
+    """``code.decode`` over a stripe's columns equals it over a buffer."""
+
+    @pytest.mark.parametrize("name", sorted(FAMILY_KWARGS))
+    def test_every_pattern_of_every_family(self, name):
+        code = make_code(name, 3, element_size=16, **FAMILY_KWARGS[name])
+        encoded = filled(code, seed=len(name))
+        code.encode(encoded)
+        patterns = [(c,) for c in range(code.n_cols)] + [
+            (a, b) for a in range(code.n_cols) for b in range(a + 1, code.n_cols)
+        ]
+        for pattern in patterns:
+            probe = encoded.copy()
+            probe[list(pattern)] = 0
+            want = code.decode(probe, pattern)
+            columns = decode_columns(code, encoded, pattern)
+            code.decode(columns, pattern)
+            assert_columns_agree(
+                [columns[c] for c in range(code.n_cols)], want,
+                f"{name} decode{pattern} over columns",
+            )
+
+    def _lost_source(self, name):
+        code = make_code(name, 3, element_size=16, **FAMILY_KWARGS[name])
+        encoded = filled(code, seed=1)
+        code.encode(encoded)
+        columns = decode_columns(code, encoded, (1,))
+        columns[code.sources((1,))[0]] = None
+        return code, columns
+
+    @pytest.mark.parametrize("name", ["liberation-optimal", "reed-solomon"])
+    def test_a_decode_reading_a_column_not_supplied_raises(self, name):
+        code, columns = self._lost_source(name)
+        with pytest.raises(ValueError, match="not supplied"):
+            code.decode(columns, (1,))
+
+    @pytest.mark.parametrize("executor", ["kernel", "streaming"])
+    def test_a_plan_reading_a_column_not_supplied_raises(self, executor):
+        code, columns = self._lost_source("liberation-optimal")
+        sched = code.build_decode_schedule((1,))
+        bind = compile_kernel(sched).bind if executor == "kernel" else StreamingSchedule(sched).run
+        with pytest.raises(ValueError, match="not supplied"):
+            bind(columns)
+
+    def test_a_plan_writing_a_read_only_column_raises(self):
+        code = xor_code("liberation-optimal", 5)
+        encoded = filled(code, seed=2)
+        code.encode(encoded)
+        columns = decode_columns(code, encoded, (1,))
+        columns[1] = frame_view(encoded[1])
+        with pytest.raises(ValueError, match="read-only"):
+            code.decode(columns, (1,))
+        assert bytes(columns[1]) == encoded[1].tobytes()  # nothing written
