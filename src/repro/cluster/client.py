@@ -47,9 +47,10 @@ from repro.cluster.protocol import (
     strip_crcs,
     write_frame,
 )
-from repro.codes.base import RAID6Code
+from repro.codes.base import RAID6Code, XorScheduleCode
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import Tracer
+from repro.parallel import BatchCoder, BatchColumns
 from repro.sim.clock import Clock, RealClock
 from repro.sim.transport import AsyncioTransport, Transport
 from repro.utils.crc import crc32_combine, crc32_xor
@@ -510,6 +511,40 @@ def _landed(done) -> tuple[dict[int, list[int]], dict[int, list[int]]]:
     return landed, lost
 
 
+class LandedStrips(dict):
+    """A stripe's strips by column, as a fetch lands them
+    (:meth:`ClusterArray._land`): each a read-only byte view of its reply
+    frame, ``[rows, element_size]``, and each decoded strip beside them.
+
+    :attr:`frames` says where each landed strip sits: its reply frame,
+    as the byte array ``[strips, rows, element_size]`` of that frame's
+    strips, and its row there.  So stripes whose strips of a column are
+    consecutive rows of one frame can take that column as one view
+    (:meth:`ClusterArray._decode_landed`).
+    """
+
+    __slots__ = ("frames",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.frames: dict[int, tuple[np.ndarray, int]] = {}
+
+    def follows(self, prev: LandedStrips, columns) -> bool:
+        """Whether each of ``columns`` landed in the frame row right
+        after ``prev``'s strip of it."""
+        for col in columns:
+            at, before = self.frames.get(col), prev.frames.get(col)
+            if at is None or before is None or at[0] is not before[0] or at[1] != before[1] + 1:
+                return False
+        return True
+
+    def frame_rows(self, column: int, n: int) -> np.ndarray:
+        """``column``'s strip and the ``n - 1`` after it in its frame, as
+        the batch column ``[rows, n, element_size]`` (a view)."""
+        frame, row = self.frames[column]
+        return frame[row : row + n].transpose(1, 0, 2)
+
+
 class ClusterArray:
     """A RAID-6 array whose strips live on network nodes.
 
@@ -570,6 +605,8 @@ class ClusterArray:
         if n_stripes <= 0:
             raise ValueError("n_stripes must be positive")
         self.code = code
+        #: decodes a read's runs of stripes as one batch (:meth:`_decode_landed`)
+        self._coder = BatchCoder(code)
         self.n_stripes = int(n_stripes)
         self.policy = policy or RetryPolicy()
         self.metrics = MetricsRegistry()
@@ -844,13 +881,15 @@ class ClusterArray:
         """Fetch each ``(column, stripes)`` of ``plan`` into ``into``,
         one ``get`` per column and holder; returns each stripe's lost
         columns.  ``into`` holds per stripe either its stripe buffer,
-        which gets a copy of each strip, or a dict, which gets each strip
-        itself under its column: a read-only byte (``uint8``) view of the
-        reply frame it came in, ``[rows, element_size]``.  Such a view
-        is hashed, joined, and computed on where it is: a degraded read
-        decodes from it (:meth:`_decode`).  It follows a header of any
-        length, so it is not word-aligned, and it stays a byte view.  A
-        strip behind a latent sector costs only its own stripe's column.
+        which gets a copy of each strip, or its :class:`LandedStrips`,
+        which gets each strip itself under its column: a read-only byte
+        (``uint8``) view of the reply frame it came in, ``[rows,
+        element_size]``, with its place in that frame.  Such a view is
+        hashed, joined, and computed on where it is: a degraded read and
+        a rebuild window decode from it (:meth:`_decode_landed`).  It
+        follows a header of any length, so it is not word-aligned, and
+        it stays a byte view.  A strip behind a latent sector costs only
+        its own stripe's column.
 
         Every strip is checked against the CRC-32 sidecar its node lists
         for it before it lands, and ``crcs`` (when given) keeps that CRC
@@ -882,8 +921,8 @@ class ClusterArray:
     ):
         """Land the strips of a ``get`` fan-out's ``done`` replies that
         match their CRCs in ``into`` (a stripe buffer copies each in, a
-        dict keeps its byte view of the frame, which a degraded read
-        decodes from; see :meth:`_gather`), keeping each one's CRC in
+        :class:`LandedStrips` keeps its byte view of the frame and its
+        row there; see :meth:`_gather`), keeping each one's CRC in
         ``crcs`` (when given), and add the strips it lost to ``lost`` --
         those the reply lists ``unreadable`` among them, all of its
         strips included; returns the strips that failed their CRC, as
@@ -909,9 +948,12 @@ class ClusterArray:
                     for i, stripe in enumerate(readable):
                         crc = zlib.crc32(view[i * size : (i + 1) * size])
                         if crc == listed[i]:
-                            # a dict keeps the byte view, a buffer copies the words in
                             target = into[stripe]
-                            target[col] = (strips if isinstance(target, dict) else words)[i]
+                            if isinstance(target, LandedStrips):  # the view, and its row
+                                target[col] = strips[i]
+                                target.frames[col] = (strips, i)
+                            else:  # a stripe buffer copies the words in
+                                target[col] = words[i]
                             if crcs is not None:
                                 crcs[stripe, col] = crc
                         else:
@@ -941,10 +983,11 @@ class ClusterArray:
         crcs: dict[tuple[int, int], int] | None = None,
     ) -> None:
         """Fetch into each stripe's entry of ``bufs`` -- its stripe
-        buffer, or a dict that keeps each strip as a byte view of its
-        reply frame, which a degraded read decodes from (see
-        :meth:`_gather`) -- what it takes to hold its ``restore``
-        columns, keeping each landed strip's CRC in ``crcs``.
+        buffer, or a :class:`LandedStrips` that keeps each strip as a
+        byte view of its reply frame, which a degraded read and a
+        rebuild window decode from (see :meth:`_gather`) -- what it
+        takes to hold its ``restore`` columns, keeping each landed
+        strip's CRC in ``crcs``.
 
         A stripe whose ``restore`` columns are intact fetches just
         them.  One that must decode fetches only what its decode reads
@@ -1016,42 +1059,72 @@ class ClusterArray:
             (code.total_cols, code.rows, element_words(code.element_size)), WORD_DTYPE
         )
 
-    def _decode(
-        self, stripe: int, strips: np.ndarray | dict,
-        erased: set[int], crcs: dict[tuple[int, int], int] | None,
-    ) -> None:
-        """Decode ``stripe`` around its ``erased`` columns with
-        ``code.decode``, keeping each decoded data strip's CRC-32, its
-        hash, in ``crcs`` (when given).
+    def _decoded(self, n: int) -> None:
+        """Count ``n`` stripes a read decoded."""
+        if n:
+            self.metrics.counter("decodes").inc(n)
+            self.metrics.counter("degraded_reads").inc(n)
 
-        ``strips`` is the stripe's buffer -- its fetched strips, and
-        zeros in every other column -- or the dict of its landed strips
-        by column (:meth:`_land`), byte views of their reply frames.
-        The dict form decodes from the frames where they are: the code
-        gets the stripe as its columns, each landed strip as it is, a
-        fresh zeroed byte array for each column the decode writes (the
-        erased ones, and the code's scratch columns), ``None`` for the
-        rest; each decoded column then joins the dict.
+    def _decode_landed(
+        self, stripes: list[int], strips: dict[int, LandedStrips],
+        erasures: dict[int, set[int]], crcs: dict[tuple[int, int], int] | None = None,
+        *, coder: BatchCoder | None = None, into: dict[int, np.ndarray] | None = None,
+    ) -> None:
+        """Decode each stripe of ``stripes`` around its ``erasures``
+        from its landed strips (:meth:`_land`), where they are, and add
+        each strip it decodes to them.
+
+        A run of stripes, consecutive in ``stripes``, that share an
+        erasure pattern, and whose strips of each column the decode
+        reads sit as consecutive rows of one reply frame, decodes as one
+        batch through ``coder`` (the array's own by default): each such
+        column is those rows of its frame, transposed to ``[rows, n,
+        element_size]`` (:class:`~repro.parallel.BatchColumns`), so the
+        code binds its plan once for the run.  A stripe that cannot
+        join its neighbours -- its strip was fetched again, or rotted or
+        was unreadable and widened its pattern; its frame was split at
+        ``MAX_FRAME_BYTES``; its column is spread over nodes -- is a run
+        of its own, and so is every stripe of a code with no XOR
+        schedule (Reed-Solomon).
+
+        Each column a decode writes is a zeroed stripe-major array
+        ``[n, rows, element_size]`` whose row ``i`` becomes the run's
+        ``i``-th stripe's strip: a row of ``into[column]`` where the
+        caller passes one (zeroed, and as long as ``stripes``), else a
+        fresh array.  With ``crcs``, each decoded data strip's CRC-32,
+        its hash, is kept there.
         """
         code = self.code
-        missing = sorted(erased)
-        if isinstance(strips, dict):
-            written = {*missing, *range(code.n_cols, code.total_cols)}
-            columns = [
-                np.zeros((code.rows, code.element_size), np.uint8)
-                if col in written else strips.get(col)
-                for col in range(code.total_cols)
-            ]
-            code.decode(columns, missing)
-            strips.update((col, columns[col]) for col in missing)
-        else:
-            code.decode(strips, missing)
-        self.metrics.counter("decodes").inc()
-        self.metrics.counter("degraded_reads").inc()
-        if crcs is not None:
-            for col in missing:
-                if col < code.k:
-                    crcs[stripe, col] = zlib.crc32(strips[col])
+        coder = coder or self._coder
+        batched = isinstance(code, XorScheduleCode)
+        scratch = range(code.n_cols, code.total_cols)
+        patterns = [tuple(sorted(erasures[s])) for s in stripes]
+        start = 0
+        while start < len(stripes):
+            pattern = patterns[start]
+            sources = code.sources(pattern)
+            stop = start + 1
+            while (batched and stop < len(stripes) and patterns[stop] == pattern
+                   and strips[stripes[stop]].follows(strips[stripes[stop - 1]], sources)):
+                stop += 1
+            n = stop - start
+            outs = {
+                c: into[c][start:stop] if into and c in into
+                else np.zeros((n, code.rows, code.element_size), np.uint8)
+                for c in (*pattern, *scratch)
+            }
+            first = strips[stripes[start]]
+            coder.decode(BatchColumns(
+                outs[c].transpose(1, 0, 2) if c in outs
+                else first.frame_rows(c, n) if c in sources else None
+                for c in range(code.total_cols)
+            ), pattern)
+            for i, stripe in enumerate(stripes[start:stop]):
+                for c in pattern:
+                    strips[stripe][c] = outs[c][i]
+                    if crcs is not None and c < code.k:
+                        crcs[stripe, c] = zlib.crc32(outs[c][i])
+            start = stop
 
     async def _fetch_stripes(
         self, stripes: list[int], lost: dict[int, list[int]] | None = None,
@@ -1079,9 +1152,10 @@ class ClusterArray:
         }
         data = range(code.k)
         await self._fetch_for(dict(zip(stripes, bufs)), erasures, data)
-        for stripe, buf in zip(stripes, bufs):
-            if not erasures[stripe].isdisjoint(data):
-                self._decode(stripe, buf, erasures[stripe], None)
+        lost = [(s, buf) for s, buf in zip(stripes, bufs) if not erasures[s].isdisjoint(data)]
+        for stripe, buf in lost:
+            code.decode(buf, sorted(erasures[stripe]))
+        self._decoded(len(lost))
         return bufs
 
     async def read_stripe(self, stripe: int) -> np.ndarray:
@@ -1375,12 +1449,15 @@ class ClusterArray:
         the reply frame it came in (:meth:`_gather`), and each span is
         one join of its strips' views, the read's one copy of its bytes.
         A stripe that lost a data column decodes from those views where
-        they are (:meth:`_decode`): only the columns the decode writes
-        are new arrays, and the spans join its decoded strips with the
-        views.  The read allocates no stripe buffer and copies no
-        fetched strip.  A column whose node's breaker is open is planned
-        around before the first fetch (:meth:`_fetch_for`), so a read
-        with a data node known down fetches P in its one round.
+        they are (:meth:`_decode_landed`): only the columns the decode
+        writes are new arrays, and the spans join its decoded strips
+        with the views.  Stripes that lost the same columns and whose
+        strips came in the same frames decode as one batch, so a get of
+        an object over several stripes binds the decode plan once.  The
+        read allocates no stripe buffer and copies no fetched strip.  A
+        column whose node's breaker is open is planned around before the
+        first fetch (:meth:`_fetch_for`), so a read with a data node
+        known down fetches P in its one round.
 
         Returns each span's bytes and CRC-32.  The CRC is folded from
         the CRCs its strips were checked with where they landed (a
@@ -1397,14 +1474,14 @@ class ClusterArray:
         stripes = sorted(touched)
         await self._await_migrations(stripes)
         crcs: dict[tuple[int, int], int] = {}
-        #: stripe -> its strips by column: frame views, and decoded strips
-        strips: dict[int, dict[int, np.ndarray]] = {s: {} for s in stripes}
+        strips = {s: LandedStrips() for s in stripes}
         erasures = {s: set(self.dirty_stripes.get(s, ())) for s in stripes}
         data = range(code.k)
         await self._fetch_for(strips, erasures, data, crcs)
-        for stripe in stripes:
-            if not erasures[stripe].isdisjoint(data):
-                self._decode(stripe, strips[stripe], erasures[stripe], crcs)
+        lost = [s for s in stripes if not erasures[s].isdisjoint(data)]
+        if lost:
+            self._decode_landed(lost, strips, erasures, crcs)
+            self._decoded(len(lost))
         out = []
         for offset, length in spans:
             parts, crc = [], 0

@@ -12,10 +12,13 @@ rebuild drains in the background; progress is visible live through the
 A window costs one ``get`` per column its decode reads -- for a lost
 Liberation data column the other data columns and P, k in all, never
 Q -- and one ``put`` to the replacement, each carrying every stripe of
-the window.  Every window fills the one buffer the rebuild allocates.
-The push lists each rebuilt strip's CRC-32.  A lost data column that
-decoded from the other data columns and P alone is their XOR, so its
-CRC is folded from the CRCs they were checked with, and the
+the window.  The window decodes where its strips landed: each source
+column is its reply frame's rows, and the rebuilt column is one
+buffer the rebuild allocates once, whose rows the push sends.  The
+push lists each rebuilt strip's CRC-32.  Where P is the row parity, a
+lost data column that decoded alone is the XOR of the other data
+columns and P, and a lost P the XOR of the data columns, so its CRC is
+folded from the CRCs those sources were checked with, and the
 replacement's put check holds the decode to that fold; any other strip
 is hashed as built.  A rebuild tolerates a *second* concurrent loss: a
 column a window's fetch loses, for any reason (unreachable, unreadable,
@@ -41,8 +44,8 @@ import zlib
 
 import numpy as np
 
-from repro.cluster.client import ClusterArray, NodeClient
-from repro.parallel import BatchCoder, alloc_batch, iter_batches
+from repro.cluster.client import ClusterArray, LandedStrips, NodeClient
+from repro.parallel import BatchCoder, iter_batches
 from repro.utils.crc import crc32_xor
 
 __all__ = ["RebuildScheduler"]
@@ -51,7 +54,8 @@ __all__ = ["RebuildScheduler"]
 class RebuildScheduler:
     """Streams a column rebuild through batch decodes.
 
-    ``batch_stripes`` bounds memory (one window of stripe buffers).
+    ``batch_stripes`` bounds memory: one window's reply frames and the
+    rebuilt column's buffer.
     """
 
     def __init__(self, array: ClusterArray, *, batch_stripes: int = 16) -> None:
@@ -141,24 +145,22 @@ class RebuildScheduler:
         """Rebuild ``column`` window by window onto ``replacement``;
         returns the stripes rebuilt.
 
-        Every window fills one buffer, allocated once: the last, short
-        window uses a prefix of it, and each full window hands the batch
-        decode the same object, so its transposed view and the plan's
-        bound program are reused.  A window zeroes its erased columns;
-        any other column it does not fetch still holds the previous
-        window's bytes, which nothing reads -- the decode reads only its
-        sources and scratch cells it wrote first, the push sends only
-        ``column`` and the write-back only the stale columns the decode
-        restored.
+        A window decodes from its reply frames through :attr:`coder`
+        (:meth:`~repro.cluster.client.ClusterArray._decode_landed`) into
+        ``column``'s buffer, ``[stripes, rows, element_size]``, which is
+        allocated once and zeroed per window (the last, short window
+        uses a prefix); row ``i`` is the strip the push sends for the
+        window's ``i``-th stripe.
         """
         array = self.array
         code = array.code
         metrics = array.metrics
-        window = alloc_batch(code, min(self.batch_stripes, array.n_stripes))
+        size = (min(self.batch_stripes, array.n_stripes), code.rows, code.element_size)
+        rebuilt = np.empty(size, np.uint8)
         done = 0
         for start, stop in iter_batches(array.n_stripes, self.batch_stripes):
             stripes = list(range(start, stop))
-            batch = window if stop - start == len(window) else window[: stop - start]
+            out = rebuilt[: stop - start]
             async with array.stripe_locks(stripes):
                 # Columns on the dirty list hold *stale* strips, which
                 # join the erasure pattern: the rebuild neither fetches
@@ -170,37 +172,31 @@ class RebuildScheduler:
                     s: {column, *array.dirty_stripes.get(s, ())} for s in stripes
                 }
                 crcs: dict[tuple[int, int], int] = {}
-                await array._fetch_for(
-                    dict(zip(stripes, batch)), erasures, {column}, crcs
-                )
-                patterns = [tuple(sorted(erasures[s])) for s in stripes]
-                for i, erased in enumerate(patterns):
-                    for col in erased:
-                        batch[i, col] = 0
+                strips = {s: LandedStrips() for s in stripes}
+                await array._fetch_for(strips, erasures, {column}, crcs)
+                out.fill(0)
                 # Yield before the batch decode so queued traffic proceeds.
                 await asyncio.sleep(0)
-                if len(set(patterns)) == 1:
-                    self.coder.decode(batch, list(patterns[0]))
-                else:  # mixed losses: per-stripe patterns
-                    for i, erased in enumerate(patterns):
-                        code.decode(batch[i], list(erased))
+                array._decode_landed(
+                    stripes, strips, erasures, coder=self.coder, into={column: out}
+                )
                 # ... and one `put` pushes it to the replacement, each
-                # strip a view of the window's buffer.
-                listed = self._pushed_crcs(column, batch, stripes, patterns, crcs)
-                pushes = []
-                for frame in array._frames(stripes):
-                    pushes.append(replacement.request(
+                # strip a row of the rebuilt column's buffer.
+                listed = self._pushed_crcs(column, out, stripes, erasures, crcs)
+                await asyncio.gather(*(
+                    replacement.request(
                         "put",
                         {"stripes": frame, "crcs": [listed[s - start] for s in frame]},
-                        [batch[s - start, column] for s in frame],
-                    ))
-                await asyncio.gather(*pushes)
+                        [out[s - start] for s in frame],
+                    )
+                    for frame in array._frames(stripes)
+                ))
                 # The replacement holds the column's fresh bytes; the
                 # window's other stale columns go back to their nodes.
                 array._mark_columns(fresh={s: [column] for s in stripes})
                 await array._write_back(
                     {s: sorted(array.dirty_stripes.get(s, set()) & erasures[s]) for s in stripes},
-                    dict(zip(stripes, batch)),
+                    strips,
                 )
             done += stop - start
             metrics.counter("rebuild_stripes_done").inc(stop - start)
@@ -208,28 +204,29 @@ class RebuildScheduler:
         return done
 
     def _pushed_crcs(
-        self, column: int, batch: np.ndarray, stripes: list[int],
-        patterns: list[tuple[int, ...]], crcs: dict[tuple[int, int], int],
+        self, column: int, rebuilt: np.ndarray, stripes: list[int],
+        erasures: dict[int, set[int]], crcs: dict[tuple[int, int], int],
     ) -> list[int]:
-        """The CRC-32 the push lists for each stripe's rebuilt strip.
+        """The CRC-32 the push lists for each stripe's rebuilt strip,
+        row ``i`` of ``rebuilt`` for ``stripes[i]``.
 
         Where P is the row parity
         (:attr:`~repro.codes.base.RAID6Code.p_is_row_parity`), a lost
-        data column is the XOR of the other data columns and P.  So a
-        strip that decoded alone, from sources whose CRCs the fetch kept
-        in ``crcs``, lists the fold of those k CRCs
-        (:func:`~repro.utils.crc.crc32_xor`), and the replacement's
-        check of what it stores holds the decode to it.  Every other
-        strip is hashed as built.
+        data column is the XOR of the other data columns and P, and a
+        lost P the XOR of the data columns.  So a strip that decoded
+        alone, from sources whose CRCs the fetch kept in ``crcs``, lists
+        the fold of those k CRCs (:func:`~repro.utils.crc.crc32_xor`),
+        and the replacement's check of what it stores holds the decode
+        to it.  Every other strip (Q's among them) is hashed as built.
         """
         code = self.array.code
-        sources = [c for c in range(code.k) if c != column] + [code.p_col]
-        fold = code.p_is_row_parity and column < code.k
+        sources = [c for c in range(code.p_col + 1) if c != column]
+        fold = code.p_is_row_parity and column != code.q_col
         listed = []
         for i, stripe in enumerate(stripes):
             keys = [(stripe, c) for c in sources]
-            if fold and patterns[i] == (column,) and all(key in crcs for key in keys):
+            if fold and erasures[stripe] == {column} and all(key in crcs for key in keys):
                 listed.append(crc32_xor((crcs[key] for key in keys), code.strip_bytes))
             else:
-                listed.append(zlib.crc32(batch[i, column]))
+                listed.append(zlib.crc32(rebuilt[i]))
         return listed

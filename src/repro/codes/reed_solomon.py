@@ -63,8 +63,13 @@ class ReedSolomonCode(RAID6Code):
 
     @staticmethod
     def _bytes(strip: np.ndarray) -> np.ndarray:
-        """View a strip (rows, words) as a flat byte vector."""
-        return strip.reshape(-1).view(np.uint8)
+        """View a strip as bytes, in its own shape: ``(rows, words)`` as
+        ``(rows, 8 * words)``, and a byte column as it is.  A view, never
+        a copy, so a decode writes where the strip lives whatever its
+        strides (a batch column ``[rows, n, ...]`` is not contiguous);
+        NumPy raises :class:`ValueError` for a wider dtype whose last
+        axis is not contiguous."""
+        return strip.view(np.uint8)
 
     # -- coding ------------------------------------------------------------------
 
@@ -105,6 +110,22 @@ class ReedSolomonCode(RAID6Code):
         if parity:
             self._reencode_parity(stripe, parity)
         return buf
+
+    def sources(self, erasures) -> tuple[int, ...]:
+        """The columns each branch of :meth:`decode` reads: the
+        surviving data columns, and P, Q or both for the lost ones --
+        Q only where P is lost too (or a second data column), so a read
+        around one lost data column never fetches Q."""
+        ers = check_erasures(erasures, self.n_cols)
+        if not ers:
+            return ()
+        lost = [c for c in ers if c < self.k]
+        read = [c for c in range(self.k) if c not in ers]
+        if len(lost) == 2:
+            read += [self.p_col, self.q_col]
+        elif lost:
+            read.append(self.q_col if self.p_col in ers else self.p_col)
+        return tuple(read)
 
     def _reencode_parity(self, buf: np.ndarray, parity: list[int]) -> None:
         if self.p_col in parity:

@@ -13,9 +13,14 @@ provides that layer:
   floor that dominates single-stripe runs (this is where the data
   plane's >5x over streaming execution comes from);
 * a serial per-stripe fallback for every other code (Reed-Solomon,
-  streaming execution).
+  streaming execution);
+* a batch given as its **columns** (:class:`BatchColumns`), one array
+  ``[rows, n, ...]`` per column -- the transposed view of that column
+  of every stripe, laid out stripe-major where it already sits (a
+  window's reply frames, say) -- which the decode hands to
+  ``code.decode`` as it is, so the plan binds over those arrays once.
 
-Results are bit-identical across both paths -- the differential tests
+Results are bit-identical across all paths -- the differential tests
 pin that.
 """
 
@@ -29,7 +34,7 @@ from repro.codes.base import RAID6Code, XorScheduleCode
 from repro.utils.validation import check_erasures
 from repro.utils.words import WORD_DTYPE, element_words
 
-__all__ = ["alloc_batch", "alloc_word_batch", "iter_batches", "BatchCoder"]
+__all__ = ["alloc_batch", "alloc_word_batch", "iter_batches", "BatchColumns", "BatchCoder"]
 
 
 def iter_batches(n: int, batch_size: int):
@@ -71,6 +76,26 @@ def alloc_word_batch(code: RAID6Code, n_stripes: int) -> np.ndarray:
         (code.total_cols, code.rows, n_stripes * element_words(code.element_size)),
         dtype=WORD_DTYPE,
     )
+
+
+class BatchColumns(list):
+    """A batch of ``n`` stripes given as its columns: one array
+    ``[rows, n, ...]`` per stripe-buffer column, that column of every
+    stripe, or ``None`` for a column the decode never touches -- the
+    form ``code.decode`` takes a stripe's columns in
+    (:meth:`~repro.codes.base.RAID6Code.decode`), one stripe axis wider.
+
+    Each array is typically the transposed view of a stripe-major
+    ``[n, rows, ...]`` array, so stripe ``i``'s strip of a column is
+    that array's contiguous row ``i``.  :attr:`shape` reads as a batch
+    buffer's, ``(n, cols, rows, ...)``, so whatever sizes a batch by its
+    shape reads either form alike.
+    """
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        rows, n, *rest = next(col for col in self if col is not None).shape
+        return (n, len(self), rows, *rest)
 
 
 class BatchCoder:
@@ -139,14 +164,22 @@ class BatchCoder:
         self._check_batch(batch)
         return self._run(batch, self.code.encode, self._wide_plan(None))
 
-    def decode(self, batch: np.ndarray, erasures: Sequence[int]) -> np.ndarray:
+    def decode(
+        self, batch: np.ndarray | BatchColumns, erasures: Sequence[int]
+    ) -> np.ndarray | BatchColumns:
         """Recover the same erasure pattern in every stripe, in place.
 
         (Bulk reconstruction after a disk failure is exactly this
-        shape: one pattern, many stripes.)
+        shape: one pattern, many stripes.)  A batch given as its columns
+        (:class:`BatchColumns`) goes to ``code.decode`` as it is, which
+        checks it and binds the pattern's plan over it once.
         """
-        self._check_batch(batch)
         ers = check_erasures(erasures, self.code.n_cols)
+        if isinstance(batch, BatchColumns):
+            if ers:
+                self.code.decode(batch, ers)
+            return batch
+        self._check_batch(batch)
         if not ers:
             return batch
         return self._run(

@@ -1,12 +1,13 @@
 """What a rebuild window costs beyond its reads, decode and push.
 
-A column rebuild allocates one window buffer and refills it window after
-window; a column a window does not fetch keeps the previous window's
-bytes, which nothing reads.  The push lists each rebuilt data strip's
-CRC-32 folded from the CRCs its sources were checked with, and the
-replacement's put check holds the decode to that fold.  Every drill runs
-on the simulation seam and checks the rebuilt disk byte for byte, the
-stale list and a deep scrub.
+A window decodes where its strips landed: each column it reads is the
+rows of its reply frame, and the rebuilt column goes into one buffer the
+rebuild allocates once and zeroes window after window, whose rows the
+push sends; no source is copied into a window buffer.  The push lists a
+rebuilt data strip's or P's CRC-32 folded from the CRCs its sources were
+checked with, and the replacement's put check holds the decode to that
+fold.  Every drill runs on the simulation seam and checks the rebuilt
+disk byte for byte, the stale list and a deep scrub.
 """
 
 import asyncio
@@ -14,9 +15,10 @@ import asyncio
 import numpy as np
 import pytest
 
-import repro.cluster.rebuild as rebuild_mod
+import repro.parallel
 from repro.array.faults import NetworkFaultPlan
 from repro.cluster import (
+    ClusterArray,
     ClusterScrubber,
     LocalCluster,
     NodeUnavailableError,
@@ -62,17 +64,44 @@ class TestHashing:
 
         assert asyncio.run(run()) <= 7.01
 
+    def test_a_rebuilt_p_is_folded_and_a_rebuilt_q_hashed(self, hashed):
+        """P is the XOR of the k data strips the window fetched, so its
+        push lists their folded CRCs too (8.008 while it was hashed); Q
+        is still hashed as built."""
 
-class TestOneWindow:
-    def test_a_rebuild_allocates_one_window(self, monkeypatch):
-        allocated = []
-        real = rebuild_mod.alloc_batch
+        async def per_byte(column):
+            code, cluster = sim_cluster(k=6, p=7, element_size=4096, n_stripes=64)
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                await arr.write(0, payload_for(arr))
+                lost = cluster.nodes[column].disk
+                await cluster.stop_node(column)
+                spare = await cluster.start_replacement(column)
+                hashed[0] = 0
+                await RebuildScheduler(arr).rebuild_column(column, spare)
+                rebuilt = hashed[0] / (arr.n_stripes * code.strip_bytes)
+                await assert_rebuilt(arr, cluster, column, lost)
+                return rebuilt
 
-        def counting(code, n_stripes):
-            allocated.append(n_stripes)
-            return real(code, n_stripes)
+        assert asyncio.run(per_byte(6)) <= 7.01  # P at k=6
+        assert 8.0 < asyncio.run(per_byte(7)) <= 8.01  # Q
 
-        monkeypatch.setattr(rebuild_mod, "alloc_batch", counting)
+
+def counted(monkeypatch, owner, name: str, made: list) -> None:
+    real = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        made.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+
+
+class TestOneColumnBuffer:
+    def test_a_rebuild_lands_no_window_buffer(self, monkeypatch):
+        """Each column the decode reads shares memory with a ``get``
+        reply frame and is read-only; nothing allocates a window or a
+        stripe buffer."""
 
         async def run():
             code, cluster = sim_cluster(n_stripes=64)
@@ -82,13 +111,43 @@ class TestOneWindow:
                 lost = cluster.nodes[2].disk
                 await cluster.stop_node(2)
                 spare = await cluster.start_replacement(2)
-                assert await RebuildScheduler(arr).rebuild_column(2, spare) == 64
+                fan_out, frames = arr._fan_out, []
+
+                async def recording_frames(verb, plan, *args):
+                    done = await fan_out(verb, plan, *args)
+                    if verb == "get":
+                        frames.extend(np.frombuffer(outcome[1], np.uint8) for *_, outcome in done)
+                    return done
+
+                arr._fan_out = recording_frames
+                sched = RebuildScheduler(arr)
+                decode, sources = sched.coder.decode, []
+
+                def recording_sources(batch, erasures):
+                    sources.extend(batch[c] for c in code.sources(erasures))
+                    return decode(batch, erasures)
+
+                sched.coder.decode = recording_sources
+                made: list[str] = []
+                counted(monkeypatch, repro.parallel, "alloc_batch", made)
+                counted(monkeypatch, ClusterArray, "_stripe_buffer", made)
+                counted(monkeypatch, code, "alloc_stripe", made)
+                assert await sched.rebuild_column(2, spare) == 64
+                assert made == []
+                assert len(sources) == 4 * code.k  # four windows of 16
+                for column in sources:
+                    assert not column.flags.writeable
+                    assert any(np.shares_memory(column, frame) for frame in frames)
+                arr._fan_out = fan_out
                 await assert_rebuilt(arr, cluster, 2, lost)
 
         asyncio.run(run())
-        assert allocated == [16]  # one per window, four, before
 
-    def test_full_windows_hand_the_decode_one_buffer(self):
+    def test_windows_decode_into_one_column_buffer(self):
+        """The rebuild allocates one buffer for the rebuilt column: both
+        full windows decode into it, and the last, short one into a
+        prefix of it."""
+
         async def run():
             code, cluster = sim_cluster(n_stripes=10)
             async with cluster:
@@ -98,21 +157,23 @@ class TestOneWindow:
                 await cluster.stop_node(0)
                 spare = await cluster.start_replacement(0)
                 sched = RebuildScheduler(arr, batch_stripes=4)
-                decode, batches = sched.coder.decode, []
+                decode, written = sched.coder.decode, []
 
                 def recording(batch, erasures):
-                    batches.append(batch)
+                    written.append(batch[0])  # [rows, stripes, element_size]
                     return decode(batch, erasures)
 
                 sched.coder.decode = recording
                 assert await sched.rebuild_column(0, spare) == 10
                 await assert_rebuilt(arr, cluster, 0, lost)
-                return batches
+                return written
 
         full, again, short = asyncio.run(run())
-        assert full is again and len(full) == 4
-        # The last, short window is a prefix of the same buffer.
-        assert len(short) == 2 and np.shares_memory(short, full)
+        buffer = full.base
+        assert again.base is buffer and short.base is buffer
+        assert buffer.shape[0] == 4 and full.shape[1] == again.shape[1] == 4
+        assert short.shape[1] == 2
+        assert np.shares_memory(short, buffer[:2]) and not np.shares_memory(short, buffer[2:])
 
 
 class TestReusedWindow:
@@ -225,37 +286,41 @@ class TestReusedWindow:
         asyncio.run(run())
 
 
+async def refused_flip(column: int) -> None:
+    """Flip the first byte of the second stripe's decoded ``column`` in
+    a rebuild's second window: its push still lists the fold of its
+    sources' CRCs, which the replacement's check refuses, so the
+    rebuild fails and the column stays where it was."""
+    code, cluster = sim_cluster(n_stripes=8)
+    async with cluster:
+        arr = cluster.array(policy=FAST_POLICY)
+        await arr.write(0, payload_for(arr, seed=7))
+        await cluster.stop_node(column)
+        before = arr.membership.address_of(column)
+        spare = await cluster.start_replacement(column)
+        sched = RebuildScheduler(arr, batch_stripes=4)
+        decode, windows = sched.coder.decode, []
+
+        def flipping(batch, erasures):
+            decode(batch, erasures)
+            windows.append(batch)
+            if len(windows) == 2:  # the column's row 0, stripe 1, byte 0
+                batch[column][0, 1, 0] ^= 0xFF
+            return batch
+
+        sched.coder.decode = flipping
+        with pytest.raises(NodeUnavailableError):
+            await sched.rebuild_column(column, spare)
+        replacement = cluster.replacements[column]
+        assert replacement.metrics.get("put_crc_mismatches") >= 1
+        assert replacement.metrics.get("requests_put") == 1 + FAST_POLICY.attempts
+        assert arr.membership.address_of(column) == before
+        assert arr.client_for_node(column).address != spare
+
+
 class TestFoldedPushCrcs:
     def test_the_replacement_refuses_a_decode_that_breaks_the_fold(self):
-        """A byte flipped in one window's decoded column still lists the
-        fold of its sources' CRCs, which the replacement's check refuses:
-        the rebuild fails and the column stays where it was."""
+        asyncio.run(refused_flip(1))
 
-        async def run():
-            code, cluster = sim_cluster(n_stripes=8)
-            async with cluster:
-                arr = cluster.array(policy=FAST_POLICY)
-                await arr.write(0, payload_for(arr, seed=7))
-                await cluster.stop_node(1)
-                before = arr.membership.address_of(1)
-                spare = await cluster.start_replacement(1)
-                sched = RebuildScheduler(arr, batch_stripes=4)
-                decode, windows = sched.coder.decode, []
-
-                def flipping(batch, erasures):
-                    decode(batch, erasures)
-                    windows.append(batch)
-                    if len(windows) == 2:
-                        batch[1, 1].reshape(-1).view(np.uint8)[0] ^= 0xFF
-                    return batch
-
-                sched.coder.decode = flipping
-                with pytest.raises(NodeUnavailableError):
-                    await sched.rebuild_column(1, spare)
-                replacement = cluster.replacements[1]
-                assert replacement.metrics.get("put_crc_mismatches") >= 1
-                assert replacement.metrics.get("requests_put") == 1 + FAST_POLICY.attempts
-                assert arr.membership.address_of(1) == before
-                assert arr.client_for_node(1).address != spare
-
-        asyncio.run(run())
+    def test_the_replacement_refuses_a_rebuilt_p_that_breaks_the_fold(self):
+        asyncio.run(refused_flip(3))  # P, at k=3

@@ -7,8 +7,8 @@ client checks each strip against its own.  A strip that fails twice
 has rotted at rest and becomes an erasure, so no reader -- degraded
 read, delta write, fallback, rebuild, rebalancer or gateway -- returns
 or re-encodes it.  A stripe that decodes fetches only the columns its
-decode schedule reads: for one lost Liberation data column, P and not
-Q.
+decode schedule reads: for one lost Liberation or Reed-Solomon data
+column, P and not Q.
 """
 
 import asyncio
@@ -17,7 +17,7 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.cluster import ClusterScrubber, RebuildScheduler, StripNode
+from repro.cluster import ClusterScrubber, LocalCluster, RebuildScheduler, StripNode
 from repro.cluster.client import NodeClient, NodeUnavailableError, RetryPolicy
 from repro.cluster.protocol import FrameChecksumError, encode_frame, read_frame
 from repro.codes import make_code
@@ -198,7 +198,31 @@ class TestFetchRule:
         assert code.sources((1, 6)) == (0, 2, 3, 4, 5, 7)
         assert code.sources((6,)) == tuple(range(6))
         rs = make_code("reed-solomon", 4)
-        assert rs.sources((1,)) == (0, 2, 3, 4, 5)
+        assert rs.sources((1,)) == (0, 2, 3, 4)
+
+    def test_a_reed_solomon_read_around_a_lost_data_node_sends_k_gets_and_no_q(self):
+        """Reed-Solomon decodes one lost data column from P alone, so a
+        read of the whole array asks the k - 1 other data nodes and P,
+        one ``get`` each, and never Q."""
+
+        async def run():
+            code = make_code("reed-solomon", 4, element_size=64)
+            cluster = LocalCluster(code, 6, transport=MemoryTransport(), clock=VirtualClock())
+            async with cluster:
+                arr = cluster.array(policy=FAST_POLICY)
+                data = payload_for(arr, seed=8)
+                await arr.write(0, data)
+                await cluster.stop_node(1)
+                before = [node.metrics.get("requests_get") for node in cluster.nodes]
+                assert await arr.read(0, arr.capacity) == data
+                return code, [
+                    node.metrics.get("requests_get") - was
+                    for node, was in zip(cluster.nodes, before)
+                ]
+
+        code, gets = asyncio.run(run())
+        assert gets == [1, 0, 1, 1, 1, 0]
+        assert sum(gets) == code.k and gets[code.q_col] == 0
 
     def test_a_second_loss_mid_window_still_rebuilds_byte_identically(self):
         """Window two's fetch finds column 0 gone: it widens, by one

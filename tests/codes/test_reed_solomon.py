@@ -77,6 +77,35 @@ class TestDecoding:
         assert np.array_equal(work, ref)
 
 
+class TestDecodeOverColumns:
+    """A column the decode writes need not be contiguous: a batch's
+    column ``[rows, n, ...]`` is the transposed view of a stripe-major
+    array, and the decode must write where it lives (a reshape of such a
+    view is a copy, which once left the erased column unwritten)."""
+
+    @pytest.mark.parametrize("rows", [1, 2])
+    def test_a_batch_of_transposed_columns_decodes_in_place(self, random_words, rows):
+        code = ReedSolomonCode(4, rows=rows, element_size=16)
+        stripes = [encoded(code, random_words) for _ in range(3)]
+        for pattern in [(1,), (0, 1), (1, code.p_col), (1, code.q_col), (code.p_col, code.q_col)]:
+            columns = []
+            for c in range(code.n_cols):
+                stacked = np.stack([stripe[c].view(np.uint8) for stripe in stripes])
+                if c in pattern:
+                    stacked[:] = 0
+                else:
+                    stacked.flags.writeable = False
+                columns.append(stacked.transpose(1, 0, 2))
+            assert columns[0].flags.c_contiguous == (rows == 1)
+            code.decode(columns, pattern)
+            for c in pattern:
+                np.testing.assert_array_equal(
+                    columns[c].transpose(1, 0, 2),
+                    np.stack([stripe[c].view(np.uint8) for stripe in stripes]),
+                    err_msg=f"rows={rows} decode{pattern}, column {c}",
+                )
+
+
 class TestUpdate:
     def test_always_two_parity_writes(self, code, random_words):
         buf = encoded(code, random_words)

@@ -13,19 +13,22 @@ that claim three ways:
   plan bound wide over a word-packed batch, the kernel plan and the
   streaming executor each bound over the stripe's columns (survivors as
   read-only byte views at an odd offset, as strips land in their reply
-  frames), and the bit-plane reference -- all byte-identical, with every
-  kernel lowering symbolically proved (``validate=True``);
+  frames) and over a batch's columns (each ``[rows, n, element_size]``,
+  the transposed view of a stripe-major array, as a rebuild window's
+  strips of a column land in one frame, for n in {1, 3, 16}, against n
+  per-stripe runs), and the bit-plane reference -- all byte-identical,
+  with every kernel lowering symbolically proved (``validate=True``);
 * a **Hypothesis fuzz** over random (family, p, k, data, erasures)
   cases -- the shapes the grid's fixed menu cannot enumerate;
 * **mutation canaries** -- a single flipped XOR, planted either in the
   source schedule or in the lowered op list, must be caught (by the
-  byte comparison, over a stripe buffer or over columns, and by the
-  symbolic prover respectively).  A harness that cannot fail is not
+  byte comparison, over a stripe buffer, a stripe's columns or a
+  batch's, and by the symbolic prover respectively).  A harness that cannot fail is not
   evidence; these prove this one can;
 * **decodes over columns** -- every registered family's ``code.decode``
-  given the stripe as its columns matches its decode of a stripe
-  buffer, and a decode whose plan reads a column that was not supplied
-  raises.
+  given the stripe, or a batch of stripes, as its columns matches its
+  decode of each stripe buffer, and a decode whose plan reads a column
+  that was not supplied raises.
 """
 
 import os
@@ -81,11 +84,53 @@ def erasure_menu(code):
     )
 
 
+#: Stripes in a batch binding: one, a few, and a rebuild window's 16.
+BATCH_WIDTHS = (1, 3, 16)
+
+
 def frame_view(column):
     """``column``'s bytes as a read-only byte view at an odd offset of a
-    ``bytes`` object, the way a strip lands in its reply frame."""
+    ``bytes`` object, the way a strip lands in its reply frame (a batch's
+    column ``[n, rows, ...]``, the way a window's strips of a column
+    land in one frame)."""
     raw = b"\x00" + column.tobytes()
-    return np.frombuffer(raw, np.uint8, offset=1).reshape(column.shape[0], -1)
+    return np.frombuffer(raw, np.uint8, offset=1).reshape(column.shape[:-1] + (-1,))
+
+
+def more_stripes(buf, n, seed):
+    """``buf`` and ``n - 1`` random stripes of its shape."""
+    rng = np.random.default_rng(seed)
+    return [buf] + [rng.integers(0, 2**64, buf.shape, dtype=np.uint64) for _ in range(n - 1)]
+
+
+def batch_columns(stripes, writes, reads):
+    """``stripes`` given as a batch's columns: each column ``[rows, n,
+    element_size]``, the transposed view of a stripe-major byte array
+    ``[n, rows, element_size]`` -- a writable copy of each column in
+    ``writes``, a read-only frame view of each other one in ``reads``,
+    ``None`` for the rest."""
+    columns = []
+    for c in range(stripes[0].shape[0]):
+        stacked = np.stack([stripe[c].view(np.uint8) for stripe in stripes])
+        if c in writes:
+            columns.append(stacked.transpose(1, 0, 2))
+        elif c in reads:
+            columns.append(frame_view(stacked).transpose(1, 0, 2))
+        else:
+            columns.append(None)
+    return columns
+
+
+def assert_batch_agrees(columns, wants, what):
+    """Each supplied column of the batch ``columns`` holds, for stripe
+    ``i``, the bytes of that column of ``wants[i]``."""
+    for c, column in enumerate(columns):
+        if column is not None:
+            np.testing.assert_array_equal(
+                column.transpose(1, 0, 2),
+                np.stack([want[c].view(np.uint8) for want in wants]),
+                err_msg=f"{what}, column {c}",
+            )
 
 
 def as_columns(schedule, buf):
@@ -117,17 +162,27 @@ def assert_paths_agree(schedule, buf, what):
     Returns the agreed output stripe.  The op-at-a-time streaming
     executor is the word-level reference; the kernel plan (single-stripe,
     word-packed wide over three stripes, and bound over the stripe's
-    columns), the streaming executor bound over the columns, and the
-    bit-plane reference must match it byte for byte.
+    columns and over a batch's), the streaming executor bound over the
+    same columns, and the bit-plane reference must match it byte for
+    byte.  A batch of ``n`` stripes -- ``buf`` and random ones -- must
+    match ``n`` runs of the reference, stripe by stripe.
     """
     streaming = StreamingSchedule(schedule).run(buf.copy())
     plan = compile_kernel(schedule, validate=True)
     kernel = plan.run(buf.copy())
     np.testing.assert_array_equal(streaming, kernel, err_msg=f"{what}: kernel")
+    stripes = more_stripes(buf, max(BATCH_WIDTHS), seed=len(schedule))
+    wants = [streaming] + [StreamingSchedule(schedule).run(s.copy()) for s in stripes[1:]]
+    writes = {op.dst_col for op in schedule}
+    reads = {op.src_col for op in schedule}
     for name, run in (("kernel", plan.run), ("streaming", StreamingSchedule(schedule).run)):
         columns = as_columns(schedule, buf)
         run(columns)
         assert_columns_agree(columns, streaming, f"{what}: {name} over columns")
+        for n in BATCH_WIDTHS:
+            columns = batch_columns(stripes[:n], writes, reads)
+            run(columns)
+            assert_batch_agrees(columns, wants[:n], f"{what}: {name} over {n} stripes' columns")
     words = buf.shape[2]
     wide = plan.run(np.concatenate([buf, buf, buf], axis=2))
     for i in range(3):
@@ -320,12 +375,19 @@ class TestMutationCanary:
         plan = compile_kernel(sched)
         doctored = self._doctor_one_op(plan, kind)
         buf = filled(code, seed=3)
-        good, bad = as_columns(sched, buf), as_columns(sched, buf)
-        plan.run(good)
-        doctored.run(bad)
-        assert any(
-            not np.array_equal(g, b) for g, b in zip(good, bad) if g is not None
-        ), f"a doctored {kind} op bound over columns must change the output"
+        writes = {op.dst_col for op in sched}
+        reads = {op.src_col for op in sched}
+        stripes = more_stripes(buf, max(BATCH_WIDTHS), seed=3)
+        for what, make in [("a stripe's", lambda: as_columns(sched, buf))] + [
+            (f"{n} stripes'", lambda n=n: batch_columns(stripes[:n], writes, reads))
+            for n in BATCH_WIDTHS
+        ]:
+            good, bad = make(), make()
+            plan.run(good)
+            doctored.run(bad)
+            assert any(
+                not np.array_equal(g, b) for g, b in zip(good, bad) if g is not None
+            ), f"a doctored {kind} op bound over {what} columns must change the output"
 
     def test_changed_xor_work_fails_conservation(self):
         # compile-time tripwire: a lowering that loses or invents XOR
@@ -369,26 +431,42 @@ def decode_columns(code, encoded, pattern):
 
 
 class TestDecodeOverColumns:
-    """``code.decode`` over a stripe's columns equals it over a buffer."""
+    """``code.decode`` over a stripe's columns, or a batch's, equals it
+    over each stripe buffer."""
 
     @pytest.mark.parametrize("name", sorted(FAMILY_KWARGS))
     def test_every_pattern_of_every_family(self, name):
         code = make_code(name, 3, element_size=16, **FAMILY_KWARGS[name])
-        encoded = filled(code, seed=len(name))
-        code.encode(encoded)
+        encoded = []
+        for stripe in more_stripes(filled(code, seed=len(name)), max(BATCH_WIDTHS), seed=1):
+            stripe[code.k :] = 0
+            encoded.append(code.encode(stripe))
         patterns = [(c,) for c in range(code.n_cols)] + [
             (a, b) for a in range(code.n_cols) for b in range(a + 1, code.n_cols)
         ]
         for pattern in patterns:
-            probe = encoded.copy()
-            probe[list(pattern)] = 0
-            want = code.decode(probe, pattern)
-            columns = decode_columns(code, encoded, pattern)
+            wants = []
+            for stripe in encoded:
+                probe = stripe.copy()
+                probe[list(pattern)] = 0
+                wants.append(code.decode(probe, pattern))
+            columns = decode_columns(code, encoded[0], pattern)
             code.decode(columns, pattern)
             assert_columns_agree(
-                [columns[c] for c in range(code.n_cols)], want,
+                [columns[c] for c in range(code.n_cols)], wants[0],
                 f"{name} decode{pattern} over columns",
             )
+            writes = {*pattern, *range(code.n_cols, code.total_cols)}
+            zeroed = [stripe.copy() for stripe in encoded]
+            for stripe in zeroed:
+                stripe[sorted(writes)] = 0
+            for n in BATCH_WIDTHS:
+                columns = batch_columns(zeroed[:n], writes, set(code.sources(pattern)))
+                code.decode(columns, pattern)
+                assert_batch_agrees(
+                    columns[: code.n_cols], wants[:n],
+                    f"{name} decode{pattern} over {n} stripes' columns",
+                )
 
     def _lost_source(self, name):
         code = make_code(name, 3, element_size=16, **FAMILY_KWARGS[name])
