@@ -642,9 +642,12 @@ def _cluster_array(args):
 def cmd_cluster_scrub(args) -> int:
     from repro.cluster.scrub import ClusterScrubber
 
+    try:
+        scrubber = ClusterScrubber(_cluster_array(args), window=args.window)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
+
     async def run() -> int:
-        array = _cluster_array(args)
-        scrubber = ClusterScrubber(array, window=args.window)
         report = await scrubber.scrub(repair=not args.detect_only, deep=args.deep)
         mode = "deep" if args.deep else "fast-path"
         print(f"scrub pass ({mode}): {report.stripes_scanned} stripes scanned, "

@@ -544,6 +544,12 @@ class LandedStrips(dict):
         frame, row = self.frames[column]
         return frame[row : row + n].transpose(1, 0, 2)
 
+    def copy_to(self, buf: np.ndarray) -> np.ndarray:
+        """Copy each strip into its column of the stripe buffer ``buf``; returns it."""
+        for col, strip in self.items():
+            buf[col].view(np.uint8)[:] = strip
+        return buf
+
 
 class ClusterArray:
     """A RAID-6 array whose strips live on network nodes.
@@ -875,21 +881,20 @@ class ClusterArray:
         ]
 
     async def _gather(
-        self, plan: list[tuple[int, list[int]]], into: dict,
+        self, plan: list[tuple[int, list[int]]], into: dict[int, LandedStrips],
         crcs: dict[tuple[int, int], int] | None = None,
     ) -> dict[int, list[int]]:
         """Fetch each ``(column, stripes)`` of ``plan`` into ``into``,
         one ``get`` per column and holder; returns each stripe's lost
-        columns.  ``into`` holds per stripe either its stripe buffer,
-        which gets a copy of each strip, or its :class:`LandedStrips`,
-        which gets each strip itself under its column: a read-only byte
-        (``uint8``) view of the reply frame it came in, ``[rows,
-        element_size]``, with its place in that frame.  Such a view is
-        hashed, joined, and computed on where it is: a degraded read and
-        a rebuild window decode from it (:meth:`_decode_landed`).  It
-        follows a header of any length, so it is not word-aligned, and
-        it stays a byte view.  A strip behind a latent sector costs only
-        its own stripe's column.
+        columns.  Each strip lands in its stripe's :class:`LandedStrips`
+        as a read-only byte (``uint8``) view of the reply frame it came
+        in, ``[rows, element_size]``, with its place in that frame: it is
+        hashed, joined and decoded from where it is
+        (:meth:`_decode_landed`), and copied into a stripe buffer only by
+        a caller that computes on whole stripes
+        (:meth:`LandedStrips.copy_to`).  It follows a header of any
+        length, so it is not word-aligned, and it stays a byte view.  A
+        strip behind a latent sector costs only its own stripe's column.
 
         Every strip is checked against the CRC-32 sidecar its node lists
         for it before it lands, and ``crcs`` (when given) keeps that CRC
@@ -916,13 +921,12 @@ class ClusterArray:
         return lost
 
     def _land(
-        self, done, into: dict, lost: dict[int, list[int]],
+        self, done, into: dict[int, LandedStrips], lost: dict[int, list[int]],
         crcs: dict[tuple[int, int], int] | None,
     ):
         """Land the strips of a ``get`` fan-out's ``done`` replies that
-        match their CRCs in ``into`` (a stripe buffer copies each in, a
-        :class:`LandedStrips` keeps its byte view of the frame and its
-        row there; see :meth:`_gather`), keeping each one's CRC in
+        match their CRCs in ``into``, each its byte view of the frame and
+        its row there (see :meth:`_gather`), keeping each one's CRC in
         ``crcs`` (when given), and add the strips it lost to ``lost`` --
         those the reply lists ``unreadable`` among them, all of its
         strips included; returns the strips that failed their CRC, as
@@ -943,17 +947,12 @@ class ClusterArray:
                     strips = np.frombuffer(payload, np.uint8).reshape(
                         len(readable), code.rows, code.element_size
                     )
-                    words = strips.view(WORD_DTYPE)
                     view = memoryview(payload)
                     for i, stripe in enumerate(readable):
                         crc = zlib.crc32(view[i * size : (i + 1) * size])
                         if crc == listed[i]:
-                            target = into[stripe]
-                            if isinstance(target, LandedStrips):  # the view, and its row
-                                target[col] = strips[i]
-                                target.frames[col] = (strips, i)
-                            else:  # a stripe buffer copies the words in
-                                target[col] = words[i]
+                            into[stripe][col] = strips[i]
+                            into[stripe].frames[col] = (strips, i)
                             if crcs is not None:
                                 crcs[stripe, col] = crc
                         else:
@@ -979,15 +978,12 @@ class ClusterArray:
         ]
 
     async def _fetch_for(
-        self, bufs: dict, erasures: dict[int, set[int]], restore,
-        crcs: dict[tuple[int, int], int] | None = None,
+        self, strips: dict[int, LandedStrips], erasures: dict[int, set[int]],
+        restore, crcs: dict[tuple[int, int], int] | None = None,
     ) -> None:
-        """Fetch into each stripe's entry of ``bufs`` -- its stripe
-        buffer, or a :class:`LandedStrips` that keeps each strip as a
-        byte view of its reply frame, which a degraded read and a
-        rebuild window decode from (see :meth:`_gather`) -- what it
-        takes to hold its ``restore`` columns, keeping each landed
-        strip's CRC in ``crcs``.
+        """Land in each stripe's :class:`LandedStrips` in ``strips``
+        (see :meth:`_gather`) what it takes to hold its ``restore``
+        columns, keeping each landed strip's CRC in ``crcs``.
 
         A stripe whose ``restore`` columns are intact fetches just
         them.  One that must decode fetches only what its decode reads
@@ -1006,8 +1002,8 @@ class ClusterArray:
         :class:`ClusterDegradedError` for a stripe that would have to
         decode more than two erasures.
         """
-        fetched: dict[int, set[int]] = {stripe: set() for stripe in bufs}
-        pending = list(bufs)  # the stripes whose erasures changed
+        fetched: dict[int, set[int]] = {stripe: set() for stripe in strips}
+        pending = list(strips)  # the stripes whose erasures changed
         while pending:
             want: dict[int, list[int]] = {}
             for stripe in pending:
@@ -1031,7 +1027,7 @@ class ClusterArray:
                     want[stripe] = cols
             if not want:
                 return
-            lost = await self._gather(_by_column(want), {s: bufs[s] for s in want}, crcs)
+            lost = await self._gather(_by_column(want), {s: strips[s] for s in want}, crcs)
             pending = [s for s in want if lost[s]]
             for stripe in pending:
                 erasures[stripe].update(lost[stripe])
@@ -1058,12 +1054,6 @@ class ClusterArray:
         return np.empty(
             (code.total_cols, code.rows, element_words(code.element_size)), WORD_DTYPE
         )
-
-    def _decoded(self, n: int) -> None:
-        """Count ``n`` stripes a read decoded."""
-        if n:
-            self.metrics.counter("decodes").inc(n)
-            self.metrics.counter("degraded_reads").inc(n)
 
     def _decode_landed(
         self, stripes: list[int], strips: dict[int, LandedStrips],
@@ -1126,37 +1116,45 @@ class ClusterArray:
                         crcs[stripe, c] = zlib.crc32(outs[c][i])
             start = stop
 
-    async def _fetch_stripes(
+    async def _fetch_data(
         self, stripes: list[int], lost: dict[int, list[int]] | None = None,
-    ) -> list[np.ndarray]:
-        """Assemble zero-filled stripe buffers, decoding around lost
-        columns.
+        crcs: dict[tuple[int, int], int] | None = None,
+    ) -> dict[int, LandedStrips]:
+        """Land the data columns of ``stripes``, decoding around lost
+        columns: each stripe's landed and decoded strips.
 
         The sunny-day path is one ``get`` per data column (and holder)
         for all of ``stripes``; only the stripes that lost a data column
         -- unreachable, unreadable, rotted or known stale -- fetch what
         their decode reads, again batched (:meth:`_fetch_for`), and
-        decode.  So a stale P or Q matters only to a stripe that
-        decodes, and a column the decode does not read stays zero in
-        its buffer.  ``lost`` names each stripe's columns an earlier
-        fetch already lost: they count as erasures and are not asked
-        for again, so an unreachable node costs its retry budget once.
+        decode where their strips landed (:meth:`_decode_landed`), each
+        counted on ``decodes`` and ``degraded_reads``.  So a stale P or
+        Q matters only to a stripe that decodes.  ``lost`` names each
+        stripe's columns an earlier fetch already lost: they count as
+        erasures and are not asked for again, so an unreachable node
+        costs its retry budget once.
         """
-        code = self.code
+        known = lost or {}
+        erasures = {s: set(self.dirty_stripes.get(s, ())) | set(known.get(s, ())) for s in stripes}
+        data = range(self.code.k)
+        strips = {s: LandedStrips() for s in stripes}
+        await self._fetch_for(strips, erasures, data, crcs)
+        decode = [s for s in stripes if not erasures[s].isdisjoint(data)]
+        if decode:
+            self._decode_landed(decode, strips, erasures, crcs)
+            self.metrics.counter("decodes").inc(len(decode))
+            self.metrics.counter("degraded_reads").inc(len(decode))
+        return strips
+
+    async def _fetch_stripes(
+        self, stripes: list[int], lost: dict[int, list[int]] | None = None,
+    ) -> list[np.ndarray]:
+        """:meth:`_fetch_data`'s strips, copied into zero-filled stripe
+        buffers: a column the decode does not read stays zero."""
         for stripe in stripes:
             self._check_stripe(stripe)
-        known = lost or {}
-        bufs = [code.alloc_stripe() for _ in stripes]
-        erasures = {
-            s: set(self.dirty_stripes.get(s, ())) | set(known.get(s, ())) for s in stripes
-        }
-        data = range(code.k)
-        await self._fetch_for(dict(zip(stripes, bufs)), erasures, data)
-        lost = [(s, buf) for s, buf in zip(stripes, bufs) if not erasures[s].isdisjoint(data)]
-        for stripe, buf in lost:
-            code.decode(buf, sorted(erasures[stripe]))
-        self._decoded(len(lost))
-        return bufs
+        strips = await self._fetch_data(stripes, lost)
+        return [strips[s].copy_to(self.code.alloc_stripe()) for s in stripes]
 
     async def read_stripe(self, stripe: int) -> np.ndarray:
         """Assemble one zero-filled stripe buffer once the stripe is not
@@ -1353,10 +1351,11 @@ class ClusterArray:
             delta = [s for s in columns if s not in self.dirty_stripes]
             lost: dict[int, list[int]] = {}
             if delta:
-                lost = await self._gather(
-                    _by_column({s: columns[s] for s in delta}), {s: bufs[s] for s in delta}
-                )
+                strips = {s: LandedStrips() for s in delta}
+                lost = await self._gather(_by_column({s: columns[s] for s in delta}), strips)
                 delta = [s for s in delta if not lost[s]]
+                for stripe in delta:  # its touched strips, copied out of their frames
+                    strips[stripe].copy_to(bufs[stripe])
             fallback = [s for s in columns if s not in delta]
             if fallback:
                 bufs.update(zip(fallback, await self._fetch_stripes(fallback, lost)))
@@ -1474,14 +1473,7 @@ class ClusterArray:
         stripes = sorted(touched)
         await self._await_migrations(stripes)
         crcs: dict[tuple[int, int], int] = {}
-        strips = {s: LandedStrips() for s in stripes}
-        erasures = {s: set(self.dirty_stripes.get(s, ())) for s in stripes}
-        data = range(code.k)
-        await self._fetch_for(strips, erasures, data, crcs)
-        lost = [s for s in stripes if not erasures[s].isdisjoint(data)]
-        if lost:
-            self._decode_landed(lost, strips, erasures, crcs)
-            self._decoded(len(lost))
+        strips = await self._fetch_data(stripes, crcs=crcs)
         out = []
         for offset, length in spans:
             parts, crc = [], 0

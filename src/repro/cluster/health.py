@@ -180,6 +180,8 @@ class HealthMonitor:
         on_change=None,
         rebuild_batch: int = 16,
     ) -> None:
+        if rebuild_batch < 1:
+            raise ValueError(f"rebuild_batch must be positive, got {rebuild_batch}")
         self.array = array
         self.membership = array.membership
         self.clock = array.clock

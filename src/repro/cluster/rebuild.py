@@ -54,11 +54,13 @@ __all__ = ["RebuildScheduler"]
 class RebuildScheduler:
     """Streams a column rebuild through batch decodes.
 
-    ``batch_stripes`` bounds memory: one window's reply frames and the
-    rebuilt column's buffer.
+    ``batch_stripes``, at least 1, bounds memory: one window's reply
+    frames and the rebuilt column's buffer.
     """
 
     def __init__(self, array: ClusterArray, *, batch_stripes: int = 16) -> None:
+        if batch_stripes < 1:
+            raise ValueError(f"batch_stripes must be positive, got {batch_stripes}")
         self.array = array
         self.batch_stripes = int(batch_stripes)
         self.coder = BatchCoder(array.code)

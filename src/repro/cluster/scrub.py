@@ -44,7 +44,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass, field
 
-from repro.cluster.client import ClusterArray, ClusterError, _by_column
+from repro.cluster.client import ClusterArray, ClusterError, LandedStrips, _by_column
 from repro.codes.liberation import LiberationCode
 from repro.core.error_correction import ScanStatus, locate_and_correct
 from repro.parallel import iter_batches
@@ -96,16 +96,18 @@ class ClusterScrubReport:
 class ClusterScrubber:
     """Scrubs a :class:`ClusterArray` in place, window by window.
 
-    ``window`` is the number of stripes one probe round, one fetch and
-    one repair round carry; ``interval`` is the sleep between
-    background passes when driven by :meth:`start`.  Non-Liberation
-    codes fall back to detect-only, the same surfaced fallback as the
-    local scrubber.
+    ``window``, at least 1, is the number of stripes one probe round,
+    one fetch and one repair round carry; ``interval`` is the sleep
+    between background passes when driven by :meth:`start`.
+    Non-Liberation codes fall back to detect-only, the same surfaced
+    fallback as the local scrubber.
     """
 
     def __init__(
         self, array: ClusterArray, *, window: int = 8, interval: float = 30.0
     ) -> None:
+        if window < 1:
+            raise ValueError(f"window must be positive, got {window}")
         self.array = array
         self.window = int(window)
         self.interval = float(interval)
@@ -181,7 +183,9 @@ class ClusterScrubber:
         return await self._verify([stripe], repair)
 
     async def _verify(self, stripes: list[int], repair: bool) -> ClusterScrubReport:
-        """Fetch, verify and repair ``stripes`` as one batch.
+        """Fetch, verify and repair ``stripes`` as one batch: decode as a
+        read does (:meth:`~ClusterArray._decode_landed`), and copy into
+        a stripe buffer only a stripe it verifies or locates.
 
         Holds the stripes' locks from the fetch to the last repair put,
         so a write landing meanwhile cannot be overwritten by a repair
@@ -189,7 +193,7 @@ class ClusterScrubber:
         """
         array, code = self.array, self.array.code
         report = ClusterScrubReport(stripes_scanned=len(stripes))
-        bufs = {s: code.alloc_stripe() for s in stripes}
+        strips = {s: LandedStrips() for s in stripes}
         repairs: dict[int, list[int]] = {}
         async with array.stripe_locks(stripes):
             # Known-stale columns are erasures, never fetched: the dirty
@@ -202,37 +206,38 @@ class ClusterScrubber:
                     s: [c for c in range(code.n_cols) if c not in stale[s]]
                     for s in stripes
                 }),
-                bufs,
+                strips,
             )
+            erasures = {s: stale[s] | set(lost[s]) for s in stripes}
+            bufs = {s: strips[s].copy_to(code.alloc_stripe()) for s in stripes if not erasures[s]}
             for stripe in stripes:
-                buf = bufs[stripe]
-                erased = sorted(stale[stripe] | set(lost[stripe]))
+                erased = sorted(erasures[stripe])
                 if len(erased) > 2 or (erased and not repair):
                     report.deferred.append(stripe)
                 elif erased:
-                    # Erasure-type damage: decode the lost strips and put
-                    # them back (latent sectors heal on rewrite; a down
-                    # node stays deferred).
-                    for col in erased:
-                        buf[col] = 0
-                    code.decode(buf, erased)
-                    array.metrics.counter("decodes").inc()
+                    # Erasure-type damage: decoded below and put back
+                    # (latent sectors heal on rewrite; a down node stays
+                    # deferred).
                     repairs[stripe] = erased
-                elif code.verify(buf):
+                elif code.verify(bufs[stripe]):
                     report.stripes_clean += 1
                 elif not (self._can_locate and repair):
                     report.stripes_detected_only += 1
                     report.detected_only.append(stripe)
                     array.metrics.counter("scrub_detected_only").inc()
                 else:
-                    result = locate_and_correct(code.geometry, buf)
+                    result = locate_and_correct(code.geometry, bufs[stripe])
                     if result.status is ScanStatus.CORRECTED:
                         repairs[stripe] = [result.column]
                     else:
                         report.stripes_uncorrectable += 1
                         report.uncorrectable.append(stripe)
                         array.metrics.counter("scrub_uncorrectable").inc()
-            missed = await array._write_back(repairs, bufs)
+            decode = [s for s in repairs if erasures[s]]
+            if decode:
+                array._decode_landed(decode, strips, erasures)
+                array.metrics.counter("decodes").inc(len(decode))
+            missed = await array._write_back(repairs, {**strips, **bufs})
         for stripe, cols in repairs.items():
             report.corrected += [(stripe, c) for c in cols if c not in missed.get(stripe, ())]
         report.deferred += [s for s in repairs if s in missed]

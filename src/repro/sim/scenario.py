@@ -45,7 +45,7 @@ import numpy as np
 
 from repro.array.faults import NetworkFaultPlan
 from repro.array.raid6 import RAID6Array
-from repro.cluster.client import RetryPolicy
+from repro.cluster.client import LandedStrips, RetryPolicy
 from repro.cluster.local import LocalCluster
 from repro.cluster.rebalance import ClientCrash, ClientCrashPoint
 from repro.cluster.rebuild import RebuildScheduler
@@ -833,16 +833,17 @@ def run_scenario(
                     await clock.sleep(SETTLE_S)
                     checked = 0
                     for stripe in range(arr.n_stripes):
-                        buf = cluster_code.alloc_stripe()
+                        strips = LandedStrips()
                         cols = list(range(cluster_code.n_cols))
                         lost = await arr._gather(
-                            [(col, [stripe]) for col in cols], {stripe: buf}
+                            [(col, [stripe]) for col in cols], {stripe: strips}
                         )
                         if lost[stripe]:
                             continue
                         if stripe in arr.dirty_stripes:
                             continue
                         checked += 1
+                        buf = strips.copy_to(cluster_code.alloc_stripe())
                         if not cluster_code.verify(buf):
                             raise DivergenceError(
                                 f"op[{i}] check_parity: stripe {stripe} is not "

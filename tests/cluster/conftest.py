@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.cluster import LocalCluster, RetryPolicy
+from repro.cluster.client import LandedStrips
 from repro.codes import make_code
 from repro.sim import MemoryTransport, VirtualClock
 
@@ -55,11 +56,11 @@ async def consistent(arr) -> bool:
     """Whether every stripe's strips, parity included, form a codeword."""
     code = arr.code
     for stripe in range(arr.n_stripes):
-        buf = code.alloc_stripe()
+        strips = LandedStrips()
         lost = await arr._gather(
-            [(col, [stripe]) for col in range(code.n_cols)], {stripe: buf}
+            [(col, [stripe]) for col in range(code.n_cols)], {stripe: strips}
         )
-        if lost[stripe] or not code.verify(buf):
+        if lost[stripe] or not code.verify(strips.copy_to(code.alloc_stripe())):
             return False
     return True
 

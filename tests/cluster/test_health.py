@@ -10,6 +10,7 @@ import asyncio
 
 from repro.array.faults import NetworkFaultPlan
 from repro.cluster import CircuitBreaker, HealthMonitor, NodeState
+from repro.cluster.client import LandedStrips
 from repro.cluster.health import BreakerState
 from tests.cluster.conftest import (
     FAST_POLICY,
@@ -176,7 +177,7 @@ class TestHealthMonitor:
                 await monitor.probe_once()
                 assert arr.breakers[1].state is BreakerState.OPEN
                 # Data-plane requests now short-circuit without a dial.
-                lost = await arr._gather([(1, [0])], {0: code.alloc_stripe()})
+                lost = await arr._gather([(1, [0])], {0: LandedStrips()})
                 assert lost == {0: [1]}
                 assert arr.metrics.get("breaker_short_circuits") > 0
 
